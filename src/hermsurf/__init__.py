@@ -5,13 +5,7 @@ degree-d surfaces with the Hermitian surface, upper-bound verification,
 extremal constructions, and the associated evaluation codes.
 """
 
-from hermsurf.finite_field import (
-    Field,
-    FieldElement,
-    FieldError,
-    build_field,
-    subfield_elements,
-)
+from hermsurf.finite_field import Field, FieldError, build_field
 from hermsurf.proj_geometry import Geometry, GeometryError, Line, geometry_for, normalize
 from hermsurf.hermitian import (
     HermitianError,
@@ -47,10 +41,8 @@ from hermsurf.codes import EvaluationCode, build_code, min_distance_enumerate, m
 
 __all__ = [
     "Field",
-    "FieldElement",
     "FieldError",
     "build_field",
-    "subfield_elements",
     "Geometry",
     "GeometryError",
     "Line",

@@ -248,7 +248,7 @@ def _cmd_check(args) -> int:
     form = form_from_json(field, data)
     t0 = time.monotonic()
     stats = intersection_stats(form, surface)
-    bounds = check_theorems(form, surface)
+    bounds = check_theorems(stats, surface)
     report = {
         "stats": stats.to_json(surface, verbose=args.verbose),
         "bounds": bounds.to_json(),

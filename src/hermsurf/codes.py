@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hermsurf.finite_field import Field
+from hermsurf.finite_field import Field, rref
 from hermsurf.forms import class_count, class_vectors, combination_values, monomial_matrix
 from hermsurf.hermitian import HermitianSurface
 from hermsurf.theorems import BudgetExceededError, sorensen_bound
@@ -34,39 +34,14 @@ class EvaluationCode:
         return f"EvaluationCode(q={self.q}, d={self.d}, n={self.n}, k={self.k})"
 
 
-def _row_reduce(field: Field, mat: np.ndarray) -> np.ndarray:
-    """Row echelon basis of the row space (vectorized table arithmetic)."""
-    rows = mat.astype(np.int16).copy()
-    nrows, ncols = rows.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[[r, pivot]] = rows[[pivot, r]]
-        inv = field.inv(int(rows[r, c]))
-        rows[r] = field.mul_np[inv, rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i, c]:
-                factor = field.neg_np[int(rows[i, c])]
-                rows[i] = field.add_np[rows[i], field.mul_np[factor, rows[r]]]
-        r += 1
-    return rows[:r]
-
-
 def build_code(surface: HermitianSurface, d: int) -> EvaluationCode:
     """Generator matrix of monomial evaluations, plus its rank."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     pts = surface.geometry.arr[surface.point_ids]
     matrix = monomial_matrix(surface.field, d, pts)
-    basis = _row_reduce(surface.field, matrix)
+    rows, pivots = rref(surface.field, matrix.tolist())
+    basis = np.array(rows[: len(pivots)], dtype=np.int16)
     return EvaluationCode(
         field=surface.field,
         q=surface.q,

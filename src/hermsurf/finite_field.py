@@ -24,7 +24,6 @@ share across workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -219,26 +218,6 @@ class Field:
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        return FieldElement(self, self.gen_index)
-
-    def element(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.order:
-            raise FieldError(f"element index {index} out of range for order {self.order}")
-        return FieldElement(self, index)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.order)]
-
     def subfield_indices(self) -> tuple[int, ...]:
         """Indices of the q elements fixed by conjugation, ascending."""
         return tuple(i for i in range(self.order) if self._conj[i] == i)
@@ -284,73 +263,10 @@ class Field:
         return f"Field(q={self.q}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a specific field, identified by its index."""
-
-    field: Field
-    index: int
-
-    def _coerce(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise FieldError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field is not self.field:
-            raise FieldError("elements belong to different fields")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.index, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def conjugate(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.conj(self.index))
-
-    def norm(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.norm(self.index))
-
-    def trace(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.trace(self.index))
-
-    def __repr__(self):
-        return f"F{self.field.order}({self.index})"
-
-
 @lru_cache(maxsize=None)
 def build_field(q: int) -> Field:
     """Deterministic GF(q^2) for a prime power q with q^2 <= 1024."""
     return Field(q)
-
-
-def subfield_elements(field: Field) -> list[FieldElement]:
-    """The q elements fixed by conjugation, ascending by index."""
-    return [FieldElement(field, i) for i in field.subfield_indices()]
 
 
 # ----------------------------------------------------------------------
@@ -399,29 +315,3 @@ def nullspace(field: Field, rows) -> list[tuple[int, ...]]:
             v[pc] = field.neg(m[r][fc])
         basis.append(tuple(v))
     return basis
-
-
-def mat_mul(field: Field, a, b) -> list[list[int]]:
-    n, k2 = len(a), len(b[0])
-    out = [[0] * k2 for _ in range(n)]
-    for i in range(n):
-        for j in range(k2):
-            s = 0
-            for t in range(len(b)):
-                s = field.add(s, field.mul(a[i][t], b[t][j]))
-            out[i][j] = s
-    return out
-
-
-def mat_vec(field: Field, a, v) -> list[int]:
-    return [
-        _dot(field, row, v)
-        for row in a
-    ]
-
-
-def _dot(field: Field, u, v) -> int:
-    s = 0
-    for x, y in zip(u, v):
-        s = field.add(s, field.mul(x, y))
-    return s

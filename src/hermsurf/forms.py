@@ -33,12 +33,13 @@ a no-false-negative prefilter before the symbolic check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field
+from hermsurf.finite_field import Field, nullspace
 from hermsurf.hermitian import HermitianError, HermitianSurface
 from hermsurf.proj_geometry import Line
 
@@ -62,8 +63,15 @@ def monomial_count(degree: int) -> int:
     return math.comb(degree + 3, 3)
 
 
-def _binom_mod(n: int, k: int, p: int) -> int:
-    return math.comb(n, k) % p
+def _convolve(field: Field, a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {exponent tuple: element index}."""
+    add, mul = field.add, field.mul
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = add(out.get(e, 0), mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
 
 
 class Form:
@@ -76,6 +84,8 @@ class Form:
             raise FormError(f"degree must be >= 1, got {degree}")
         clean = {}
         for exps, c in coeffs.items():
+            if not 0 <= c < field.order:
+                raise FormError(f"coefficient {c} is not an element index 0..{field.order - 1}")
             if c == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -119,13 +129,8 @@ class Form:
     def __mul__(self, other: "Form") -> "Form":
         if other.field is not self.field:
             raise FormError("forms over different fields")
-        f = self.field
-        prod: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod[e] = f.add(prod.get(e, 0), f.mul(c1, c2))
-        return Form(f, self.degree + other.degree, prod)
+        return Form(self.field, self.degree + other.degree,
+                    _convolve(self.field, self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return (
@@ -203,108 +208,44 @@ def surface_form(surface: HermitianSurface) -> Form:
 # restriction and containment
 # ----------------------------------------------------------------------
 
-def restrict_to_line(form: Form, P, Q) -> tuple[int, ...]:
-    """Coefficients (c_0..c_d) of F(a P + b Q) as a binary form in (a, b),
-    c_k multiplying a^(d-k) b^k."""
+def restrict(form: Form, frame) -> dict[tuple[int, ...], int]:
+    """Nonzero coefficients of F(t_0 frame_0 + ... + t_(k-1) frame_(k-1)).
+
+    A frame of k = 2 points spans a line and one of k = 3 points a plane;
+    the result maps exponent k-tuples of (t_0, ..., t_(k-1)) to element
+    indices.  It is empty exactly when F vanishes identically on the span.
+    """
     f = form.field
-    p_mod = f.p
-    d = form.degree
-    out = [0] * (d + 1)
+    k = len(frame)
+    one = {(0,) * k: 1}
+    powers = []  # powers[j][e] = x_j^e for x_j = sum_i t_i frame_i[j]
+    for j in range(4):
+        x = {tuple(int(i == r) for r in range(k)): pt[j] for i, pt in enumerate(frame) if pt[j]}
+        pw = [one]
+        for _ in range(max(m[j] for m in form.coeffs)):
+            pw.append(_convolve(f, pw[-1], x))
+        powers.append(pw)
+    out: dict = {}
     for exps, c in form.coeffs.items():
-        # expand prod_i (P_i a + Q_i b)^(e_i) by convolving binomials
-        poly = [c]  # coefficients in b, degree grows to sum(e_i)
-        for pi, qi, e in zip(P, Q, exps):
-            if e == 0:
-                continue
-            factor = []
-            for j in range(e + 1):
-                b = _binom_mod(e, j, p_mod)
-                if b == 0:
-                    factor.append(0)
-                    continue
-                term = f.mul(f.pow(pi, e - j), f.pow(qi, j))
-                # lift the integer binomial coefficient into the field
-                bc = 0
-                for _ in range(b):
-                    bc = f.add(bc, 1)
-                factor.append(f.mul(bc, term))
-            new = [0] * (len(poly) + e)
-            for i, a in enumerate(poly):
-                if a == 0:
-                    continue
-                for j, bcoef in enumerate(factor):
-                    if bcoef:
-                        new[i + j] = f.add(new[i + j], f.mul(a, bcoef))
-            poly = new
-        for k, a in enumerate(poly):
-            if a:
-                out[k] = f.add(out[k], a)
-    return tuple(out)
+        poly = {(0,) * k: c}
+        for pw, e in zip(powers, exps):
+            if e:
+                poly = _convolve(f, poly, pw[e])
+        for m, v in poly.items():
+            out[m] = f.add(out.get(m, 0), v)
+    return {m: v for m, v in out.items() if v}
 
 
 def line_contained(form: Form, geometry, line: Line) -> bool:
     """True iff the restriction to the line vanishes identically (over the
     algebraic closure, not just at rational points)."""
     p0, p1 = line.key
-    P, Q = geometry.points[p0], geometry.points[p1]
-    return not any(restrict_to_line(form, P, Q))
-
-
-def restrict_to_plane(form: Form, P, Q, R) -> dict[tuple[int, int, int], int]:
-    """Nonzero coefficients of F(a P + b Q + c R) as a ternary form."""
-    f = form.field
-    p_mod = f.p
-
-    def small(n: int) -> int:
-        x = 0
-        for _ in range(n % p_mod):
-            x = f.add(x, 1)
-        return x
-
-    out: dict = {}
-    for exps, coef in form.coeffs.items():
-        poly = {(0, 0, 0): coef}
-        for pi, qi, ri, e in zip(P, Q, R, exps):
-            if e == 0:
-                continue
-            factor = {}
-            for i in range(e + 1):
-                for j in range(e - i + 1):
-                    k = e - i - j
-                    m = math.comb(e, i) * math.comb(e - i, j) % p_mod
-                    if m == 0:
-                        continue
-                    val = f.mul(f.mul(f.pow(pi, i), f.pow(qi, j)), f.pow(ri, k))
-                    val = f.mul(small(m), val)
-                    if val:
-                        factor[(i, j, k)] = val
-            new = {}
-            for ea, va in poly.items():
-                for eb, vb in factor.items():
-                    e2 = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                    new[e2] = f.add(new.get(e2, 0), f.mul(va, vb))
-            poly = new
-        for e2, v in poly.items():
-            if v:
-                out[e2] = f.add(out.get(e2, 0), v)
-    return {e: v for e, v in out.items() if v}
-
-
-def _plane_frame(geometry, plane) -> tuple:
-    """Three non-collinear points spanning the plane, deterministically."""
-    ids = geometry.plane_point_ids(plane)
-    P = geometry.points[int(ids[0])]
-    Q = geometry.points[int(ids[1])]
-    line_ids = set(geometry.line_through(P, Q).point_ids)
-    for i in ids[2:]:
-        if int(i) not in line_ids:
-            return P, Q, geometry.points[int(i)]
-    raise FormError("degenerate plane frame")
+    return not restrict(form, (geometry.points[p0], geometry.points[p1]))
 
 
 def plane_contained(form: Form, geometry, plane) -> bool:
-    P, Q, R = _plane_frame(geometry, plane)
-    return not restrict_to_plane(form, P, Q, R)
+    """True iff the restriction to the plane vanishes identically."""
+    return not restrict(form, nullspace(geometry.field, [plane]))
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +556,8 @@ def class_vectors(field: Field, m: int, start: int, stop: int) -> np.ndarray:
             out[block, j] = 1
             for t in range(m - 1 - j):
                 div = order ** (m - 2 - j - t)
-                out[block, j + 1 + t] = (tails // div) % order
+                if div < hi - offset:  # larger divisors leave the digit 0
+                    out[block, j + 1 + t] = (tails // div) % order
             row += hi - lo
         offset += size
     return out

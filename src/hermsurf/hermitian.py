@@ -44,6 +44,8 @@ def conj_transpose(field: Field, a: Matrix) -> Matrix:
 
 def is_hermitian(field: Field, a) -> bool:
     a = tuple(tuple(row) for row in a)
+    if any(not 0 <= x < field.order for row in a for x in row):
+        raise HermitianError(f"matrix entries must be element indices 0..{field.order - 1}")
     if all(x == 0 for row in a for x in row):
         return False
     return all(a[i][j] == field.conj(a[j][i]) for i in range(4) for j in range(4))
@@ -354,9 +356,6 @@ class HermitianSurface:
         return self._generators_through
 
     # -- books and censuses --------------------------------------------------
-
-    def is_tangent_plane(self, plane) -> bool:
-        return tuple(plane) in self.tangent_planes()
 
     def classify_book(self, line: Line) -> BookClassification:
         """Count tangent planes among the q^2+1 planes through the line."""

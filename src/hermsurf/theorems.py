@@ -243,10 +243,9 @@ def tangent_plane_factors(form: Form, surface: HermitianSurface) -> list[tuple[i
     return None
 
 
-def check_theorems(form: Form, surface: HermitianSurface) -> BoundReport:
-    """Full per-form verdict: intersection stats, every bound, and the
-    union-of-tangent-planes structural test."""
-    report = intersection_stats(form, surface)
+def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> BoundReport:
+    """Full per-form verdict from the form's intersection stats: every
+    bound, and the union-of-tangent-planes structural test."""
     if report.hermitian_multiple:
         out = BoundReport(
             q=report.q, d=report.d, x_count=report.x_count,
@@ -257,7 +256,7 @@ def check_theorems(form: Form, surface: HermitianSurface) -> BoundReport:
         )
         return out
     bounds = evaluate_bounds(report)
-    factors = tangent_plane_factors(form, surface)
+    factors = tangent_plane_factors(report.form, surface)
     union = factors is not None
     bounds.tangent_plane_union = union
     value = Fraction(no_tangent_plane_bound(report.q, report.d))
@@ -410,7 +409,7 @@ class _SearchContext:
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             form = form_from_vector(self.field, self.d, coeffs[i])
-            confirm = check_theorems(form, self.surface)
+            confirm = check_theorems(intersection_stats(form, self.surface), self.surface)
             raise FalsificationError(
                 f"bound violated at q={self.q} d={self.d}: |X|={int(x_counts[i])}",
                 {"form": form_to_json(form, self.q), "report": confirm.to_json()},
@@ -434,6 +433,17 @@ class _Tally:
             self.total += 1
             if len(self.argmax) < cap:
                 self.argmax.append(key)
+
+    def merge(self, other: "_Tally", cap: int):
+        self.examined += other.examined
+        self.skipped += other.skipped
+        if other.max_count > self.max_count:
+            self.max_count = other.max_count
+            self.argmax = list(other.argmax)
+            self.total = other.total
+        elif other.max_count == self.max_count:
+            self.total += other.total
+            self.argmax.extend(other.argmax[: max(0, cap - len(self.argmax))])
 
 
 def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally, cap: int):
@@ -462,23 +472,25 @@ def _init_worker(q: int, matrix, d: int):
     _WORKER_CTX["ctx"] = _SearchContext(surface, d)
 
 
-def _worker_scan_range(start: int, stop: int, block: int, cap: int) -> dict:
-    ctx = _WORKER_CTX["ctx"]
+def _scan_range(ctx: _SearchContext, start: int, stop: int, block: int, cap: int,
+                progress: bool) -> _Tally:
     tally = _Tally()
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        coeffs = class_vectors(ctx.field, ctx.m, lo, hi)
+        _scan_block(ctx, coeffs, range(lo, hi), tally, cap)
+        if progress and lo // 1_000_000 != hi // 1_000_000:
+            print(f"scanned {hi}/{stop} classes", file=sys.stderr)
+    return tally
+
+
+def _worker_scan_range(start: int, stop: int, block: int, cap: int):
+    # a violation travels back as a dict: FalsificationError does not
+    # unpickle, since its constructor needs the witness
     try:
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            coeffs = class_vectors(ctx.field, ctx.m, lo, hi)
-            _scan_block(ctx, coeffs, range(lo, hi), tally, cap)
+        return _scan_range(_WORKER_CTX["ctx"], start, stop, block, cap, False)
     except FalsificationError as err:
         return {"violation": err.witness, "message": str(err)}
-    return {
-        "max": tally.max_count,
-        "argmax": tally.argmax,
-        "total": tally.total,
-        "examined": tally.examined,
-        "skipped": tally.skipped,
-    }
 
 
 def exhaustive_search(
@@ -505,17 +517,9 @@ def exhaustive_search(
         )
     ctx = _SearchContext(surface, d)
     start_t = time.monotonic()
-    tally = _Tally()
 
     if workers <= 1:
-        done = 0
-        for lo in range(0, total, block):
-            hi = min(lo + block, total)
-            coeffs = class_vectors(surface.field, ctx.m, lo, hi)
-            _scan_block(ctx, coeffs, range(lo, hi), tally, argmax_cap)
-            if progress and done // 1_000_000 != hi // 1_000_000:
-                print(f"scanned {hi}/{total} classes", file=sys.stderr)
-            done = hi
+        tally = _scan_range(ctx, 0, total, block, argmax_cap, progress)
     else:
         chunk = max(block, (total + workers * 4 - 1) // (workers * 4))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
@@ -527,18 +531,11 @@ def exhaustive_search(
             futures = [pool.submit(_worker_scan_range, lo, hi, block, argmax_cap) for lo, hi in ranges]
             results = [fut.result() for fut in futures]
         for res in results:
-            if "violation" in res:
+            if isinstance(res, dict):
                 raise FalsificationError(res["message"], res["violation"])
+        tally = _Tally()
         for res in results:
-            tally.examined += res["examined"]
-            tally.skipped += res["skipped"]
-            if res["max"] > tally.max_count:
-                tally.max_count = res["max"]
-                tally.argmax = list(res["argmax"])
-                tally.total = res["total"]
-            elif res["max"] == tally.max_count:
-                tally.total += res["total"]
-                tally.argmax.extend(res["argmax"][: max(0, argmax_cap - len(tally.argmax))])
+            tally.merge(res, argmax_cap)
 
     argmax_forms = [
         form_from_vector(surface.field, d, class_vectors(surface.field, ctx.m, i, i + 1)[0])

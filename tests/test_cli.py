@@ -127,6 +127,17 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("coefficient", [-1, 4])
+def test_check_rejects_out_of_range_coefficient(tmp_path, capsys, coefficient):
+    form_file = tmp_path / "f.json"
+    form_file.write_text(json.dumps({"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], coefficient]]}))
+    code, out, err = run(capsys, "check", str(form_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verbose_point_lists(capsys):
     code, out, _ = run(capsys, "extremal", "--q", "2", "--d", "1", "--verbose")
     assert code == 0

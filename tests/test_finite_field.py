@@ -10,7 +10,6 @@ from hermsurf.finite_field import (
     matrix_rank,
     nullspace,
     rref,
-    subfield_elements,
     _poly_rem,
 )
 
@@ -148,11 +147,6 @@ def test_subfield_is_closed(q):
             assert f.mul(a, b) in subset
 
 
-def test_subfield_elements_wrapper():
-    f = build_field(2)
-    assert [e.index for e in subfield_elements(f)] == [0, 1]
-
-
 def test_pow_square_and_multiply():
     f = build_field(3)
     for a in range(1, f.order):
@@ -171,26 +165,6 @@ def test_division_errors():
         f.inv(0)
     with pytest.raises(ZeroDivisionError):
         f.div(1, 0)
-
-
-def test_element_wrapper_operators():
-    f = build_field(2)
-    w = f.gen
-    assert (w * w * w).index == 1
-    assert (w + f.zero) == w
-    assert (w / w) == f.one
-    assert (-w + w).index == 0
-    assert (w**3) == f.one
-    assert w.conjugate() == w * w
-    assert w.norm() == f.one
-    assert bool(f.zero) is False
-    g = build_field(3)
-    with pytest.raises(FieldError):
-        w + g.gen
-    with pytest.raises(FieldError):
-        w * 3
-    with pytest.raises(FieldError):
-        f.element(99)
 
 
 def test_describe_serialization():

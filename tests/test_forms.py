@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermsurf.finite_field import build_field
+from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
     Form,
     FormError,
@@ -27,10 +29,11 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
     plane_contained,
-    restrict_to_line,
+    restrict,
     surface_form,
 )
 from hermsurf.hermitian import canonical_surface
+from hermsurf.proj_geometry import geometry_for, projective_points
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,17 @@ def test_form_validation():
         Form(f, 0, {(0, 0, 0, 0): 1})
     form = Form(f, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 0})
     assert form.coeffs == {(2, 0, 0, 0): 1}
+    # element indices are checked at the boundary: numpy gathers would
+    # silently wrap -1, and an index >= q^2 would fail deep inside
+    for c in (-1, 4):
+        with pytest.raises(FormError):
+            Form(f, 1, {(1, 0, 0, 0): c})
+        with pytest.raises(FormError):
+            form_from_json(f, {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], c]]})
+        with pytest.raises(FormError):
+            linear_form(f, (1, 0, c, 0))
+        with pytest.raises(FormError):
+            form_from_vector(f, 1, (1, 0, 0, c))
 
 
 def test_normalization_scaling_invariance():
@@ -123,37 +137,53 @@ def test_values_at_matches_scalar_evaluate(s3):
 # restriction and containment
 # ----------------------------------------------------------------------
 
+def evaluate_restriction(field, coeffs, params) -> int:
+    """Value of a restriction {exponent tuple: coefficient} at parameters."""
+    total = 0
+    for m, c in coeffs.items():
+        term = c
+        for t, e in zip(params, m):
+            term = field.mul(term, field.pow(t, e))
+        total = field.add(total, term)
+    return total
+
+
+def span_point(field, frame, params) -> tuple[int, ...]:
+    """sum_i params_i * frame_i, not normalized."""
+    pt = [0, 0, 0, 0]
+    for t, frame_pt in zip(params, frame):
+        pt = [field.add(x, field.mul(t, y)) for x, y in zip(pt, frame_pt)]
+    return tuple(pt)
+
+
 def test_restriction_examples(s2):
     f = s2.field
     x2x3 = Form(f, 2, {(0, 0, 1, 1): 1})
-    assert restrict_to_line(x2x3, (1, 0, 0, 0), (0, 1, 0, 0)) == (0, 0, 0)
+    assert restrict(x2x3, ((1, 0, 0, 0), (0, 1, 0, 0))) == {}
     herm = surface_form(s2)
-    assert restrict_to_line(herm, (1, 1, 0, 0), (0, 0, 1, 1)) == (0, 0, 0, 0)
+    assert restrict(herm, ((1, 1, 0, 0), (0, 0, 1, 1))) == {}
     x0 = linear_form(f, (1, 0, 0, 0))
-    assert restrict_to_line(x0, (1, 0, 0, 0), (0, 1, 0, 0)) == (1, 0)
+    assert restrict(x0, ((1, 0, 0, 0), (0, 1, 0, 0))) == {(1, 0): 1}
 
 
 def test_restriction_agrees_with_pointwise_evaluation(s2):
-    """The restricted binary form evaluates like the original on the line."""
+    """The restricted binary and ternary forms evaluate like the original
+    on the span of the frame."""
     f = s2.field
     rng = random.Random(22)
     g = s2.geometry
-    for _ in range(20):
-        form = random_form(f, 2, rng)
-        i, j = rng.sample(range(g.n_points), 2)
-        P, Q = g.points[i], g.points[j]
-        coeffs = restrict_to_line(form, P, Q)
-        for a in range(f.order):
-            for b in range(f.order):
-                if a == 0 and b == 0:
+    for k in (2, 3):
+        for _ in range(20):
+            form = random_form(f, 2, rng)
+            frame = [g.points[i] for i in rng.sample(range(g.n_points), k)]
+            coeffs = restrict(form, frame)
+            assert all(sum(m) == form.degree and len(m) == k for m in coeffs)
+            for params in itertools.product(range(f.order), repeat=k):
+                if not any(params):
                     continue
-                pt = tuple(f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(P, Q))
-                via_binary = 0
-                d = form.degree
-                for k, c in enumerate(coeffs):
-                    term = f.mul(c, f.mul(f.pow(a, d - k), f.pow(b, k)))
-                    via_binary = f.add(via_binary, term)
-                assert via_binary == form.evaluate(pt)
+                assert evaluate_restriction(f, coeffs, params) == form.evaluate(
+                    span_point(f, frame, params)
+                )
 
 
 def test_restriction_characteristic_3(s3):
@@ -161,11 +191,11 @@ def test_restriction_characteristic_3(s3):
     f = s3.field
     cube = Form(f, 3, {(3, 0, 0, 0): 1})
     # x0 -> a + b along the line spanned by e0+e1 and e1
-    coeffs = restrict_to_line(cube, (1, 1, 0, 0), (0, 1, 0, 0))
-    assert coeffs == (1, 0, 0, 0)  # x0 = a on this parametrization
+    coeffs = restrict(cube, ((1, 1, 0, 0), (0, 1, 0, 0)))
+    assert coeffs == {(3, 0): 1}  # x0 = a on this parametrization
     sum_cube = Form(f, 3, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1})
-    coeffs = restrict_to_line(sum_cube, (1, 0, 0, 0), (0, 1, 0, 0))
-    assert coeffs == (1, 0, 0, 1)  # freshman's dream: middle terms vanish
+    coeffs = restrict(sum_cube, ((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert coeffs == {(3, 0): 1, (0, 3): 1}  # freshman's dream: middle terms vanish
 
 
 def test_restriction_pointwise_char3(s3):
@@ -175,18 +205,71 @@ def test_restriction_pointwise_char3(s3):
     for _ in range(5):
         form = random_form(f, 4, rng)
         i, j = rng.sample(range(g.n_points), 2)
-        P, Q = g.points[i], g.points[j]
-        coeffs = restrict_to_line(form, P, Q)
+        frame = (g.points[i], g.points[j])
+        coeffs = restrict(form, frame)
         for a in range(f.order):
             for b in (0, 1, 5):
                 if a == 0 and b == 0:
                     continue
-                pt = tuple(f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(P, Q))
-                via_binary = 0
-                for k, c in enumerate(coeffs):
-                    term = f.mul(c, f.mul(f.pow(a, 4 - k), f.pow(b, k)))
-                    via_binary = f.add(via_binary, term)
-                assert via_binary == form.evaluate(pt)
+                assert evaluate_restriction(f, coeffs, (a, b)) == form.evaluate(
+                    span_point(f, frame, (a, b))
+                )
+
+
+def test_restriction_above_q_squared_is_not_rational():
+    """For d > q^2 a form can vanish at every rational point of a line
+    without containing it: x0^4 x1 + x0 x1^4 at q = 2."""
+    f = build_field(2)
+    form = Form(f, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1})
+    frame = ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert all(
+        form.evaluate(span_point(f, frame, params)) == 0
+        for params in itertools.product(range(f.order), repeat=2)
+    )
+    assert restrict(form, frame) == {(4, 1): 1, (1, 4): 1}
+
+
+@st.composite
+def restriction_cases(draw):
+    """(form, frame): a random form, half the time times a linear form
+    whose plane contains the frame, so that the restriction vanishes."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(1, {2: q * q + 1, 3: 3, 4: 2}[q]))
+    field = build_field(q)
+    geom = geometry_for(field)
+    k = draw(st.sampled_from((2, 3)))
+    frame = [geom.points[i] for i in draw(st.lists(
+        st.integers(0, geom.n_points - 1), min_size=k, max_size=k))]
+    through = draw(st.booleans())
+    rest = d - 1 if through else d
+    vec = draw(st.lists(st.integers(0, field.order - 1),
+                        min_size=monomial_count(rest), max_size=monomial_count(rest))) if rest else []
+    form = None
+    if any(vec):
+        form = form_from_vector(field, rest, vec)
+    if through or form is None:
+        plane = linear_form(field, nullspace(field, frame)[0])
+        form = plane if form is None else form * plane
+    return form, frame
+
+
+@settings(max_examples=60, deadline=None)
+@given(restriction_cases())
+def test_restriction_property(case):
+    """(a) the restriction evaluates like F at every rational point of the
+    span (one parameter vector per point suffices, both sides being
+    homogeneous of degree d); (b) for d <= q^2 it is empty exactly when F
+    vanishes at every rational point of the span."""
+    form, frame = case
+    f = form.field
+    coeffs = restrict(form, frame)
+    vanishes = True
+    for params in projective_points(f, len(frame) - 1):
+        value = form.evaluate(span_point(f, frame, params))
+        assert evaluate_restriction(f, coeffs, params) == value
+        vanishes = vanishes and value == 0
+    if form.degree <= f.q**2:
+        assert (not coeffs) == vanishes
 
 
 def test_line_contained(s2):
@@ -209,6 +292,11 @@ def test_plane_contained(s2):
     assert plane_contained(prod, g, (1, 0, 0, 0))
     assert not plane_contained(prod, g, (0, 1, 0, 0))
     assert not plane_contained(surface_form(s2), g, (0, 0, 1, 1))
+    # V(L) contains a plane exactly when L cuts out that plane, so the
+    # frame must span the whole plane, not a line of it
+    for plane in g.points:  # dual coordinates enumerate like points
+        for coeffs in g.points:
+            assert plane_contained(linear_form(f, coeffs), g, plane) == (coeffs == plane)
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +525,13 @@ def test_class_vectors_enumerate_all_classes():
 
     again = np.concatenate([class_vectors(f, 4, lo, min(lo + 7, total)) for lo in range(0, total, 7)])
     assert (again == vecs).all()
+
+
+def test_class_vectors_long_tails():
+    """Digits whose place value exceeds every tail in the block stay 0
+    instead of overflowing the int64 division."""
+    vecs = class_vectors(build_field(3), 35, 0, 2)
+    assert vecs.tolist() == [[1] + [0] * 34, [1] + [0] * 33 + [1]]
 
 
 def test_combination_values_matches_forms(s2):

@@ -311,6 +311,17 @@ def test_surface_requires_hermitian_matrix():
         HermitianSurface(f, [[0] * 4] * 4)
 
 
+def test_matrix_entries_are_range_checked():
+    f = build_field(2)
+    for c in (-1, 4):
+        a = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        a[3][3] = c
+        with pytest.raises(HermitianError):
+            is_hermitian(f, a)
+        with pytest.raises(HermitianError):
+            HermitianSurface(f, a)
+
+
 def test_non_canonical_surface_full_structure():
     """A random rank-4 matrix carries the same geometry as the canonical one."""
     f = build_field(2)

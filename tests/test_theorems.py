@@ -140,7 +140,7 @@ def test_bounds_reject_hermitian_multiple(s2):
 
 
 def test_check_theorems_pencil(s2):
-    br = check_theorems(pencil2(s2), s2)
+    br = check_theorems(intersection_stats(pencil2(s2), s2), s2)
     assert br.tangent_plane_union is True
     assert not br.checks["plane_union_bound"].applicable
     assert br.ok
@@ -149,7 +149,7 @@ def test_check_theorems_pencil(s2):
 def test_check_theorems_two_non_tangent_planes(s2):
     f = s2.field
     form = linear_form(f, (1, 0, 0, 0)) * linear_form(f, (0, 1, 0, 0))
-    br = check_theorems(form, s2)
+    br = check_theorems(intersection_stats(form, s2), s2)
     assert br.x_count == 15  # 9 + 9 - 3 through a common secant
     assert br.tangent_plane_union is False
     assert br.checks["no_tangent_plane_bound"].applicable
@@ -159,7 +159,7 @@ def test_check_theorems_two_non_tangent_planes(s2):
 
 
 def test_check_theorems_hermitian_multiple(s2):
-    br = check_theorems(surface_form(s2), s2)
+    br = check_theorems(intersection_stats(surface_form(s2), s2), s2)
     assert br.hermitian_multiple
     assert br.x_count == 45
     assert br.checks == {}
@@ -167,7 +167,7 @@ def test_check_theorems_hermitian_multiple(s2):
 
 
 def test_residual_delta_shadow(s2):
-    br = check_theorems(linear_form(s2.field, (1, 0, 0, 0)), s2)
+    br = check_theorems(intersection_stats(linear_form(s2.field, (1, 0, 0, 0)), s2), s2)
     assert br.checks["residual_delta"].satisfied  # delta = 3 >= q+1
 
 
@@ -234,7 +234,7 @@ def test_grid_example_q3(s3):
     assert not rep.contains_tangent_plane
     assert not rep.hermitian_multiple
     assert rep.residual_ids == ()
-    br = check_theorems(form, s3)
+    br = check_theorems(rep, s3)
     assert br.ok
     assert br.tangent_plane_union is False
     assert br.checks["book_bound"].value == 136
