@@ -27,7 +27,7 @@ from hermsurf.forms import (
     form_to_json,
     intersection_stats,
 )
-from hermsurf.hermitian import LineKind, canonical_surface
+from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
 from hermsurf.codes import code_report
 from hermsurf.theorems import (
     BudgetExceededError,
@@ -39,6 +39,21 @@ from hermsurf.theorems import (
     random_search,
     sorensen_bound,
 )
+
+
+# Building the surface's tangent sections and generators takes minutes
+# from q = 7 on, so every command that builds a surface refuses such q.
+MAX_SURFACE_Q = 5
+
+
+def _surface(q: int) -> HermitianSurface:
+    """The canonical surface at q, or a ValueError above MAX_SURFACE_Q."""
+    build_field(q)  # a q that is not a prime power is refused as such first
+    if q > MAX_SURFACE_Q:
+        raise ValueError(
+            f"q={q} exceeds the limit q <= {MAX_SURFACE_Q} of commands that build the surface"
+        )
+    return canonical_surface(q)
 
 
 def _emit(report: dict, meta: dict, out: str | None) -> None:
@@ -163,6 +178,7 @@ def census_report(q: int, seed: int = 0, samples_per_class: int = 50) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_verify_counts(args) -> int:
+    _surface(args.q)
     t0 = time.monotonic()
     report = census_report(args.q, seed=args.seed)
     _emit(report, _meta(args, t0), args.out)
@@ -170,7 +186,7 @@ def _cmd_verify_counts(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    surface = canonical_surface(args.q)
+    surface = _surface(args.q)
     t0 = time.monotonic()
     if args.mode == "exhaustive":
         result = exhaustive_search(
@@ -188,7 +204,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    surface = canonical_surface(args.q)
+    surface = _surface(args.q)
     t0 = time.monotonic()
     form = build_extremal_pencil(surface, args.d)
     stats = intersection_stats(form, surface)
@@ -202,7 +218,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    surface = canonical_surface(args.q)
+    surface = _surface(args.q)
     field = surface.field
     if args.alpha is None:
         choices = [a for a in field.subfield_indices() if a not in (0, 1)]
@@ -225,7 +241,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    surface = canonical_surface(args.q)
+    surface = _surface(args.q)
     t0 = time.monotonic()
     report = code_report(surface, args.d, budget=args.budget, collect_weights=bool(args.weight_csv))
     weights = report.pop("weight_distribution", None)
@@ -243,9 +259,8 @@ def _cmd_check(args) -> int:
         data = json.load(fh)
     if args.q is not None and int(data.get("q", args.q)) != args.q:
         raise FormError(f"form file is for q={data['q']}, got --q {args.q}")
-    field = build_field(int(data["q"]))
-    surface = canonical_surface(field.q)
-    form = form_from_json(field, data)
+    surface = _surface(int(data["q"]))
+    form = form_from_json(surface.field, data)
     t0 = time.monotonic()
     stats = intersection_stats(form, surface)
     bounds = check_theorems(stats, surface)
@@ -274,7 +289,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, d_required=False):
-        p.add_argument("--q", type=int, required=True, help="prime power, q^2 <= 1024")
+        p.add_argument("--q", type=int, required=True, help=f"prime power, at most {MAX_SURFACE_Q}")
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")

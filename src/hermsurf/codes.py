@@ -74,23 +74,23 @@ def min_distance_enumerate(
         )
     total = class_count(order, code.k)
     best = code.n + 1
-    dist: Counter = Counter()
+    dist = np.zeros(code.n + 1, dtype=np.int64)
     for lo in range(0, total, block):
         hi = min(lo + block, total)
         coeffs = class_vectors(code.field, code.k, lo, hi)
         values = combination_values(code.field, code.basis, coeffs)
-        weights = code.n - (values == 0).sum(axis=1)
+        weights = code.n - np.count_nonzero(values == 0, axis=1)
         block_min = int(weights.min())
         if block_min < best:
             best = block_min
         if collect_weights:
-            dist.update(int(w) for w in weights)
+            dist += np.bincount(weights, minlength=code.n + 1)
     if best == 0:
         raise RuntimeError("independent basis rows produced a zero codeword")
     if collect_weights:
         full = Counter({0: 1})
-        for w, c in dist.items():
-            full[w] += c * (order - 1)
+        for w in np.flatnonzero(dist):
+            full[int(w)] += int(dist[w]) * (order - 1)
         return best, full
     return best
 

@@ -430,11 +430,14 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     x_ids = tuple(int(surface.point_ids[i]) for i in zero_positions)
 
     if hermitian_divides(form, surface):
+        # V(H) contains no plane and the ring is a domain, so a plane lies
+        # in V(F) = V(H) u V(F/H) exactly when it lies in V(F/H)
+        rest = exact_quotient(form, surface_form(surface)) if d > q + 1 else None
         return IntersectionReport(
             form=form, q=q, d=d,
             x_count=len(x_ids), x_point_ids=x_ids,
             hermitian_multiple=True,
-            contains_tangent_plane=contains_tangent_plane(form, surface, zero_positions),
+            contains_tangent_plane=rest is not None and contains_tangent_plane(rest, surface),
             jf_indices=None, delta=None, residual_ids=None,
             meeting_sizes=None, x_min=None, book_counts=None, multiplicities=None,
         )
@@ -517,19 +520,67 @@ def monomial_matrix(field: Field, degree: int, pts: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=np.int16)
 
 
+@lru_cache(maxsize=None)
+def _digit_lanes(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
+    """(group K, pack_mul, unpack) for adding field elements as packed digits.
+
+    An element is packed as its 2k GF(p) digits in radix-R lanes of one
+    uint16, R = K(p-1)+1 for the largest K with R^(2k) <= 2^16, so a sum
+    of up to K packed elements carries no lane into the next.
+    pack_mul[c, x] is the packed c*x, and unpack maps every packed sum
+    to the element index of its digits mod p.
+    """
+    p, digits = field.p, 2 * field.k
+    radix = 2
+    while (radix + 1) ** digits <= 1 << 16:
+        radix += 1
+    group = (radix - 1) // (p - 1)
+    radix = group * (p - 1) + 1
+    vecs = np.array([field.vector_of(i) for i in range(field.order)], dtype=np.int64)
+    pack = vecs @ radix ** np.arange(digits)
+    pack_mul = pack[field.mul_np].astype(np.uint16)
+    index_of = np.zeros(field.order, dtype=np.int16)
+    index_of[vecs @ p ** np.arange(digits)] = np.arange(field.order)
+    # base-p code of the lanes mod p for every packed value, highest lane first
+    codes = np.zeros(1, dtype=np.int16)
+    for _ in range(digits):
+        codes = (codes[:, None] * p + np.arange(radix, dtype=np.int16) % p).ravel()
+    return group, pack_mul, np.take(index_of, codes)
+
+
+# A slice of rows has about this many elements, which bounds the
+# transients of one decode, but at least _SLICE_ROWS rows, so that wide
+# rows do not pay numpy's per-call overhead many times.
+_SLICE_ELEMENTS = 1 << 16
+_SLICE_ROWS = 64
+
+
 def combination_values(field: Field, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(B, N) values of the linear combinations coeffs @ rows over the field.
 
-    rows is (M, N); coeffs is (B, M) of element indices.
+    rows is (M, N); coeffs is (B, M) of element indices.  For each used
+    monomial m the table of packed c*rows[m] over all elements c is built
+    once; a class then costs one row gather per nonzero term.  Groups of
+    K packed terms add as plain integers, are decoded by one lookup and
+    merged with field addition.  Rows are evaluated in slices so the
+    decode's intp index stays small.
     """
-    b = coeffs.shape[0]
-    acc = np.zeros((b, rows.shape[1]), dtype=np.int16)
-    for i in range(rows.shape[0]):
-        col = coeffs[:, i]
-        if not col.any():
-            continue
-        acc = field.add_np[acc, field.mul_np[col[:, None], rows[i][None, :]]]
-    return acc
+    group, pack_mul, unpack = _digit_lanes(field)
+    b, n = coeffs.shape[0], rows.shape[1]
+    used = np.flatnonzero(coeffs.any(axis=0))
+    tables = [pack_mul[:, rows[m]] for m in used]
+    out = np.zeros((b, n), dtype=np.int16)
+    step = max(_SLICE_ROWS, _SLICE_ELEMENTS // max(n, 1))
+    for lo in range(0, b, step):
+        part = coeffs[lo : lo + step]
+        res = out[lo : lo + step]
+        for g in range(0, len(used), group):
+            acc = np.take(tables[g], part[:, used[g]], axis=0)
+            for j in range(g + 1, min(g + group, len(used))):
+                acc += np.take(tables[j], part[:, used[j]], axis=0)
+            vals = np.take(unpack, acc)
+            res[...] = vals if g == 0 else field.add_np[res, vals]
+    return out
 
 
 def class_count(order: int, m: int) -> int:

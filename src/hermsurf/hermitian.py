@@ -44,6 +44,8 @@ def conj_transpose(field: Field, a: Matrix) -> Matrix:
 
 def is_hermitian(field: Field, a) -> bool:
     a = tuple(tuple(row) for row in a)
+    if len(a) != 4 or any(len(row) != 4 for row in a):
+        raise HermitianError("a Hermitian matrix must be 4x4")
     if any(not 0 <= x < field.order for row in a for x in row):
         raise HermitianError(f"matrix entries must be element indices 0..{field.order - 1}")
     if all(x == 0 for row in a for x in row):

@@ -375,7 +375,9 @@ class _SearchContext:
         self.n = surface.n_surface_points()
         self.rows = monomial_matrix(self.field, d, surface.geometry.arr[surface.point_ids])
         self.m = self.rows.shape[0]
-        self.gen_pos = surface.generator_positions()
+        # a binary form of degree d <= q^2 with d+1 zeros on a line is zero
+        # there, so d+1 points of each generator decide its containment
+        self.gen_pos = surface.generator_positions()[:, : d + 1]
         q = self.q
         # cross-multiplied incidence bound: (q+1)|X| <= rhs[jf_count]
         deltas = np.arange(d * (q + 1) + 1)
@@ -394,8 +396,8 @@ class _SearchContext:
         """Return (x_counts, jf_counts) for a block of coefficient rows."""
         values = combination_values(self.field, self.rows, coeffs)
         zero = values == 0
-        x_counts = zero.sum(axis=1).astype(np.int64)
-        jf_counts = zero[:, self.gen_pos].all(axis=2).sum(axis=1).astype(np.int64)
+        x_counts = np.count_nonzero(zero, axis=1)
+        jf_counts = np.count_nonzero(zero[:, self.gen_pos].all(axis=2), axis=1)
         return x_counts, jf_counts
 
     def check_block(self, coeffs: np.ndarray, x_counts, jf_counts, keep: np.ndarray):
@@ -424,16 +426,6 @@ class _Tally:
     examined: int = 0
     skipped: int = 0
 
-    def update(self, key, count: int, cap: int):
-        if count > self.max_count:
-            self.max_count = count
-            self.argmax = [key]
-            self.total = 1
-        elif count == self.max_count:
-            self.total += 1
-            if len(self.argmax) < cap:
-                self.argmax.append(key)
-
     def merge(self, other: "_Tally", cap: int):
         self.examined += other.examined
         self.skipped += other.skipped
@@ -454,11 +446,16 @@ def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally, ca
             form = form_from_vector(ctx.field, ctx.d, coeffs[int(i)])
             if hermitian_divides(form, ctx.surface):
                 keep[int(i)] = False
-                tally.skipped += 1
     ctx.check_block(coeffs, x_counts, jf_counts, keep)
-    for i in np.nonzero(keep)[0]:
-        tally.examined += 1
-        tally.update(keys[int(i)], int(x_counts[int(i)]), cap)
+    kept = np.flatnonzero(keep)
+    block = _Tally(examined=len(kept), skipped=len(coeffs) - len(kept))
+    if len(kept):
+        counts = x_counts[kept]
+        block.max_count = int(counts.max())
+        hits = kept[counts == block.max_count]
+        block.total = len(hits)
+        block.argmax = [keys[int(i)] for i in hits[:cap]]
+    tally.merge(block, cap)
 
 
 _WORKER_CTX: dict = {}

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from hermsurf.cli import main
+from hermsurf.cli import MAX_SURFACE_Q, main
 
 
 def run(capsys, *argv):
@@ -43,6 +44,17 @@ def test_search_exhaustive_reproducible(tmp_path, capsys):
     assert a["report"]["max_count"] == 13
     assert a["report"]["sorensen_bound"] == 13
     assert a["report"]["argmax_total"] == 45
+
+
+def test_search_workers_match_serial(tmp_path):
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        assert main(["search", "--q", "2", "--d", "2", "--workers", workers,
+                     "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["argmax_total"] == 720
 
 
 def test_search_random_reproducible(tmp_path):
@@ -144,3 +156,25 @@ def test_verbose_point_lists(capsys):
     report = load_report(out)
     assert len(report["stats"]["x_points"]) == 13
     assert len(report["stats"]["jf_lines"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-counts", "--q", "7"],
+    ["search", "--q", "7", "--d", "1"],
+    ["extremal", "--q", "8", "--d", "1"],
+    ["grid", "--q", "7"],
+    ["code", "--q", "9", "--d", "1"],
+    ["check"],
+])
+def test_surface_commands_refuse_q_above_limit(tmp_path, capsys, argv):
+    if argv == ["check"]:
+        form_file = tmp_path / "f.json"
+        form_file.write_text(json.dumps({"q": 7, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}))
+        argv = ["check", str(form_file)]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"q <= {MAX_SURFACE_Q}" in err

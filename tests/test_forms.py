@@ -9,6 +9,7 @@ from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
     Form,
     FormError,
+    _digit_lanes,
     class_count,
     class_vectors,
     combination_values,
@@ -404,6 +405,31 @@ def test_stats_hermitian_multiple(s2):
     assert rep.jf_indices is None and rep.delta is None and rep.x_min is None
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_tangent_plane_in_surface_multiples(q):
+    """For multiples of the surface equation H, the quotient F/H decides
+    tangent-plane containment; pinned to the symbolic scan of every
+    tangent plane."""
+    surface = canonical_surface(q)
+    f = surface.field
+    h = surface_form(surface)
+    tangent = linear_form(f, next(iter(surface.tangent_planes())))
+    x0, x1 = linear_form(f, (1, 0, 0, 0)), linear_form(f, (0, 1, 0, 0))
+    cases = [
+        (h.scale(f.gen_index), False),
+        (h * tangent, True),
+        (h * x0, False),
+        (h * linear_form(f, (1, 1, 0, 0)), q == 2),  # x0+x1 is tangent in characteristic 2
+        (h * x0 * x1, False),
+    ]
+    for form, expected in cases:
+        rep = intersection_stats(form, surface)
+        assert rep.hermitian_multiple
+        full = any(plane_contained(form, surface.geometry, plane)
+                   for plane in surface.tangent_planes())
+        assert rep.contains_tangent_plane == full == expected, form
+
+
 def test_stats_refuses_degenerate():
     from hermsurf.hermitian import HermitianSurface, HermitianError
 
@@ -549,6 +575,39 @@ def test_combination_values_matches_forms(s2):
             continue
         form = form_from_vector(f, 2, coeffs[i])
         assert (values[i] == form.values_at(pts)).all()
+
+
+@st.composite
+def kernel_cases(draw):
+    """(field, degree, points, coeffs): the number of monomials M lies
+    below or above the kernel's group size K, so that above it groups of
+    packed terms are decoded and merged."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    field = build_field(q)
+    group = _digit_lanes(field)[0]
+    if draw(st.booleans()):
+        degree = next(d for d in itertools.count(1) if monomial_count(d) > group)
+    else:
+        degree = draw(st.sampled_from([d for d in (1, 2, 3) if monomial_count(d) <= group]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    points = rng.integers(0, field.order, (n, 4)).astype(np.int16)
+    coeffs = rng.integers(0, field.order, (b, monomial_count(degree))).astype(np.int16)
+    coeffs[rng.random(coeffs.shape) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0
+    return field, degree, points, coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_combination_values_matches_scalar_evaluation(case):
+    field, degree, points, coeffs = case
+    values = combination_values(field, monomial_matrix(field, degree, points), coeffs)
+    for row, vec in zip(values, coeffs):
+        if not vec.any():
+            assert not row.any()
+            continue
+        form = form_from_vector(field, degree, vec)
+        assert row.tolist() == [form.evaluate(tuple(int(x) for x in pt)) for pt in points]
 
 
 def test_form_json_roundtrip(s2):

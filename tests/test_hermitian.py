@@ -322,6 +322,17 @@ def test_matrix_entries_are_range_checked():
             HermitianSurface(f, a)
 
 
+def test_matrix_shape_is_checked():
+    f = build_field(2)
+    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    for a in ([row[:3] for row in ident[:3]], ident[:3], [row[:3] for row in ident],
+              [row + [0] for row in ident] + [[0] * 5]):
+        with pytest.raises(HermitianError):
+            is_hermitian(f, a)
+        with pytest.raises(HermitianError):
+            HermitianSurface(f, a)
+
+
 def test_non_canonical_surface_full_structure():
     """A random rank-4 matrix carries the same geometry as the canonical one."""
     f = build_field(2)

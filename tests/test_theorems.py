@@ -8,6 +8,7 @@ from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
     Form,
     FormError,
+    combination_values,
     form_from_vector,
     intersection_stats,
     linear_form,
@@ -312,6 +313,42 @@ def test_exhaustive_workers_match_serial(s2):
     serial = exhaustive_search(s2, 1, progress=False)
     parallel = exhaustive_search(s2, 1, workers=2, progress=False)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_argmax_cap_keeps_the_first_maximizers(s2):
+    full = exhaustive_search(s2, 2, progress=False)
+    capped = exhaustive_search(s2, 2, argmax_cap=5, progress=False)
+    assert capped.argmax_total == full.argmax_total == 720
+    assert capped.max_count == full.max_count
+    assert capped.argmax_forms == full.argmax_forms[:5]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_jf_from_d_plus_1_points_matches_full_generators(q):
+    """The scan decides generator containment from d+1 points per
+    generator; pinned to all q^2+1 points on blocks that mix random forms
+    with products of tangent planes, which contain generators."""
+    surface = canonical_surface(q)
+    f = surface.field
+    rng = random.Random(q)
+    planes = sorted(surface.tangent_planes())
+    for d in (1, 2, 3):
+        ctx = _SearchContext(surface, d)
+        rows = []
+        for i in range(200):
+            if i % 2:
+                form = linear_form(f, rng.choice(planes))
+                for _ in range(d - 1):
+                    form = form * linear_form(f, rng.choice(planes))
+                rows.append(form.coefficient_vector())
+            else:
+                rows.append([rng.randrange(f.order) for _ in range(ctx.m)])
+        coeffs = np.array(rows, dtype=np.int16)
+        _, jf_counts = ctx.scan(coeffs)
+        zero = combination_values(f, ctx.rows, coeffs) == 0
+        full = zero[:, surface.generator_positions()].all(axis=2).sum(axis=1)
+        assert full.any()
+        assert jf_counts.tolist() == full.tolist()
 
 
 def test_random_search_deterministic(s3):
