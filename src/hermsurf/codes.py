@@ -38,8 +38,7 @@ def build_code(surface: HermitianSurface, d: int) -> EvaluationCode:
     """Generator matrix of monomial evaluations, plus its rank."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    pts = surface.geometry.arr[surface.point_ids]
-    matrix = monomial_matrix(surface.field, d, pts)
+    matrix = monomial_matrix(surface.field, d, surface.arr)
     rows, pivots = rref(surface.field, matrix.tolist())
     basis = np.array(rows[: len(pivots)], dtype=np.int16)
     return EvaluationCode(

@@ -373,15 +373,22 @@ class IntersectionReport:
         return out
 
 
-def _jf_indices(form: Form, surface: HermitianSurface, zero_positions: np.ndarray) -> tuple[int, ...]:
-    """Generators contained in V(F): rational prefilter, symbolic confirm."""
-    gen_pos = surface.generator_positions()
-    mask = np.zeros(len(surface.point_ids), dtype=bool)
-    mask[zero_positions] = True
-    candidates = np.nonzero(mask[gen_pos].all(axis=1))[0]
-    geom = surface.geometry
-    gens = surface.generators()
-    return tuple(int(i) for i in candidates if line_contained(form, geom, gens[int(i)]))
+def _vanishing_generators(surface: HermitianSurface, zero_positions) -> np.ndarray:
+    """Mask of the generators whose rational points all lie in a zero set,
+    given by its positions in the surface point list."""
+    zero = np.zeros(len(surface.point_ids), dtype=bool)
+    zero[zero_positions] = True
+    return zero[surface.generator_positions()].all(axis=1)
+
+
+def vanishing_tangent_planes(surface: HermitianSurface, zero_positions) -> list[tuple[int, ...]]:
+    """The tangent planes T_P, in surface point order, whose section lies
+    in a zero set given by its surface positions: the section of T_P is
+    the q+1 generators through P, so these are the P with rational
+    r_P = q+1.  Every tangent plane inside V(F) passes for F's zero set."""
+    lines = _vanishing_generators(surface, zero_positions)
+    planes = list(surface.tangent_planes())
+    return [planes[i] for i in np.flatnonzero(lines[surface.generators_through()].all(axis=1))]
 
 
 def contains_tangent_plane(form: Form, surface: HermitianSurface,
@@ -392,16 +399,10 @@ def contains_tangent_plane(form: Form, surface: HermitianSurface,
     Candidates are then confirmed symbolically.
     """
     if zero_positions is None:
-        vals = form.values_at(surface.geometry.arr[surface.point_ids])
-        zero_positions = np.nonzero(vals == 0)[0]
-    mask = np.zeros(len(surface.point_ids), dtype=bool)
-    mask[zero_positions] = True
+        zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
     geom = surface.geometry
-    planes = list(surface.tangent_planes())
-    for plane, section in zip(planes, surface.tangent_section_positions()):
-        if mask[section].all() and plane_contained(form, geom, plane):
-            return True
-    return False
+    return any(plane_contained(form, geom, plane)
+               for plane in vanishing_tangent_planes(surface, zero_positions))
 
 
 def contained_planes(form: Form, geometry) -> list[tuple[int, ...]]:
@@ -424,9 +425,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     q = surface.q
     d = form.degree
 
-    surf_pts = surface.geometry.arr[surface.point_ids]
-    vals = form.values_at(surf_pts)
-    zero_positions = np.nonzero(vals == 0)[0]
+    zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
     x_ids = tuple(int(surface.point_ids[i]) for i in zero_positions)
 
     if hermitian_divides(form, surface):
@@ -442,43 +441,39 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
             meeting_sizes=None, x_min=None, book_counts=None, multiplicities=None,
         )
 
-    jf = _jf_indices(form, surface, zero_positions)
-    delta = d * (q + 1) - len(jf)
+    # J_F: rational prefilter, symbolic confirmation
     gens = surface.generators()
     geom = surface.geometry
+    jf = tuple(int(i) for i in np.flatnonzero(_vanishing_generators(surface, zero_positions))
+               if line_contained(form, geom, gens[int(i)]))
+    delta = d * (q + 1) - len(jf)
 
-    jf_point_ids: set[int] = set()
-    for i in jf:
-        jf_point_ids.update(gens[i].point_ids)
-    residuals = tuple(pid for pid in x_ids if pid not in jf_point_ids)
-
-    # T(l), the book table a_{Pi,l}, and multiplicities r_P
-    jf_set = set(jf)
+    # r_P: the J_F lines through each surface point
+    in_jf = np.zeros(len(gens), dtype=bool)
+    in_jf[list(jf)] = True
     through = surface.generators_through()
+    r = in_jf[through].sum(axis=1)
+    residuals = tuple(pid for pid, p in zip(x_ids, zero_positions.tolist()) if not r[p])
+    multiplicities = {int(surface.point_ids[p]): int(r[p]) for p in np.flatnonzero(r)}
+
+    # T(l) and the book table a_{Pi,l}
+    gen_pos = surface.generator_positions()
     meeting: list[int] = []
     book_counts: dict = {}
     for i in jf:
         line = gens[i]
-        tl = set()
-        for pid in line.point_ids:
-            tl.update(g for g in through[pid] if g in jf_set)
-        tl.discard(i)
+        rows = through[gen_pos[i]]
+        tl = set(rows[in_jf[rows]].tolist()) - {i}
         meeting.append(len(tl))
         counts = {plane: 0 for plane in geom.book_of_planes(line)}
         line_pts = set(line.point_ids)
         for m in tl:
-            other = gens[m]
-            shared = next(pid for pid in other.point_ids if pid in line_pts)
-            third = next(pid for pid in other.point_ids if pid not in line_pts)
+            third = next(pid for pid in gens[m].point_ids if pid not in line_pts)
             plane = geom.plane_through(
                 geom.points[line.key[0]], geom.points[line.key[1]], geom.points[third]
             )
             counts[plane] += 1
         book_counts[i] = counts
-
-    multiplicities = {}
-    for pid in sorted(jf_point_ids):
-        multiplicities[pid] = sum(1 for g in through[pid] if g in jf_set)
 
     return IntersectionReport(
         form=form, q=q, d=d,
@@ -496,8 +491,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
 def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, int]:
     """(|X| * (q+1), sum over generators of |l n V(F)|); always equal,
     because every surface point lies on exactly q+1 generators."""
-    surf_pts = surface.geometry.arr[surface.point_ids]
-    zero = form.values_at(surf_pts) == 0
+    zero = form.values_at(surface.arr) == 0
     lhs = int(zero.sum()) * (surface.q + 1)
     rhs = int(zero[surface.generator_positions()].sum())
     return lhs, rhs

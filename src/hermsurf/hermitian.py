@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from hermsurf.finite_field import Field, matrix_rank
-from hermsurf.proj_geometry import Geometry, Line, geometry_for, normalize
+from hermsurf.proj_geometry import Geometry, Line, geometry_for, normalize, on_plane
 
 
 class HermitianError(ValueError):
@@ -202,16 +202,16 @@ class HermitianSurface:
                     term = f.mul_np[f.mul_np[c, arr[:, i]], f.conj_np[arr[:, j]]]
                     acc = f.add_np[acc, term]
         self.point_ids = np.nonzero(acc == 0)[0].astype(np.int64)
+        self.arr = arr[self.point_ids]  # (n_surface_points, 4) coordinates
         self.point_id_set = frozenset(int(i) for i in self.point_ids)
         # position of a geometry point id inside the surface point list
         self.position_of = np.full(n, -1, dtype=np.int64)
         self.position_of[self.point_ids] = np.arange(len(self.point_ids))
 
         self._tangent_planes: dict[tuple[int, ...], int] | None = None
-        self._tangent_sections: list[np.ndarray] | None = None
         self._generators: tuple[Line, ...] | None = None
         self._generator_positions: np.ndarray | None = None
-        self._generators_through: dict[int, tuple[int, ...]] | None = None
+        self._generators_through: np.ndarray | None = None
 
     @classmethod
     def canonical(cls, field: Field) -> "HermitianSurface":
@@ -245,41 +245,41 @@ class HermitianSurface:
 
     # -- tangent planes ---------------------------------------------------
 
-    def tangent_plane(self, point) -> tuple[int, ...]:
-        """Dual coordinates A P^(q), normalized.  P must be on the surface."""
-        self._require_nondegenerate()
+    def _polar(self, point) -> tuple[int, ...]:
+        """Dual coordinates A P^(q) of the polar plane of P, normalized."""
         f = self.field
-        p = self.geometry.normalize(point)
-        if not self.contains(p):
-            raise HermitianError(f"{p} is not on the surface")
         coeffs = [0, 0, 0, 0]
         for i in range(4):
             for j in range(4):
-                coeffs[i] = f.add(coeffs[i], f.mul(self.matrix[i][j], f.conj(p[j])))
+                coeffs[i] = f.add(coeffs[i], f.mul(self.matrix[i][j], f.conj(point[j])))
         return normalize(f, coeffs)
+
+    def tangent_plane(self, point) -> tuple[int, ...]:
+        """Dual coordinates A P^(q), normalized.  P must be on the surface."""
+        self._require_nondegenerate()
+        p = self.geometry.normalize(point)
+        if not self.contains(p):
+            raise HermitianError(f"{p} is not on the surface")
+        return self._polar(p)
 
     def tangent_planes(self) -> dict[tuple[int, ...], int]:
         """plane tuple -> id of the tangency point (a bijection)."""
         if self._tangent_planes is None:
             self._require_nondegenerate()
             self._tangent_planes = {
-                self.tangent_plane(self.geometry.points[int(i)]): int(i)
-                for i in self.point_ids
+                self._polar(self.geometry.points[i]): i for i in self.point_ids.tolist()
             }
         return self._tangent_planes
 
     def tangent_section_positions(self) -> list[np.ndarray]:
         """For the tangent plane at the i-th surface point: positions (into
-        the surface point list) of the plane's section of the surface."""
-        if self._tangent_sections is None:
-            sections = []
-            for i in self.point_ids:
-                plane = self.tangent_plane(self.geometry.points[int(i)])
-                ids = self.geometry.plane_point_ids(plane)
-                pos = self.position_of[ids]
-                sections.append(pos[pos >= 0])
-            self._tangent_sections = sections
-        return self._tangent_sections
+        the surface point list) of the plane's section of the surface,
+        ascending.  The section is the union of the q+1 generators through
+        the point."""
+        own = np.arange(len(self.point_ids))
+        rows = self.generator_positions()[self.generators_through()].reshape(len(own), -1)
+        others = rows[rows != own[:, None]].reshape(len(own), -1)
+        return list(np.sort(np.column_stack([own, others])))
 
     # -- line classification ----------------------------------------------
 
@@ -302,49 +302,47 @@ class HermitianSurface:
     # -- generators --------------------------------------------------------
 
     def generators(self) -> tuple[Line, ...]:
-        """All lines contained in the surface, via tangent-plane sections.
+        """All lines contained in the surface, from one non-tangent section.
 
-        The section of the tangent plane at P is the union of the q+1
-        generators through P, so walking uncovered section points splits
-        it into lines without classifying all of PG(3, q^2).
+        The polar plane of a point off the surface is not tangent, so each
+        generator meets it in exactly one of its q^3+1 surface points R.
+        The section of the tangent plane at R is the q+1 generators through
+        R; walking its uncovered points builds each of them once.
         """
         if self._generators is None:
             self._require_nondegenerate()
-            geom = self.geometry
-            q = self.q
-            found: dict[tuple[int, int], Line] = {}
-            through: dict[int, set[tuple[int, int]]] = {int(i): set() for i in self.point_ids}
-            surface_ids = [int(i) for i in self.point_ids]
-            for pos, pid in enumerate(surface_ids):
-                section_pos = self.tangent_section_positions()[pos]
-                section_ids = [surface_ids[int(s)] for s in section_pos]
-                covered: set[int] = {pid}
+            geom, f, q = self.geometry, self.field, self.q
+            off_surface = geom.points[int(np.flatnonzero(self.position_of < 0)[0])]
+            found: list[Line] = []
+            for rid in self.point_ids[on_plane(f, self._polar(off_surface), self.arr)].tolist():
+                section = self.point_ids[on_plane(f, self._polar(geom.points[rid]), self.arr)]
+                covered: set[int] = {rid}
                 count = 0
-                for qid in section_ids:
+                for qid in section.tolist():
                     if qid in covered:
                         continue
-                    line = geom.line_between_ids(pid, qid)
+                    line = geom.line_between_ids(rid, qid)
                     covered.update(line.point_ids)
+                    found.append(line)
                     count += 1
-                    if line.key not in found:
-                        found[line.key] = line
-                    for lid in line.point_ids:
-                        through[lid].add(line.key)
                 if count != q + 1:
                     raise InternalConsistencyError(
                         f"tangent section split into {count} lines, expected {q+1}"
                     )
-            gens = tuple(found[k] for k in sorted(found))
-            index_of = {line.key: i for i, line in enumerate(gens)}
+            if len(found) != (q**3 + 1) * (q + 1):
+                raise InternalConsistencyError(
+                    f"found {len(found)} generators, expected {(q**3 + 1) * (q + 1)}"
+                )
+            gens = tuple(sorted(found, key=lambda line: line.key))
+            positions = self.position_of[np.array([line.point_ids for line in gens])]
+            flat = positions.ravel()
+            if (np.bincount(flat, minlength=len(self.point_ids)) != q + 1).any():
+                raise InternalConsistencyError("a surface point is not on exactly q+1 generators")
+            # a stable sort keeps each point's generator indices ascending
+            through = np.argsort(flat, kind="stable") // (q * q + 1)
             self._generators = gens
-            self._generators_through = {
-                pid: tuple(sorted(index_of[k] for k in keys))
-                for pid, keys in through.items()
-            }
-            self._generator_positions = np.array(
-                [self.position_of[np.array(line.point_ids)] for line in gens],
-                dtype=np.int64,
-            )
+            self._generator_positions = positions
+            self._generators_through = through.reshape(len(self.point_ids), q + 1)
         return self._generators
 
     def generator_positions(self) -> np.ndarray:
@@ -352,8 +350,9 @@ class HermitianSurface:
         self.generators()
         return self._generator_positions
 
-    def generators_through(self) -> dict[int, tuple[int, ...]]:
-        """surface point id -> indices (into generators()) of lines through it."""
+    def generators_through(self) -> np.ndarray:
+        """(n_surface_points, q+1): row i holds the indices (into
+        generators(), ascending) of the lines through the i-th surface point."""
         self.generators()
         return self._generators_through
 

@@ -52,6 +52,16 @@ def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     return pts
 
 
+def on_plane(field: Field, plane, pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, 4) point array that lie on the plane
+    (vectorized pairing with its dual coordinates)."""
+    acc = np.zeros(len(pts), dtype=np.int16)
+    for i, c in enumerate(plane):
+        if c:
+            acc = field.add_np[acc, field.mul_np[c, pts[:, i]]]
+    return acc == 0
+
+
 @dataclass(frozen=True)
 class Line:
     """A line of PG(3, q^2): the ascending tuple of its point ids.
@@ -142,13 +152,8 @@ class Geometry:
         return normalize(self.field, basis[0])
 
     def plane_point_ids(self, plane) -> np.ndarray:
-        """Ids of the points on a plane, ascending (vectorized pairing)."""
-        f = self.field
-        acc = np.zeros(self.n_points, dtype=np.int16)
-        for i, c in enumerate(plane):
-            if c:
-                acc = f.add_np[acc, f.mul_np[c, self.arr[:, i]]]
-        return np.nonzero(acc == 0)[0]
+        """Ids of the points on a plane, ascending."""
+        return np.nonzero(on_plane(self.field, plane, self.arr))[0]
 
     def points_on_plane(self, plane) -> list[tuple[int, ...]]:
         return [self.points[int(i)] for i in self.plane_point_ids(plane)]

@@ -53,6 +53,7 @@ from hermsurf.forms import (
     linear_form,
     monomial_count,
     monomial_matrix,
+    vanishing_tangent_planes,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
 from hermsurf.proj_geometry import normalize
@@ -202,30 +203,24 @@ def _linear_plane(form: Form) -> tuple[int, ...]:
     return normalize(form.field, vec)
 
 
-def tangent_plane_factors(form: Form, surface: HermitianSurface) -> list[tuple[int, ...]] | None:
-    """If the form is a product of tangent-plane linear forms, return the
-    planes (with multiplicity, smallest dual tuples first); else None.
+def tangent_plane_factors(report: IntersectionReport,
+                          surface: HermitianSurface) -> list[tuple[int, ...]] | None:
+    """If the report's form is a product of tangent-plane linear forms,
+    return the planes (with multiplicity, smallest dual tuples first);
+    else None.
 
     Iterated exact division.  The factor order does not matter since the
-    polynomial ring is a UFD.  Candidate planes are prefiltered by
-    rational vanishing of the original form on their surface sections (a
-    divisor plane always passes), so non-products fail fast.
+    polynomial ring is a UFD.  Candidate planes are the tangent planes
+    whose surface section lies in the report's X (a divisor plane always
+    does), so non-products fail fast.
     """
     f = surface.field
-    if form.degree == 1:
-        plane = _linear_plane(form)
-        return [plane] if plane in surface.tangent_planes() else None
-
-    zero = form.values_at(surface.geometry.arr[surface.point_ids]) == 0
-    candidates = sorted(
-        plane
-        for plane, section in zip(surface.tangent_planes(), surface.tangent_section_positions())
-        if zero[section].all()
-    )
+    x_positions = surface.position_of[list(report.x_point_ids)]
+    candidates = sorted(vanishing_tangent_planes(surface, x_positions))
     if not candidates:
         return None
 
-    rest = form
+    rest = report.form
     factors: list[tuple[int, ...]] = []
     while rest.degree > 1:
         for plane in candidates:
@@ -256,7 +251,7 @@ def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> Bou
         )
         return out
     bounds = evaluate_bounds(report)
-    factors = tangent_plane_factors(report.form, surface)
+    factors = tangent_plane_factors(report, surface)
     union = factors is not None
     bounds.tangent_plane_union = union
     value = Fraction(no_tangent_plane_bound(report.q, report.d))
@@ -373,7 +368,7 @@ class _SearchContext:
         self.q = surface.q
         self.d = d
         self.n = surface.n_surface_points()
-        self.rows = monomial_matrix(self.field, d, surface.geometry.arr[surface.point_ids])
+        self.rows = monomial_matrix(self.field, d, surface.arr)
         self.m = self.rows.shape[0]
         # a binary form of degree d <= q^2 with d+1 zeros on a line is zero
         # there, so d+1 points of each generator decide its containment

@@ -154,7 +154,7 @@ def test_criterion_07_exhaustive_maxima():
         assert res2.max_count == 23 == sorensen_bound(2, 2)
         assert res2.argmax_total == len(res2.argmax_forms)  # cap not hit
         for form in res2.argmax_forms:
-            factors = tangent_plane_factors(form, surface)
+            factors = tangent_plane_factors(intersection_stats(form, surface), surface)
             assert factors is not None and len(factors) == 2
             assert factors[0] != factors[1]
             basis = nullspace(surface.field, [list(factors[0]), list(factors[1])])

@@ -32,6 +32,7 @@ from hermsurf.forms import (
     plane_contained,
     restrict,
     surface_form,
+    vanishing_tangent_planes,
 )
 from hermsurf.hermitian import canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
@@ -522,6 +523,46 @@ def test_contains_tangent_plane_prefilter_and_confirm(s2):
     assert contains_tangent_plane(pencil_form(s2), s2)
     assert not contains_tangent_plane(linear_form(f, (1, 0, 0, 0)), s2)
     assert contains_tangent_plane(linear_form(f, (0, 0, 1, 1)), s2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_contains_tangent_plane_matches_symbolic_scan(q):
+    """The r_P = q+1 prefilter plus symbolic confirmation against the
+    symbolic test of every tangent plane: seeded random forms, products
+    of tangent planes, tangent planes times random forms and, at q=2,
+    degree 5 > q^2, where rational vanishing does not imply containment."""
+    surface = canonical_surface(q)
+    f = surface.field
+    geom = surface.geometry
+    planes = list(surface.tangent_planes())
+    rng = random.Random(40 + q)
+    forms = []
+    for d in (1, 2, 3) if q == 2 else (1, 2):
+        for _ in range(6 if q == 2 else 3):
+            forms.append(random_form(f, d, rng))
+            product = linear_form(f, rng.choice(planes))
+            for _ in range(d - 1):
+                product = product * linear_form(f, rng.choice(planes))
+            forms.append(product)
+            if d > 1:
+                forms.append(linear_form(f, rng.choice(planes)) * random_form(f, d - 1, rng))
+    if q == 2:
+        # x_i^4 x_j - x_i x_j^4 vanishes at every rational point of PG(3, 4)
+        vanishing = [Form(f, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1, (0, 0, 4, 1): 1, (0, 0, 1, 4): 1}),
+                     Form(f, 5, {(4, 0, 1, 0): 1, (1, 0, 4, 0): 1, (0, 4, 0, 1): 1, (0, 1, 0, 4): 1})]
+        forms += vanishing + [random_form(f, 5, rng) for _ in range(4)]
+        forms += [linear_form(f, rng.choice(planes)) * random_form(f, 4, rng) for _ in range(2)]
+    outcomes = set()
+    for form in forms:
+        contained = {plane for plane in planes if plane_contained(form, geom, plane)}
+        assert contains_tangent_plane(form, surface) == bool(contained), form
+        zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
+        candidates = set(vanishing_tangent_planes(surface, zero_positions))
+        assert candidates >= contained
+        outcomes.add((bool(candidates), bool(contained)))
+    assert outcomes >= {(False, False), (True, True)}
+    if q == 2:
+        assert (True, False) in outcomes  # candidates the symbolic test refutes
 
 
 def test_contained_planes(s2):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hermsurf.finite_field import build_field, matrix_rank
@@ -29,6 +30,16 @@ def brute_force_points(field, matrix, geometry):
         if s == 0:
             out.append(pt)
     return out
+
+
+def random_surface(q, seed):
+    """A surface of a seeded random rank-4 Hermitian matrix."""
+    f = build_field(q)
+    rng = random.Random(seed)
+    while True:
+        a = random_hermitian(f, rng)
+        if matrix_rank(f, [list(r) for r in a]) == 4:
+            return HermitianSurface(f, a)
 
 
 @pytest.fixture(scope="module")
@@ -208,23 +219,42 @@ def test_generator_counts(s2, s3):
     assert len(s3.generators()) == 112
 
 
-def test_generators_match_all_line_classification(s2):
+@pytest.mark.parametrize("seed", [None, 5, 6], ids=["canonical", "random5", "random6"])
+def test_generators_match_all_line_classification(seed):
     """Oracle: classify every line of PG(3,4) and compare the sets."""
+    s = canonical_surface(2) if seed is None else random_surface(2, seed)
     via_classification = {
         line.key
-        for line in s2.geometry.enumerate_lines()
-        if s2.classify_line(line).kind is LineKind.GENERATOR
+        for line in s.geometry.enumerate_lines()
+        if s.classify_line(line).kind is LineKind.GENERATOR
     }
-    assert {g.key for g in s2.generators()} == via_classification
+    assert [g.key for g in s.generators()] == sorted(via_classification)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_generators_through_each_point(q):
     s = canonical_surface(q)
+    gens = s.generators()
     through = s.generators_through()
-    assert all(len(v) == q + 1 for v in through.values())
-    total = sum(len(v) for v in through.values())
-    assert total == len(s.generators()) * (q * q + 1)
+    assert through.shape == (s.n_surface_points(), q + 1)
+    for pid, row in zip(s.point_ids.tolist(), through.tolist()):
+        assert row == sorted(set(row))
+        assert all(pid in gens[g].point_ids for g in row)
+    assert through.size == len(gens) * (q * q + 1)
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["canonical", "random7"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_tangent_sections_match_plane_scan(q, seed):
+    """Oracle: each tangent section against a scan of its plane over PG(3, q^2)."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
+    geom = s.geometry
+    sections = s.tangent_section_positions()
+    assert len(sections) == s.n_surface_points()
+    for pid, section in zip(s.point_ids.tolist(), sections):
+        pos = s.position_of[geom.plane_point_ids(s.tangent_plane(geom.points[pid]))]
+        assert section.dtype == np.int64
+        assert np.array_equal(section, pos[pos >= 0])
 
 
 def test_generator_points_lie_on_surface(s3):
@@ -335,13 +365,7 @@ def test_matrix_shape_is_checked():
 
 def test_non_canonical_surface_full_structure():
     """A random rank-4 matrix carries the same geometry as the canonical one."""
-    f = build_field(2)
-    rng = random.Random(99)
-    while True:
-        a = random_hermitian(f, rng)
-        if matrix_rank(f, [list(r) for r in a]) == 4:
-            break
-    s = HermitianSurface(f, a)
+    s = random_surface(2, 99)
     assert s.n_surface_points() == 45
     assert len(s.generators()) == 27
     assert len(s.tangent_planes()) == 45

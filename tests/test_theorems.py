@@ -179,15 +179,16 @@ def test_residual_delta_shadow(s2):
 def test_tangent_plane_factors(s2):
     f = s2.field
     form = pencil2(s2)
-    factors = tangent_plane_factors(form, s2)
+    factors = tangent_plane_factors(intersection_stats(form, s2), s2)
     assert factors == [(0, 0, 1, 1), (0, 0, 1, f.gen_index)]
-    assert tangent_plane_factors(linear_form(f, (0, 0, 1, 1)), s2) == [(0, 0, 1, 1)]
-    assert tangent_plane_factors(linear_form(f, (1, 0, 0, 0)), s2) is None
+    tangent = intersection_stats(linear_form(f, (0, 0, 1, 1)), s2)
+    assert tangent_plane_factors(tangent, s2) == [(0, 0, 1, 1)]
+    assert tangent_plane_factors(intersection_stats(linear_form(f, (1, 0, 0, 0)), s2), s2) is None
     mixed = linear_form(f, (0, 0, 1, 1)) * linear_form(f, (1, 0, 0, 0))
-    assert tangent_plane_factors(mixed, s2) is None
+    assert tangent_plane_factors(intersection_stats(mixed, s2), s2) is None
     square = linear_form(f, (0, 0, 1, 1)) * linear_form(f, (0, 0, 1, 1))
-    assert tangent_plane_factors(square, s2) == [(0, 0, 1, 1), (0, 0, 1, 1)]
-    assert tangent_plane_factors(surface_form(s2), s2) is None
+    assert tangent_plane_factors(intersection_stats(square, s2), s2) == [(0, 0, 1, 1), (0, 0, 1, 1)]
+    assert tangent_plane_factors(intersection_stats(surface_form(s2), s2), s2) is None
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +209,7 @@ def test_extremal_pencil_counts(q):
         form = build_extremal_pencil(s, d)
         rep = intersection_stats(form, s)
         assert rep.x_count == sorensen_bound(q, d)
-        factors = tangent_plane_factors(form, s)
+        factors = tangent_plane_factors(rep, s)
         assert factors is not None and len(factors) == d
 
 
@@ -398,7 +399,7 @@ def test_search_result_serialization(s2):
 
 def test_pencil_argmax_share_secant(s2):
     form = build_extremal_pencil(s2, 2)
-    factors = tangent_plane_factors(form, s2)
+    factors = tangent_plane_factors(intersection_stats(form, s2), s2)
     basis = nullspace(s2.field, [list(factors[0]), list(factors[1])])
     line = s2.geometry.line_through(basis[0], basis[1])
     assert s2.classify_line(line).kind is LineKind.SECANT
