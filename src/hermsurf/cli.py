@@ -20,10 +20,13 @@ import sys
 import time
 from random import Random
 
+import numpy as np
+
 from hermsurf.finite_field import FieldError, build_field
 from hermsurf.forms import (
     FormError,
     form_from_json,
+    form_json_q,
     form_to_json,
     intersection_stats,
 )
@@ -41,10 +44,12 @@ from hermsurf.theorems import (
 )
 
 
-# verify-counts scans every point of PG(3, q^2) once per plane: on one
-# 2.1 GHz x86-64 core 13 s at q = 5, about 7 minutes at q = 7 (3.5 ms for
-# each of 120,100 planes).  Every command that builds a surface shares it.
-MAX_SURFACE_Q = 5
+# The largest q at which every command that builds the surface is timed.
+# The slowest is verify-counts, whose plane census spans the q^4+q^2+1
+# planes through each surface point and so grows as q^9: on one 2.1 GHz
+# x86-64 core, 8.3 s at q = 8 (extremal, grid and check take 1-1.5 s);
+# the census alone takes 17 s at q = 9.
+MAX_SURFACE_Q = 8
 
 
 def _surface(q: int) -> HermitianSurface:
@@ -82,27 +87,19 @@ def census_report(q: int, seed: int = 0, samples_per_class: int = 50) -> dict:
     _check(checks, "surface_point_count", (q**3 + 1) * (q**2 + 1), surface.n_surface_points())
     _check(checks, "generator_count", (q**3 + 1) * (q + 1), len(surface.generators()))
 
-    # planar sections: sizes and the dual tangency criterion
+    # planar sections: sizes and the dual tangency criterion, by plane id
     f = surface.field
     small, big = q**3 + 1, q**3 + q**2 + 1
-    tangent_set = set(surface.tangent_planes())
-    sizes_ok = dual_ok = True
-    n_tangent = 0
-    for plane in geom.points:  # dual coordinates enumerate like points
-        ids = geom.plane_point_ids(plane)
-        size = int((surface.position_of[ids] >= 0).sum())
-        is_tangent = plane in tangent_set
-        dual_sum = 0
-        for c in plane:
-            dual_sum = f.add(dual_sum, f.norm(c))
-        if size != (big if is_tangent else small):
-            sizes_ok = False
-        if (dual_sum == 0) != is_tangent:
-            dual_ok = False
-        n_tangent += is_tangent
+    tangent = np.zeros(geom.n_points, dtype=bool)
+    tangent[surface.tangent_plane_ids()] = True
+    sizes = surface.plane_section_sizes()
+    dual_sum = np.zeros(geom.n_points, dtype=np.int16)
+    for column in geom.arr.T:  # dual coordinates enumerate like points
+        dual_sum = f.add_np[dual_sum, f.norm_np[column]]
+    sizes_ok = bool((sizes == np.where(tangent, big, small)).all())
     _check(checks, "planar_section_sizes", True, sizes_ok)
-    _check(checks, "dual_tangency_criterion", True, dual_ok)
-    _check(checks, "tangent_plane_count", surface.n_surface_points(), n_tangent)
+    _check(checks, "dual_tangency_criterion", True, bool(((dual_sum == 0) == tangent).all()))
+    _check(checks, "tangent_plane_count", surface.n_surface_points(), int(tangent.sum()))
 
     # line trichotomy: full for small q, sampled otherwise
     rng = Random(seed)
@@ -160,7 +157,7 @@ def census_report(q: int, seed: int = 0, samples_per_class: int = 50) -> dict:
     census_ok = True
     ids = [int(i) for i in surface.point_ids]
     for pid in rng.sample(ids, min(10, len(ids))):
-        census = surface.tangent_plane_line_census(geom.points[pid])
+        census = surface.tangent_plane_line_census(geom.arr[pid].tolist())
         if census.generators != q + 1 or census.tangents_through_point != q**2 - q:
             census_ok = False
         if census.secants != census.total_lines - (q**2 + 1):
@@ -258,9 +255,10 @@ def _cmd_code(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.form_file) as fh:
         data = json.load(fh)
-    if args.q is not None and int(data.get("q", args.q)) != args.q:
-        raise FormError(f"form file is for q={data['q']}, got --q {args.q}")
-    surface = _surface(int(data["q"]))
+    q = form_json_q(data)
+    if args.q is not None and q != args.q:
+        raise FormError(f"form file is for q={q}, got --q {args.q}")
+    surface = _surface(q)
     form = form_from_json(surface.field, data)
     t0 = time.monotonic()
     stats = intersection_stats(form, surface)
@@ -290,7 +288,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, d_required=False):
-        p.add_argument("--q", type=int, required=True, help=f"prime power, at most {MAX_SURFACE_Q}")
+        p.add_argument("--q", type=int, required=True,
+                       help=f"prime power, at most {MAX_SURFACE_Q} (verify-counts takes about"
+                            f" 8 s at q={MAX_SURFACE_Q})")
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")

@@ -239,8 +239,7 @@ def restrict(form: Form, frame) -> dict[tuple[int, ...], int]:
 def line_contained(form: Form, geometry, line: Line) -> bool:
     """True iff the restriction to the line vanishes identically (over the
     algebraic closure, not just at rational points)."""
-    p0, p1 = line.key
-    return not restrict(form, (geometry.points[p0], geometry.points[p1]))
+    return not restrict(form, geometry.arr[list(line.key)].tolist())
 
 
 def plane_contained(form: Form, geometry, plane) -> bool:
@@ -363,12 +362,12 @@ class IntersectionReport:
             "x_min": self.x_min,
         }
         if verbose:
-            out["x_points"] = [list(geom.points[i]) for i in self.x_point_ids]
+            out["x_points"] = geom.arr[list(self.x_point_ids)].tolist()
             if self.jf_indices is not None:
                 out["jf_lines"] = [geom.serialize_line(l) for l in self.jf_lines(surface)]
                 out["meeting_sizes"] = list(self.meeting_sizes)
                 out["multiplicities"] = {
-                    str(list(geom.points[pid])): r for pid, r in sorted(self.multiplicities.items())
+                    str(geom.arr[pid].tolist()): r for pid, r in sorted(self.multiplicities.items())
                 }
         return out
 
@@ -456,23 +455,20 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     residuals = tuple(pid for pid, p in zip(x_ids, zero_positions.tolist()) if not r[p])
     multiplicities = {int(surface.point_ids[p]): int(r[p]) for p in np.flatnonzero(r)}
 
-    # T(l) and the book table a_{Pi,l}
+    # T(l) and the book table a_{Pi,l}: a line of T(l) meets l in exactly
+    # one point P, and two generators through P span the tangent plane T_P
     gen_pos = surface.generator_positions()
+    tangent = surface.tangent_plane_ids()
     meeting: list[int] = []
     book_counts: dict = {}
     for i in jf:
-        line = gens[i]
-        rows = through[gen_pos[i]]
-        tl = set(rows[in_jf[rows]].tolist()) - {i}
-        meeting.append(len(tl))
-        counts = {plane: 0 for plane in geom.book_of_planes(line)}
-        line_pts = set(line.point_ids)
-        for m in tl:
-            third = next(pid for pid in gens[m].point_ids if pid not in line_pts)
-            plane = geom.plane_through(
-                geom.points[line.key[0]], geom.points[line.key[1]], geom.points[third]
-            )
-            counts[plane] += 1
+        rows = through[gen_pos[i]]  # the generators through each point of l
+        hits = (in_jf[rows] & (rows != i)).sum(axis=1)
+        meeting.append(int(hits.sum()))
+        counts = {plane: 0 for plane in geom.book_of_planes(gens[i])}
+        for plane, n in zip(geom.arr[tangent[gen_pos[i]]].tolist(), hits.tolist()):
+            if n:
+                counts[tuple(plane)] += n
         book_counts[i] = counts
 
     return IntersectionReport(
@@ -624,9 +620,31 @@ def form_to_json(form: Form, q: int) -> dict:
     }
 
 
-def form_from_json(field: Field, data: dict) -> Form:
-    if int(data["q"]) != field.q:
-        raise FormError(f"form is over q={data['q']}, expected q={field.q}")
-    degree = int(data["d"])
-    coeffs = {tuple(int(e) for e in m): int(c) for m, c in data["terms"]}
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def form_json_q(data) -> int:
+    """The q of a serialized form, once the document's shape is checked."""
+    if not isinstance(data, dict) or not {"q", "d", "terms"} <= data.keys():
+        raise FormError("a serialized form is a JSON object with keys q, d and terms")
+    return _json_int(data["q"], "q")
+
+
+def form_from_json(field: Field, data) -> Form:
+    q = form_json_q(data)
+    if q != field.q:
+        raise FormError(f"form is over q={q}, expected q={field.q}")
+    degree = _json_int(data["d"], "d")
+    terms = data["terms"]
+    if not isinstance(terms, list) or not all(
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], list) for t in terms
+    ):
+        raise FormError("terms must be a list of [[e0, e1, e2, e3], coefficient] pairs")
+    coeffs = {
+        tuple(_json_int(e, "an exponent") for e in m): _json_int(c, "a coefficient")
+        for m, c in terms
+    }
     return Form(field, degree, coeffs)

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field, matrix_rank
-from hermsurf.proj_geometry import Geometry, Line, geometry_for, normalize, on_plane
+from hermsurf.finite_field import Field, matrix_rank, nullspace
+from hermsurf.proj_geometry import Geometry, Line, geometry_for, span_ids
 
 
 class HermitianError(ValueError):
@@ -36,6 +36,8 @@ class InternalConsistencyError(RuntimeError):
 
 
 Matrix = tuple[tuple[int, ...], ...]
+
+_SECTION_BATCH = 256  # surface points whose planes are spanned at once
 
 
 def conj_transpose(field: Field, a: Matrix) -> Matrix:
@@ -191,23 +193,18 @@ class HermitianSurface:
         self.geometry = geometry if geometry is not None else geometry_for(field)
         self.rank = matrix_rank(field, [list(r) for r in self.matrix])
 
-        f = field
-        arr = self.geometry.arr
-        n = self.geometry.n_points
+        # x^T A x^(q) pairs each point with the coordinates of its polar plane
+        arr, n = self.geometry.arr, self.geometry.n_points
         acc = np.zeros(n, dtype=np.int16)
-        for i in range(4):
-            for j in range(4):
-                c = self.matrix[i][j]
-                if c:
-                    term = f.mul_np[f.mul_np[c, arr[:, i]], f.conj_np[arr[:, j]]]
-                    acc = f.add_np[acc, term]
+        for column, polar in zip(arr.T, self._polar(arr).T):
+            acc = field.add_np[acc, field.mul_np[column, polar]]
         self.point_ids = np.nonzero(acc == 0)[0].astype(np.int64)
         self.arr = arr[self.point_ids]  # (n_surface_points, 4) coordinates
-        self.point_id_set = frozenset(int(i) for i in self.point_ids)
         # position of a geometry point id inside the surface point list
         self.position_of = np.full(n, -1, dtype=np.int64)
         self.position_of[self.point_ids] = np.arange(len(self.point_ids))
 
+        self._tangent_plane_ids: np.ndarray | None = None
         self._tangent_planes: dict[tuple[int, ...], int] | None = None
         self._generators: tuple[Line, ...] | None = None
         self._generator_positions: np.ndarray | None = None
@@ -237,7 +234,7 @@ class HermitianSurface:
         return _pair(self.field, self.matrix, p, p) == 0
 
     def points(self) -> list[tuple[int, ...]]:
-        return [self.geometry.points[int(i)] for i in self.point_ids]
+        return [tuple(p) for p in self.arr.tolist()]
 
     def _require_nondegenerate(self):
         if not self.is_nondegenerate:
@@ -245,30 +242,50 @@ class HermitianSurface:
 
     # -- tangent planes ---------------------------------------------------
 
-    def _polar(self, point) -> tuple[int, ...]:
-        """Dual coordinates A P^(q) of the polar plane of P, normalized."""
-        f = self.field
-        coeffs = [0, 0, 0, 0]
-        for i in range(4):
-            for j in range(4):
-                coeffs[i] = f.add(coeffs[i], f.mul(self.matrix[i][j], f.conj(point[j])))
-        return normalize(f, coeffs)
-
     def tangent_plane(self, point) -> tuple[int, ...]:
         """Dual coordinates A P^(q), normalized.  P must be on the surface."""
         self._require_nondegenerate()
         p = self.geometry.normalize(point)
         if not self.contains(p):
             raise HermitianError(f"{p} is not on the surface")
-        return self._polar(p)
+        return tuple(self.geometry.arr[self._polar_ids(np.array([p]))[0]].tolist())
+
+    def _polar(self, pts: np.ndarray) -> np.ndarray:
+        """Rows A P^(q): dual coordinates of the polar planes of the rows of
+        a point array."""
+        f = self.field
+        conj = f.conj_np[pts]
+        polar = np.zeros(pts.shape, dtype=np.int16)
+        for i in range(4):
+            for j in range(4):
+                if self.matrix[i][j]:
+                    polar[:, i] = f.add_np[polar[:, i], f.mul_np[self.matrix[i][j], conj[:, j]]]
+        return polar
+
+    def _polar_ids(self, pts: np.ndarray) -> np.ndarray:
+        """Plane ids of the polar planes of the rows of a point array."""
+        return span_ids(self.field, self._polar(pts)[:, None])[:, 0]
+
+    def _plane_sections(self, plane_ids) -> list[np.ndarray]:
+        """For each plane id: the ids of the surface points on it, ascending."""
+        f = self.field
+        bases = [nullspace(f, [plane]) for plane in self.geometry.arr[plane_ids].tolist()]
+        ids = np.sort(span_ids(f, bases), axis=1)
+        return [row[self.position_of[row] >= 0] for row in ids]
+
+    def tangent_plane_ids(self) -> np.ndarray:
+        """Plane id (dual coordinates ranked like points) of the tangent
+        plane at each surface point, by surface position."""
+        if self._tangent_plane_ids is None:
+            self._require_nondegenerate()
+            self._tangent_plane_ids = self._polar_ids(self.arr)
+        return self._tangent_plane_ids
 
     def tangent_planes(self) -> dict[tuple[int, ...], int]:
         """plane tuple -> id of the tangency point (a bijection)."""
         if self._tangent_planes is None:
-            self._require_nondegenerate()
-            self._tangent_planes = {
-                self._polar(self.geometry.points[i]): i for i in self.point_ids.tolist()
-            }
+            planes = self.geometry.arr[self.tangent_plane_ids()].tolist()
+            self._tangent_planes = dict(zip(map(tuple, planes), self.point_ids.tolist()))
         return self._tangent_planes
 
     def tangent_section_positions(self) -> list[np.ndarray]:
@@ -286,7 +303,7 @@ class HermitianSurface:
     def classify_line(self, line: Line) -> LineClass:
         self._require_nondegenerate()
         q = self.q
-        on = tuple(i for i in line.point_ids if i in self.point_id_set)
+        on = tuple(i for i in line.point_ids if self.position_of[i] >= 0)
         if len(on) == 1:
             kind = LineKind.TANGENT
         elif len(on) == q + 1:
@@ -311,11 +328,12 @@ class HermitianSurface:
         """
         if self._generators is None:
             self._require_nondegenerate()
-            geom, f, q = self.geometry, self.field, self.q
-            off_surface = geom.points[int(np.flatnonzero(self.position_of < 0)[0])]
+            geom, q = self.geometry, self.q
+            off_surface = geom.arr[np.flatnonzero(self.position_of < 0)[:1]]
+            (on_pi,) = self._plane_sections(self._polar_ids(off_surface))
+            sections = self._plane_sections(self._polar_ids(geom.arr[on_pi]))
             found: list[Line] = []
-            for rid in self.point_ids[on_plane(f, self._polar(off_surface), self.arr)].tolist():
-                section = self.point_ids[on_plane(f, self._polar(geom.points[rid]), self.arr)]
+            for rid, section in zip(on_pi.tolist(), sections):
                 covered: set[int] = {rid}
                 count = 0
                 for qid in section.tolist():
@@ -357,6 +375,18 @@ class HermitianSurface:
         return self._generators_through
 
     # -- books and censuses --------------------------------------------------
+
+    def plane_section_sizes(self) -> np.ndarray:
+        """|plane n surface| for every plane, by plane id.  The planes
+        through a surface point x are the span of a basis of x's null space,
+        so one bincount over those spans counts each plane once for every
+        surface point on it."""
+        f = self.field
+        sizes = np.zeros(self.geometry.n_points, dtype=np.int64)
+        for lo in range(0, len(self.arr), _SECTION_BATCH):
+            bases = [nullspace(f, [x]) for x in self.arr[lo : lo + _SECTION_BATCH].tolist()]
+            sizes += np.bincount(span_ids(f, bases).ravel(), minlength=len(sizes))
+        return sizes
 
     def classify_book(self, line: Line) -> BookClassification:
         """Count tangent planes among the q^2+1 planes through the line."""

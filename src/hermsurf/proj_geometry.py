@@ -6,9 +6,13 @@ projective point iff their normalized forms are identical.  Planes use
 the same normalization on dual coordinates, and a point P lies on the
 plane c iff sum(c_i * P_i) = 0.
 
-``Geometry`` interns every point of PG(3, q^2), assigning integer ids in
-ascending lexicographic order of the normalized index tuples.  Because
-ids follow that order, the two smallest ids on a line are its two
+Point ids follow the ascending lexicographic order of the normalized
+tuples and are computed in closed form (Q = q^2): offset(lead) plus the
+base-Q value of the coordinates after the first nonzero one, with
+offsets 0, 1, 1+Q and 1+Q+Q^2 for leads 3, 2, 1, 0.  Planes get ids the
+same way.  ``span_ids`` lists the ids in the span of some rows, which
+gives the points of a line or plane, the planes through a point or line,
+and the lines of a plane.  The two smallest ids on a line are its two
 lexicographically smallest points, which form the line's canonical key.
 """
 
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field, nullspace
+from hermsurf.finite_field import Field, nullspace, rref
 
 
 class GeometryError(ValueError):
@@ -39,27 +43,71 @@ def normalize(field: Field, coords) -> tuple[int, ...]:
     raise GeometryError("cannot normalize the zero tuple")
 
 
+def _rref_matrices(order: int, k: int, n: int) -> np.ndarray:
+    """Every k x n matrix of rank k in reduced row echelon form over a
+    field of the given order, as a (count, k, n) array.  For k = 1 these
+    are the normalized points of PG(n-1), in ascending lexicographic order."""
+    blocks = []
+    for pivots in itertools.combinations(range(n - 1, -1, -1), k):
+        pivots = pivots[::-1]
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+        block = np.zeros((order ** len(free), k, n), dtype=np.int16)
+        block[:, range(k), pivots] = 1
+        grid = np.indices((order,) * len(free)).reshape(len(free), len(block))
+        for (r, c), values in zip(free, grid):
+            block[:, r, c] = values
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     """All points of PG(dim, q^2) as normalized tuples, ascending lex order."""
     if dim not in (1, 2, 3):
         raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
-    n = dim + 1
-    pts: list[tuple[int, ...]] = []
-    for lead in range(n - 1, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(field.order), repeat=n - 1 - lead):
-            pts.append(prefix + tail)
-    return pts
+    return [tuple(p) for p in _rref_matrices(field.order, 1, dim + 1)[:, 0].tolist()]
 
 
-def on_plane(field: Field, plane, pts: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (N, 4) point array that lie on the plane
-    (vectorized pairing with its dual coordinates)."""
-    acc = np.zeros(len(pts), dtype=np.int16)
-    for i, c in enumerate(plane):
-        if c:
-            acc = field.add_np[acc, field.mul_np[c, pts[:, i]]]
-    return acc == 0
+def span_ids(field: Field, rows) -> np.ndarray:
+    """Ids of every point in the projective span of independent rows.
+
+    ``rows`` is one (k, 4) basis, giving a ((Q^k-1)/(Q-1),) array, or a
+    (B, k, 4) batch of bases with one k, giving a (B, (Q^k-1)/(Q-1)) array;
+    ids are in no particular order.  In reduced row echelon form, a
+    combination whose first nonzero coefficient a_j is 1 is normalized: it
+    is 0 before row j's pivot, 1 there and a_i at each later row's pivot.
+    So its id is offset(pivot_j) + sum_(i>j) a_i Q^(3-pivot_i) plus each
+    non-pivot entry times its place value; only those entries need field
+    arithmetic.  The span is b_j + <b_(j+1), ..., b_(k-1)> over j.
+    """
+    bases = np.asarray(rows)
+    if bases.ndim == 2:
+        return span_ids(field, bases[None])[0]
+    count, k = bases.shape[:2]
+    reduced = [rref(field, basis) for basis in bases.tolist()]
+    if any(len(pivots) != k for _, pivots in reduced):
+        raise GeometryError("span_ids needs independent rows")
+    free = [[c for c in range(4) if c not in pivots] for _, pivots in reduced]
+    tails = np.array([[[row[c] for c in cols] for row in m] for (m, _), cols in zip(reduced, free)],
+                     dtype=np.int16).reshape(count, k, 4 - k)  # the rows' entries off the pivots
+    pivots = np.array([p for _, p in reduced]).reshape(count, k)
+    free = np.array(free).reshape(count, 4 - k)
+    order, add, mul = field.order, field.add_np, field.mul_np
+    place = order ** np.arange(3, -1, -1, dtype=np.int32)  # of each coordinate in an id
+    offset = np.array([1 + order + order**2, 1 + order, 1, 0], dtype=np.int32)
+    scalars = np.arange(order, dtype=np.int32)
+    combos = np.zeros((count, 1, 4 - k), dtype=np.int16)  # a combination of the rows after j
+    value = np.zeros((count, 1), dtype=np.int32)  # and the place values of its pivot entries
+    parts = [(offset[pivots[:, -1]] + (tails[:, -1] * place[free]).sum(axis=1))[:, None]]
+    for j in range(k - 2, -1, -1):
+        multiples = mul[scalars[:, None], tails[:, None, j + 1]]
+        combos = add[combos[:, :, None], multiples[:, None]].reshape(count, -1, 4 - k)
+        value = (value[:, :, None] + scalars * place[pivots[:, j + 1, None, None]]).reshape(count, -1)
+        entries = add[combos, tails[:, None, j]]
+        ids = offset[pivots[:, j, None]] + value
+        for c in range(4 - k):
+            ids = ids + entries[:, :, c] * place[free[:, c, None]]
+        parts.append(ids)
+    return np.concatenate(parts, axis=1)
 
 
 @dataclass(frozen=True)
@@ -81,59 +129,70 @@ class Line:
 
 
 class Geometry:
-    """Interned PG(3, q^2) with incidence and enumeration helpers."""
+    """PG(3, q^2) with closed-form point ids and incidence helpers."""
 
     def __init__(self, field: Field):
         self.field = field
-        self.points = projective_points(field, 3)
-        self.point_index = {pt: i for i, pt in enumerate(self.points)}
-        self.arr = np.array(self.points, dtype=np.int16)
-        self.n_points = len(self.points)
+        self.arr = _rref_matrices(field.order, 1, 4)[:, 0]  # row i = coordinates of point i
+        self.n_points = len(self.arr)
+
+    @cached_property
+    def points(self) -> list[tuple[int, ...]]:
+        """The points as tuples, by id (a view for serialization and tests)."""
+        return [tuple(p) for p in self.arr.tolist()]
+
+    def _tuples(self, ids) -> list[tuple[int, ...]]:
+        return [tuple(p) for p in self.arr[np.sort(ids)].tolist()]
 
     # -- points ---------------------------------------------------------
 
     def normalize(self, coords) -> tuple[int, ...]:
+        """Normalize a point or a plane, checking that it has 4 entries, each
+        an element index 0..q^2-1."""
+        coords = tuple(coords)
+        if len(coords) != 4:
+            raise GeometryError(f"a point of PG(3, q^2) has 4 coordinates, got {len(coords)}")
+        for c in coords:
+            if not (type(c) is int or isinstance(c, np.integer)) or not 0 <= c < self.field.order:
+                raise GeometryError(
+                    f"coordinates must be element indices 0..{self.field.order - 1}, got {c!r}"
+                )
         return normalize(self.field, coords)
 
     def point_id(self, coords) -> int:
-        return self.point_index[self.normalize(coords)]
+        return int(span_ids(self.field, [self.normalize(coords)])[0])
 
     # -- lines ----------------------------------------------------------
 
-    def line_points(self, P, Q) -> list[tuple[int, ...]]:
-        """The q^2+1 points a*P + b*Q over (a : b) in PG(1, q^2)."""
-        f = self.field
-        P = self.normalize(P)
-        Q = self.normalize(Q)
-        if P == Q:
-            raise GeometryError("line_points needs two distinct points")
-        pts = [P]
-        for a in range(f.order):
-            pts.append(self.normalize(tuple(f.add(f.mul(a, x), y) for x, y in zip(P, Q))))
-        return pts
-
     def line_through(self, P, Q) -> Line:
-        ids = sorted(self.point_index[pt] for pt in self.line_points(P, Q))
-        return Line(tuple(ids))
+        P, Q = self.normalize(P), self.normalize(Q)
+        if P == Q:
+            raise GeometryError("line_through needs two distinct points")
+        return Line(tuple(np.sort(span_ids(self.field, [P, Q])).tolist()))
 
     def line_between_ids(self, pid: int, qid: int) -> Line:
-        return self.line_through(self.points[pid], self.points[qid])
+        return self.line_through(self.arr[pid].tolist(), self.arr[qid].tolist())
 
     def points_on_line(self, line: Line) -> list[tuple[int, ...]]:
-        return [self.points[i] for i in line.point_ids]
+        return self._tuples(list(line.point_ids))
+
+    def _lines_in(self, basis) -> list[Line]:
+        """Every line inside the span of 3 or 4 independent rows, by key:
+        the spans of R·basis over the 2 x len(basis) RREF matrices R."""
+        f = self.field
+        basis = np.asarray(basis, dtype=np.int16)
+        coeffs = _rref_matrices(f.order, 2, len(basis))
+        rows = np.zeros(coeffs.shape[:2] + (4,), dtype=np.int16)
+        for i, row in enumerate(basis):
+            rows = f.add_np[rows, f.mul_np[coeffs[:, :, i, None], row]]
+        ids = np.sort(span_ids(f, rows), axis=1)
+        ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+        return [Line(tuple(row)) for row in ids.tolist()]
 
     def enumerate_lines(self) -> list[Line]:
-        """All lines, each built once via covered point-pair bookkeeping."""
-        covered: set[tuple[int, int]] = set()
-        lines = []
-        for i in range(self.n_points):
-            for j in range(i + 1, self.n_points):
-                if (i, j) in covered:
-                    continue
-                line = self.line_between_ids(i, j)
-                lines.append(line)
-                covered.update(itertools.combinations(line.point_ids, 2))
-        return lines
+        """All lines in ascending key order, which is the order in which a
+        walk over ascending point pairs first meets them."""
+        return self._lines_in(np.eye(4))
 
     # -- planes ---------------------------------------------------------
 
@@ -151,54 +210,36 @@ class Geometry:
             raise GeometryError("plane_through needs three non-collinear points")
         return normalize(self.field, basis[0])
 
+    def _null_basis(self, coords) -> list[tuple[int, ...]]:
+        """A basis of the null space of one point or plane: the planes
+        through the point, or the points on the plane."""
+        return nullspace(self.field, [self.normalize(coords)])
+
     def plane_point_ids(self, plane) -> np.ndarray:
         """Ids of the points on a plane, ascending."""
-        return np.nonzero(on_plane(self.field, plane, self.arr))[0]
+        return np.sort(span_ids(self.field, self._null_basis(plane)))
 
     def points_on_plane(self, plane) -> list[tuple[int, ...]]:
-        return [self.points[int(i)] for i in self.plane_point_ids(plane)]
+        return self._tuples(self.plane_point_ids(plane))
+
+    def lines_in_plane(self, plane) -> list[Line]:
+        """The q^4+q^2+1 lines of a plane, by key."""
+        return self._lines_in(self._null_basis(plane))
 
     def planes_through_point(self, P) -> list[tuple[int, ...]]:
-        basis = nullspace(self.field, [self.normalize(P)])
-        return self._span_planes(basis)
+        """The q^4+q^2+1 planes through P, in ascending tuple order (dual
+        coordinates enumerate like points)."""
+        return self._tuples(span_ids(self.field, self._null_basis(P)))
 
     def book_of_planes(self, line: Line) -> list[tuple[int, ...]]:
         """The q^2+1 planes containing the line, in ascending tuple order."""
-        p0, p1 = line.key
-        basis = nullspace(self.field, [self.points[p0], self.points[p1]])
-        return self._span_planes(basis)
-
-    def _span_planes(self, basis) -> list[tuple[int, ...]]:
-        f = self.field
-        planes = set()
-        for combo in projective_points(f, len(basis) - 1):
-            vec = [0, 0, 0, 0]
-            for coef, bvec in zip(combo, basis):
-                if coef:
-                    for i in range(4):
-                        vec[i] = f.add(vec[i], f.mul(coef, bvec[i]))
-            planes.add(normalize(f, vec))
-        return sorted(planes)
-
-    def lines_in_plane(self, plane) -> list[Line]:
-        ids = [int(i) for i in self.plane_point_ids(plane)]
-        covered: set[tuple[int, int]] = set()
-        lines = []
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pair = (ids[a], ids[b])
-                if pair in covered:
-                    continue
-                line = self.line_between_ids(*pair)
-                lines.append(line)
-                covered.update(itertools.combinations(line.point_ids, 2))
-        return lines
+        basis = nullspace(self.field, self.arr[list(line.key)].tolist())
+        return self._tuples(span_ids(self.field, basis))
 
     # -- serialization ---------------------------------------------------
 
     def serialize_line(self, line: Line) -> list[list[int]]:
-        p0, p1 = line.key
-        return [list(self.points[p0]), list(self.points[p1])]
+        return self.arr[list(line.key)].tolist()
 
     def __repr__(self):
         return f"Geometry(q={self.field.q}, points={self.n_points})"

@@ -273,16 +273,18 @@ def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> Bou
 
 def canonical_secant(surface: HermitianSurface):
     """The line {x2 = x3 = 0} when it is secant (true for the canonical
-    surface); otherwise the first secant in enumeration order."""
+    surface); otherwise the first secant joining the first surface point
+    to a later one (a line through two surface points is a secant or a
+    generator, and only q+1 generators pass through the first point)."""
     geom = surface.geometry
     line = geom.line_through((1, 0, 0, 0), (0, 1, 0, 0))
     if surface.classify_line(line).kind is LineKind.SECANT:
         return line
-    for i in range(geom.n_points):
-        for j in range(i + 1, geom.n_points):
-            line = geom.line_between_ids(i, j)
-            if surface.classify_line(line).kind is LineKind.SECANT:
-                return line
+    first, *rest = surface.point_ids.tolist()
+    for pid in rest:
+        line = geom.line_between_ids(first, pid)
+        if surface.classify_line(line).kind is LineKind.SECANT:
+            return line
     raise FormError("no secant line found")  # impossible for rank 4
 
 

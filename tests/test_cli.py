@@ -150,6 +150,37 @@ def test_check_rejects_out_of_range_coefficient(tmp_path, capsys, coefficient):
     assert "Traceback" not in err
 
 
+_LINEAR = [[[1, 0, 0, 0], 1]]
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    "form",
+    {"d": 1, "terms": _LINEAR},
+    {"q": 2, "terms": _LINEAR},
+    {"q": 2, "d": 1},
+    {"q": 2.5, "d": 1, "terms": _LINEAR},
+    {"q": True, "d": 1, "terms": _LINEAR},
+    {"q": "2", "d": 1, "terms": _LINEAR},
+    {"q": 2, "d": 1.0, "terms": _LINEAR},
+    {"q": 2, "d": False, "terms": _LINEAR},
+    {"q": 2, "d": 1, "terms": [[[1.0, 0, 0, 0], 1]]},
+    {"q": 2, "d": 1, "terms": [[[1, 0, 0, True], 1]]},
+    {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], 1.7]]},
+    {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], True]]},
+    {"q": 2, "d": 1, "terms": 5},
+    {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], 1, 2]]},
+    {"q": 2, "d": 1, "terms": [[1, 1]]},
+])
+def test_check_rejects_malformed_form_document(tmp_path, capsys, doc):
+    form_file = tmp_path / "f.json"
+    form_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(form_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verbose_point_lists(capsys):
     code, out, _ = run(capsys, "extremal", "--q", "2", "--d", "1", "--verbose")
     assert code == 0
@@ -159,17 +190,17 @@ def test_verbose_point_lists(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-counts", "--q", "7"],
-    ["search", "--q", "7", "--d", "1"],
-    ["extremal", "--q", "8", "--d", "1"],
-    ["grid", "--q", "7"],
+    ["verify-counts", "--q", "9"],
+    ["search", "--q", "9", "--d", "1"],
+    ["extremal", "--q", "9", "--d", "1"],
+    ["grid", "--q", "9"],
     ["code", "--q", "9", "--d", "1"],
     ["check"],
 ])
 def test_surface_commands_refuse_q_above_limit(tmp_path, capsys, argv):
     if argv == ["check"]:
         form_file = tmp_path / "f.json"
-        form_file.write_text(json.dumps({"q": 7, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}))
+        form_file.write_text(json.dumps({"q": 9, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}))
         argv = ["check", str(form_file)]
     start = time.monotonic()
     code, out, err = run(capsys, *argv)

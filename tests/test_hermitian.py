@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -259,7 +260,7 @@ def test_tangent_sections_match_plane_scan(q, seed):
 
 def test_generator_points_lie_on_surface(s3):
     for line in s3.generators()[:20]:
-        assert set(line.point_ids) <= s3.point_id_set
+        assert (s3.position_of[list(line.point_ids)] >= 0).all()
         assert len(line.point_ids) == 10
 
 
@@ -379,3 +380,58 @@ def test_non_canonical_surface_full_structure():
         if s.classify_line(line).kind is LineKind.SECANT
     )
     assert s.classify_book(secant).tangent_plane_count == 3
+
+
+def on_plane_scan(field, plane, pts):
+    """Reference: mask of the rows of an (N, 4) point array on the plane,
+    by the pairing with its dual coordinates."""
+    acc = np.zeros(len(pts), dtype=np.int16)
+    for i, c in enumerate(plane):
+        if c:
+            acc = field.add_np[acc, field.mul_np[c, pts[:, i]]]
+    return acc == 0
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["canonical", "random7"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_plane_section_sizes_match_plane_scan(q, seed):
+    """Oracle: scan the surface's points once per plane of PG(3, q^2)."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
+    sizes = s.plane_section_sizes()
+    scan = [int(on_plane_scan(s.field, plane, s.arr).sum()) for plane in s.geometry.points]
+    assert sizes.tolist() == scan
+    small, big = q**3 + 1, q**3 + q**2 + 1
+    tangent = np.isin(np.arange(len(sizes)), s.tangent_plane_ids())
+    assert np.array_equal(sizes, np.where(tangent, big, small))
+
+
+@pytest.mark.parametrize("seed", [None, 7], ids=["canonical", "random7"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_tangent_plane_line_census_matches_brute_force(q, seed):
+    """Oracle: the plane's points by a pairing scan, its lines by a walk
+    over point pairs with rank-2 membership, each line's surface points
+    by x^T A x^(q) = 0."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
+    f, g = s.field, s.geometry
+    on_surface = {tuple(pt) for pt in brute_force_points(f, s.matrix, g)}
+    for pid in random.Random(q).sample(s.point_ids.tolist(), 3):
+        point = g.points[pid]
+        plane = s.tangent_plane(point)
+        pts = [pt for pt in g.points if g.incident(plane, pt)]
+        covered, lines = set(), []
+        for a, b in itertools.combinations(pts, 2):
+            if (a, b) in covered:
+                continue
+            line = [pt for pt in pts if matrix_rank(f, [list(a), list(b), list(pt)]) == 2]
+            covered.update(itertools.combinations(line, 2))
+            lines.append(line)
+        gens = tangents = secants = 0
+        for line in lines:
+            meet = sum(pt in on_surface for pt in line)
+            gens += meet == q * q + 1 and point in line
+            tangents += meet == 1 and point in line
+            secants += meet == q + 1 and point not in line
+        census = s.tangent_plane_line_census(point)
+        assert gens + tangents + secants == len(lines)
+        assert (census.generators, census.tangents_through_point, census.secants,
+                census.total_lines) == (gens, tangents, secants, len(lines))

@@ -1,15 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hermsurf.finite_field import build_field, matrix_rank
+from hermsurf.hermitian import canonical_surface
 from hermsurf.proj_geometry import (
     Geometry,
     GeometryError,
+    Line,
     geometry_for,
     normalize,
     projective_points,
+    span_ids,
 )
 
 
@@ -192,3 +198,95 @@ def test_serialize_line(g2):
     line = g2.line_through((1, 0, 0, 0), (0, 1, 0, 0))
     pair = g2.serialize_line(line)
     assert pair == [[0, 1, 0, 0], [1, 0, 0, 0]]  # two lex-smallest points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_closed_form_ids_match_enumeration(q):
+    """Oracle: every nonzero 4-tuple normalized by scalar field calls,
+    deduplicated and sorted; the closed-form id of point i is i."""
+    f = build_field(q)
+    g = geometry_for(f)
+    vectors = itertools.product(range(f.order), repeat=4)
+    oracle = sorted({normalize(f, v) for v in vectors if any(v)})
+    assert g.points == oracle
+    assert g.arr.dtype == np.int16
+    assert np.array_equal(span_ids(f, g.arr[:, None])[:, 0], np.arange(g.n_points))
+    rng = random.Random(q)
+    for i in rng.sample(range(g.n_points), 50):
+        lam = rng.randrange(1, f.order)
+        assert g.point_id([f.mul(lam, x) for x in g.points[i]]) == i
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), k=st.integers(1, 3), data=st.data())
+def test_span_ids_match_rank_filter(q, k, data):
+    """Oracle: the points P of PG(3, q^2) with rank(rows + [P]) = k."""
+    f = build_field(q)
+    g = geometry_for(f)
+    entry = st.integers(0, f.order - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=k, max_size=k))
+    assume(matrix_rank(f, rows) == k)
+    ids = span_ids(f, rows)
+    oracle = [i for i, pt in enumerate(g.points) if matrix_rank(f, rows + [list(pt)]) == k]
+    assert sorted(ids.tolist()) == oracle
+    assert len(ids) == (f.order**k - 1) // (f.order - 1)
+    batch = span_ids(f, np.array([rows, rows[::-1]]))
+    assert batch.shape == (2, len(ids))
+    assert np.array_equal(np.sort(batch[0]), np.sort(ids))
+    assert np.array_equal(np.sort(batch[1]), np.sort(ids))
+
+
+def test_span_ids_rejects_dependent_rows():
+    f = build_field(2)
+    with pytest.raises(GeometryError):
+        span_ids(f, [[1, 0, 0, 0], [2, 0, 0, 0]])
+    with pytest.raises(GeometryError):
+        span_ids(f, [[1, 2, 3, 0], [0, 1, 1, 0], [1, 3, 2, 0]])  # third = first + 1 * second
+
+
+def test_enumerate_lines_matches_pair_walk(g2):
+    """Oracle: walk the point pairs in ascending order; each uncovered
+    pair's line is the set of points P with rank(P_i, P_j, P) = 2."""
+    f = g2.field
+    covered = set()
+    lines = []
+    for i, j in itertools.combinations(range(g2.n_points), 2):
+        if (i, j) in covered:
+            continue
+        base = [list(g2.points[i]), list(g2.points[j])]
+        ids = tuple(n for n, pt in enumerate(g2.points) if matrix_rank(f, base + [list(pt)]) == 2)
+        lines.append(Line(ids))
+        covered.update(itertools.combinations(ids, 2))
+    assert g2.enumerate_lines() == lines
+
+
+def test_lines_in_plane_are_the_lines_inside_it(g3):
+    rng = random.Random(11)
+    lines = g3.enumerate_lines()
+    for plane in rng.sample(g3.points, 3):
+        on = set(g3.plane_point_ids(plane).tolist())
+        inside = [line for line in lines if set(line.point_ids) <= on]
+        assert g3.lines_in_plane(plane) == inside
+        assert len(inside) == 91
+
+
+@pytest.mark.parametrize("coords", [
+    (5, 0, 0, 0),
+    (1, -1, 0, 0),
+    (0, 0, 0, 9),
+    (1, 0, 0),
+    (1, 0, 0, 0, 0),
+    (1.0, 0, 0, 0),
+    (True, 0, 0, 0),
+])
+def test_coordinates_are_checked(g2, coords):
+    """Entries must be element indices 0..q^2-1 and a point has four."""
+    s2 = canonical_surface(2)
+    with pytest.raises(GeometryError):
+        g2.point_id(coords)
+    with pytest.raises(GeometryError):
+        s2.contains(coords)
+    with pytest.raises(GeometryError):
+        s2.tangent_plane(coords)
+    with pytest.raises(GeometryError):
+        g2.line_through(coords, (0, 1, 0, 0))

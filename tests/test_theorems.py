@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hermsurf.finite_field import build_field, nullspace
+from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
     Form,
     FormError,
@@ -15,7 +15,7 @@ from hermsurf.forms import (
     monomial_count,
     surface_form,
 )
-from hermsurf.hermitian import LineKind, canonical_surface
+from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface, random_hermitian
 from hermsurf.theorems import (
     BudgetExceededError,
     FalsificationError,
@@ -200,6 +200,25 @@ def test_canonical_secant(s2, s3):
         line = canonical_secant(s)
         assert s.classify_line(line).kind is LineKind.SECANT
         assert len(tangent_planes_through(s, line)) == s.q + 1
+
+
+@pytest.mark.parametrize("q, seed", [(2, 1), (2, 2), (3, 0)])
+def test_canonical_secant_off_the_coordinate_line(q, seed):
+    """Surfaces on which {x2 = x3 = 0} is a tangent or a generator: the
+    secant comes from the first surface point."""
+    f = build_field(q)
+    rng = random.Random(seed)
+    while True:
+        a = random_hermitian(f, rng)
+        if matrix_rank(f, [list(r) for r in a]) == 4:
+            break
+    s = HermitianSurface(f, a)
+    coordinate = s.geometry.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    assert s.classify_line(coordinate).kind is not LineKind.SECANT
+    line = canonical_secant(s)
+    assert s.classify_line(line).kind is LineKind.SECANT
+    assert int(s.point_ids[0]) in line.point_ids
+    assert len(tangent_planes_through(s, line)) == q + 1
 
 
 @pytest.mark.parametrize("q", [2, 3])
