@@ -40,6 +40,7 @@ from hermsurf.theorems import (
     build_grid_example,
     exhaustive_search,
     random_search,
+    require_scan_degree,
     sorensen_bound,
 )
 
@@ -50,6 +51,7 @@ from hermsurf.theorems import (
 # x86-64 core, 8.3 s at q = 8 (extremal, grid and check take 1-1.5 s);
 # the census alone takes 17 s at q = 9.
 MAX_SURFACE_Q = 8
+_BOOK_SAMPLES = 50  # lines of each class whose book the census checks
 
 
 def _surface(q: int) -> HermitianSurface:
@@ -78,7 +80,7 @@ def _check(checks: list, name: str, expected, observed) -> None:
     )
 
 
-def census_report(q: int, seed: int = 0, samples_per_class: int = 50) -> dict:
+def census_report(q: int, seed: int = 0) -> dict:
     """The full count suite for the canonical surface at one q."""
     surface = canonical_surface(q)
     geom = surface.geometry
@@ -133,20 +135,20 @@ def census_report(q: int, seed: int = 0, samples_per_class: int = 50) -> dict:
     buckets = {kind: 0 for kind in want}
     books_ok = True
     gens = surface.generators()
-    for idx in rng.sample(range(len(gens)), min(samples_per_class, len(gens))):
+    for idx in rng.sample(range(len(gens)), min(_BOOK_SAMPLES, len(gens))):
         if surface.classify_book(gens[idx]).tangent_plane_count != want[LineKind.GENERATOR]:
             books_ok = False
         buckets[LineKind.GENERATOR] += 1
     attempts = 0
     while (
-        min(buckets[LineKind.TANGENT], buckets[LineKind.SECANT]) < samples_per_class
+        min(buckets[LineKind.TANGENT], buckets[LineKind.SECANT]) < _BOOK_SAMPLES
         and attempts < 100_000
     ):
         attempts += 1
         i, j = rng.sample(range(geom.n_points), 2)
         line = geom.line_between_ids(i, j)
         kind = surface.classify_line(line).kind
-        if kind is LineKind.GENERATOR or buckets[kind] >= samples_per_class:
+        if kind is LineKind.GENERATOR or buckets[kind] >= _BOOK_SAMPLES:
             continue
         if surface.classify_book(line).tangent_plane_count != want[kind]:
             books_ok = False
@@ -187,12 +189,7 @@ def _cmd_search(args) -> int:
     surface = _surface(args.q)
     t0 = time.monotonic()
     if args.mode == "exhaustive":
-        result = exhaustive_search(
-            surface,
-            args.d,
-            budget=args.budget,
-            workers=args.workers,
-        )
+        result = exhaustive_search(surface, args.d, budget=args.budget, workers=args.workers)
     else:
         result = random_search(surface, args.d, args.samples, args.seed)
     report = result.to_json()
@@ -240,9 +237,10 @@ def _cmd_grid(args) -> int:
 
 def _cmd_code(args) -> int:
     surface = _surface(args.q)
+    require_scan_degree(args.q, args.d)
     t0 = time.monotonic()
-    report = code_report(surface, args.d, budget=args.budget, collect_weights=bool(args.weight_csv))
-    weights = report.pop("weight_distribution", None)
+    report = code_report(surface, args.d, budget=args.budget)
+    weights = report.pop("weight_distribution")
     if args.weight_csv and weights is not None:
         with open(args.weight_csv, "w") as fh:
             fh.write("weight,count\n")
@@ -260,6 +258,7 @@ def _cmd_check(args) -> int:
         raise FormError(f"form file is for q={q}, got --q {args.q}")
     surface = _surface(q)
     form = form_from_json(surface.field, data)
+    require_scan_degree(q, form.degree)
     t0 = time.monotonic()
     stats = intersection_stats(form, surface)
     bounds = check_theorems(stats, surface)

@@ -17,7 +17,7 @@ import numpy as np
 from hermsurf.finite_field import Field, rref
 from hermsurf.forms import class_count, class_vectors, combination_values, monomial_matrix
 from hermsurf.hermitian import HermitianSurface
-from hermsurf.theorems import BudgetExceededError, sorensen_bound
+from hermsurf.theorems import SCAN_BLOCK, BudgetExceededError, sorensen_bound
 
 
 @dataclass
@@ -52,19 +52,13 @@ def build_code(surface: HermitianSurface, d: int) -> EvaluationCode:
     )
 
 
-def min_distance_enumerate(
-    code: EvaluationCode,
-    *,
-    budget: int = 10_000_000,
-    block: int = 8192,
-    collect_weights: bool = False,
-):
-    """Minimum Hamming weight over all nonzero codewords.
+def min_distance_enumerate(code: EvaluationCode, *, budget: int = 10_000_000):
+    """(minimum Hamming weight over the nonzero codewords, the code's
+    weight distribution as a Counter).
 
     Enumerates one representative per scalar class ((q^2)^k <= budget
-    required); weights are scalar invariant.  With ``collect_weights``
-    also returns the full weight distribution of the code: each class
-    contributes q^2-1 codewords of its weight, plus the zero word.
+    required); weights are scalar invariant, so each class contributes
+    q^2-1 codewords of its weight, plus the zero word.
     """
     order = code.field.order
     if order**code.k > budget:
@@ -72,26 +66,17 @@ def min_distance_enumerate(
             f"{order**code.k} codewords exceed the budget {budget}"
         )
     total = class_count(order, code.k)
-    best = code.n + 1
     dist = np.zeros(code.n + 1, dtype=np.int64)
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        coeffs = class_vectors(code.field, code.k, lo, hi)
+    for lo in range(0, total, SCAN_BLOCK):
+        coeffs = class_vectors(code.field, code.k, lo, min(lo + SCAN_BLOCK, total))
         values = combination_values(code.field, code.basis, coeffs)
-        weights = code.n - np.count_nonzero(values == 0, axis=1)
-        block_min = int(weights.min())
-        if block_min < best:
-            best = block_min
-        if collect_weights:
-            dist += np.bincount(weights, minlength=code.n + 1)
-    if best == 0:
+        dist += np.bincount(code.n - np.count_nonzero(values == 0, axis=1), minlength=code.n + 1)
+    if dist[0]:
         raise RuntimeError("independent basis rows produced a zero codeword")
-    if collect_weights:
-        full = Counter({0: 1})
-        for w in np.flatnonzero(dist):
-            full[int(w)] += int(dist[w]) * (order - 1)
-        return best, full
-    return best
+    weights = Counter({0: 1})
+    for w in np.flatnonzero(dist):
+        weights[int(w)] += int(dist[w]) * (order - 1)
+    return min(w for w in weights if w), weights
 
 
 def min_distance_geometric(q: int, d: int) -> int:
@@ -106,9 +91,9 @@ def min_distance_geometric(q: int, d: int) -> int:
     return n - sorensen_bound(q, d)
 
 
-def code_report(surface: HermitianSurface, d: int, *, budget: int = 10_000_000,
-                collect_weights: bool = False) -> dict:
-    """JSON-ready record {q, d, n, k, d_min_enumerated, d_min_geometric}."""
+def code_report(surface: HermitianSurface, d: int, *, budget: int = 10_000_000) -> dict:
+    """JSON-ready record {q, d, n, k, d_min_enumerated, d_min_geometric,
+    weight_distribution}; the enumerated entries are None over budget."""
     code = build_code(surface, d)
     report = {
         "q": code.q,
@@ -118,15 +103,11 @@ def code_report(surface: HermitianSurface, d: int, *, budget: int = 10_000_000,
         "d_min_geometric": min_distance_geometric(code.q, d) if d <= code.q + 1 else None,
         "d_min_geometric_conditional": d == code.q + 1,
     }
-    weights = None
     try:
-        if collect_weights:
-            d_min, weights = min_distance_enumerate(code, budget=budget, collect_weights=True)
-        else:
-            d_min = min_distance_enumerate(code, budget=budget)
-        report["d_min_enumerated"] = d_min
+        d_min, weights = min_distance_enumerate(code, budget=budget)
+        weights = {str(w): c for w, c in sorted(weights.items())}
     except BudgetExceededError:
-        report["d_min_enumerated"] = None
-    if weights is not None:
-        report["weight_distribution"] = {str(w): c for w, c in sorted(weights.items())}
+        d_min = weights = None
+    report["d_min_enumerated"] = d_min
+    report["weight_distribution"] = weights
     return report

@@ -104,10 +104,10 @@ class Field:
     """GF(q^2) with its canonical tables.  Use ``build_field`` to create."""
 
     def __init__(self, q: int):
-        p, k = _prime_power(q)
         order = q * q
-        if order > MAX_ORDER:
+        if q > 0 and order > MAX_ORDER:  # refused before factoring q
             raise FieldError(f"q^2 = {order} exceeds the supported limit {MAX_ORDER}")
+        p, k = _prime_power(q)
         self.p = p
         self.k = k
         self.q = q

@@ -48,15 +48,17 @@ class FormError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
+def _graded_lex(degree: int):
     """Exponent tuples of degree d in graded lex order, x0 > x1 > x2 > x3."""
-    out = []
     for e0 in range(degree, -1, -1):
         for e1 in range(degree - e0, -1, -1):
             for e2 in range(degree - e0 - e1, -1, -1):
-                out.append((e0, e1, e2, degree - e0 - e1 - e2))
-    return tuple(out)
+                yield (e0, e1, e2, degree - e0 - e1 - e2)
+
+
+@lru_cache(maxsize=None)
+def monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(_graded_lex(degree))
 
 
 def monomial_count(degree: int) -> int:
@@ -265,17 +267,15 @@ def divide(form: Form, divisor: Form) -> tuple[dict, dict]:
     rem = dict(form.coeffs)
     quo: dict = {}
     div_terms = list(divisor.coeffs.items())
-    while True:
-        target = None
-        for m in rem:
-            if all(a >= b for a, b in zip(m, lead)):
-                if target is None or m > target:
-                    target = m
-        if target is None:
-            break
+    # a step at target only touches monomials below it, so one descending
+    # pass meets every divisible remainder term in turn; it is not cached,
+    # so a high-degree division keeps no exponent table
+    for target in _graded_lex(form.degree):
+        if target not in rem or any(a < b for a, b in zip(target, lead)):
+            continue
         shift = tuple(a - b for a, b in zip(target, lead))
         factor = f.mul(rem[target], lead_inv)
-        quo[shift] = f.add(quo.get(shift, 0), factor)
+        quo[shift] = factor
         for dm, dc in div_terms:
             m = tuple(a + b for a, b in zip(shift, dm))
             val = f.sub(rem.get(m, 0), f.mul(factor, dc))
@@ -427,10 +427,11 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
     x_ids = tuple(int(surface.point_ids[i]) for i in zero_positions)
 
-    if hermitian_divides(form, surface):
+    quo, rem = divide(form, surface_form(surface))
+    if not rem:
         # V(H) contains no plane and the ring is a domain, so a plane lies
         # in V(F) = V(H) u V(F/H) exactly when it lies in V(F/H)
-        rest = exact_quotient(form, surface_form(surface)) if d > q + 1 else None
+        rest = Form(form.field, d - q - 1, quo) if d > q + 1 else None
         return IntersectionReport(
             form=form, q=q, d=d,
             x_count=len(x_ids), x_point_ids=x_ids,

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from hermsurf.finite_field import Field, matrix_rank, nullspace
-from hermsurf.proj_geometry import Geometry, Line, geometry_for, span_ids
+from hermsurf.proj_geometry import Line, geometry_for, span_ids
 
 
 class HermitianError(ValueError):
@@ -185,12 +185,12 @@ class TangentPlaneCensus:
 class HermitianSurface:
     """A Hermitian surface with cached rational points and generators."""
 
-    def __init__(self, field: Field, matrix, geometry: Geometry | None = None):
+    def __init__(self, field: Field, matrix):
         if not is_hermitian(field, matrix):
             raise HermitianError("defining matrix is not Hermitian")
         self.field = field
         self.matrix: Matrix = tuple(tuple(row) for row in matrix)
-        self.geometry = geometry if geometry is not None else geometry_for(field)
+        self.geometry = geometry_for(field)
         self.rank = matrix_rank(field, [list(r) for r in self.matrix])
 
         # x^T A x^(q) pairs each point with the coordinates of its polar plane

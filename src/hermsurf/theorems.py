@@ -12,7 +12,11 @@ Bound formulas (all exact, Fractions where a ratio appears):
 Applicability (the surface equation must not divide F in all cases):
 
     incidence_bound        always
-    residual_point_bound   a rational point of X off every J_F line exists
+    residual_point_bound   a rational point of X off every J_F line exists,
+                           and d <= q^2+1 (the value is incidence_bound at
+                           delta = q+1, and such a point forces
+                           delta >= q+1; the incidence bound falls with
+                           delta only while q^2-d+1 >= 0)
     book_bound,
     multiplicity_bound     no tangent plane in V(F), no such off-line point,
                            and J_F nonempty (both need X)
@@ -33,11 +37,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from random import Random
 
 import numpy as np
 
-from hermsurf.finite_field import Field
+from hermsurf.finite_field import Field, build_field
 from hermsurf.forms import (
     Form,
     FormError,
@@ -69,6 +75,9 @@ class FalsificationError(AssertionError):
     def __init__(self, message: str, witness: dict):
         super().__init__(message)
         self.witness = witness
+
+    def __reduce__(self):  # so that a violation crosses process boundaries
+        return type(self), (str(self), self.witness)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +187,7 @@ def evaluate_bounds(report: IntersectionReport) -> BoundReport:
         out.checks[name] = BoundCheck(value, applicable, (x <= value) if applicable else None)
 
     check("incidence_bound", incidence_bound(q, d, delta), True)
-    check("residual_point_bound", residual_point_bound(q, d), residual)
+    check("residual_point_bound", residual_point_bound(q, d), residual and d <= q * q + 1)
     xdep = no_tangent and not residual and not jf_empty
     check("book_bound", book_bound(q, d, x_min) if x_min is not None else 0, xdep)
     check(
@@ -361,6 +370,17 @@ class SearchResult:
         }
 
 
+SCAN_BLOCK = 4096  # scalar classes per kernel call
+_ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
+
+
+def require_scan_degree(q: int, d: int) -> None:
+    """Refuse d outside 1..q^2, where the scans decide generator
+    containment exactly from rational points."""
+    if not 1 <= d <= q * q:
+        raise FormError(f"d must be in 1..q^2 = 1..{q * q}, got {d}")
+
+
 class _SearchContext:
     """Precomputed per-(q, d) state for vectorized block scanning."""
 
@@ -377,17 +397,16 @@ class _SearchContext:
         self.gen_pos = surface.generator_positions()[:, : d + 1]
         q = self.q
         # cross-multiplied incidence bound: (q+1)|X| <= rhs[jf_count]
-        deltas = np.arange(d * (q + 1) + 1)
-        jf = d * (q + 1) - deltas
-        rhs = d * (q + 1) * (q**3 + q**2 - d + 2) - deltas * (q**2 - d + 1)
-        self.incidence_rhs = np.zeros(d * (q + 1) + 1, dtype=np.int64)
-        self.incidence_rhs[jf] = rhs
+        top = d * (q + 1)
+        self.incidence_rhs = np.array(
+            [int((q + 1) * incidence_bound(q, d, top - jf)) for jf in range(top + 1)],
+            dtype=np.int64,
+        )
         self.sorensen = sorensen_bound(q, d) if d <= q + 1 else None
-        # exactness guard for the rational generator-containment filter
-        if d > q * q:
-            raise FormError(
-                "vectorized scanning requires d <= q^2 (rational containment is exact there)"
-            )
+
+    def __reduce__(self):
+        # a worker process rebuilds the context once, from (q, matrix, d)
+        return _worker_context, (self.q, self.surface.matrix, self.d)
 
     def scan(self, coeffs: np.ndarray):
         """Return (x_counts, jf_counts) for a block of coefficient rows."""
@@ -415,6 +434,11 @@ class _SearchContext:
             )
 
 
+@lru_cache(maxsize=1)
+def _worker_context(q: int, matrix, d: int) -> _SearchContext:
+    return _SearchContext(HermitianSurface(build_field(q), matrix), d)
+
+
 @dataclass
 class _Tally:
     max_count: int = -1
@@ -423,7 +447,7 @@ class _Tally:
     examined: int = 0
     skipped: int = 0
 
-    def merge(self, other: "_Tally", cap: int):
+    def merge(self, other: "_Tally"):
         self.examined += other.examined
         self.skipped += other.skipped
         if other.max_count > self.max_count:
@@ -432,10 +456,10 @@ class _Tally:
             self.total = other.total
         elif other.max_count == self.max_count:
             self.total += other.total
-            self.argmax.extend(other.argmax[: max(0, cap - len(self.argmax))])
+            self.argmax.extend(other.argmax[: max(0, _ARGMAX_CAP - len(self.argmax))])
 
 
-def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally, cap: int):
+def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally):
     x_counts, jf_counts = ctx.scan(coeffs)
     keep = np.ones(len(coeffs), dtype=bool)
     if ctx.d >= ctx.q + 1:
@@ -451,59 +475,45 @@ def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally, ca
         block.max_count = int(counts.max())
         hits = kept[counts == block.max_count]
         block.total = len(hits)
-        block.argmax = [keys[int(i)] for i in hits[:cap]]
-    tally.merge(block, cap)
+        block.argmax = [keys[int(i)] for i in hits[:_ARGMAX_CAP]]
+    tally.merge(block)
 
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(q: int, matrix, d: int):
-    from hermsurf.finite_field import build_field
-
-    surface = HermitianSurface(build_field(q), matrix)
-    surface.generators()
-    _WORKER_CTX["ctx"] = _SearchContext(surface, d)
-
-
-def _scan_range(ctx: _SearchContext, start: int, stop: int, block: int, cap: int,
-                progress: bool) -> _Tally:
+def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally = _Tally()
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        coeffs = class_vectors(ctx.field, ctx.m, lo, hi)
-        _scan_block(ctx, coeffs, range(lo, hi), tally, cap)
-        if progress and lo // 1_000_000 != hi // 1_000_000:
-            print(f"scanned {hi}/{stop} classes", file=sys.stderr)
+    for lo in range(start, stop, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, stop)
+        _scan_block(ctx, class_vectors(ctx.field, ctx.m, lo, hi), range(lo, hi), tally)
+        if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
+            print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
     return tally
 
 
-def _worker_scan_range(start: int, stop: int, block: int, cap: int):
-    # a violation travels back as a dict: FalsificationError does not
-    # unpickle, since its constructor needs the witness
-    try:
-        return _scan_range(_WORKER_CTX["ctx"], start, stop, block, cap, False)
-    except FalsificationError as err:
-        return {"violation": err.witness, "message": str(err)}
+def _result(ctx: _SearchContext, mode: str, tally: _Tally, argmax_vectors, start_t: float,
+            seed: int | None = None, samples: int | None = None) -> SearchResult:
+    return SearchResult(
+        q=ctx.q, d=ctx.d, mode=mode,
+        examined=tally.examined,
+        skipped_hermitian_multiples=tally.skipped,
+        max_count=tally.max_count,
+        argmax_forms=[form_from_vector(ctx.field, ctx.d, vec) for vec in argmax_vectors],
+        argmax_total=tally.total,
+        seed=seed, samples=samples,
+        wall_time=time.monotonic() - start_t,
+    )
 
 
-def exhaustive_search(
-    surface: HermitianSurface,
-    d: int,
-    *,
-    budget: int = 10_000_000,
-    workers: int = 1,
-    block: int = 8192,
-    argmax_cap: int = 4096,
-    progress: bool = True,
-) -> SearchResult:
+def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000_000,
+                      workers: int = 1) -> SearchResult:
     """Scan every scalar class of degree-d forms, tracking max |X|.
 
     Every scanned form is checked against the incidence bound and (for
     d <= q+1) the Sorensen bound; a violation aborts the scan.  At
     d >= q+1, multiples of the surface equation are skipped and counted
-    separately.
+    separately.  Each scanning process writes a line to stderr for every
+    million classes of its range.
     """
+    require_scan_degree(surface.q, d)
     total = class_count(surface.field.order, monomial_count(d))
     if total > budget:
         raise BudgetExceededError(
@@ -513,38 +523,19 @@ def exhaustive_search(
     start_t = time.monotonic()
 
     if workers <= 1:
-        tally = _scan_range(ctx, 0, total, block, argmax_cap, progress)
+        tally = _scan_range(ctx, 0, total)
     else:
-        chunk = max(block, (total + workers * 4 - 1) // (workers * 4))
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(surface.q, surface.matrix, d),
-        ) as pool:
-            futures = [pool.submit(_worker_scan_range, lo, hi, block, argmax_cap) for lo, hi in ranges]
-            results = [fut.result() for fut in futures]
-        for res in results:
-            if isinstance(res, dict):
-                raise FalsificationError(res["message"], res["violation"])
+        chunk = max(SCAN_BLOCK, (total + workers * 4 - 1) // (workers * 4))
+        starts = range(0, total, chunk)
+        stops = [min(lo + chunk, total) for lo in starts]
         tally = _Tally()
-        for res in results:
-            tally.merge(res, argmax_cap)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # results come in range order, so the first violation is raised
+            for part in pool.map(_scan_range, repeat(ctx), starts, stops):
+                tally.merge(part)
 
-    argmax_forms = [
-        form_from_vector(surface.field, d, class_vectors(surface.field, ctx.m, i, i + 1)[0])
-        for i in sorted(tally.argmax)
-    ]
-    return SearchResult(
-        q=surface.q, d=d, mode="exhaustive",
-        examined=tally.examined,
-        skipped_hermitian_multiples=tally.skipped,
-        max_count=tally.max_count,
-        argmax_forms=argmax_forms,
-        argmax_total=tally.total,
-        seed=None, samples=None,
-        wall_time=time.monotonic() - start_t,
-    )
+    argmax = [class_vectors(surface.field, ctx.m, i, i + 1)[0] for i in sorted(tally.argmax)]
+    return _result(ctx, "exhaustive", tally, argmax, start_t)
 
 
 def _random_linear(field: Field, rng: Random) -> Form:
@@ -566,21 +557,14 @@ def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int
     return [linear_form(surface.field, rng.choice(planes)) for _ in range(d)]
 
 
-def random_search(
-    surface: HermitianSurface,
-    d: int,
-    samples: int,
-    seed: int,
-    *,
-    block: int = 4096,
-    argmax_cap: int = 4096,
-) -> SearchResult:
+def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) -> SearchResult:
     """Reproducible random scan: half uniform coefficient vectors, half
     structured products of linear forms (every other structured draw uses
     tangent planes through a common secant, the conjectured extremals).
 
     Output is fully determined by (seed, samples, q, d).
     """
+    require_scan_degree(surface.q, d)
     if samples < 1:
         raise FormError("samples must be >= 1")
     ctx = _SearchContext(surface, d)
@@ -613,23 +597,8 @@ def random_search(
             seen.add(vec)
             vectors.append(vec)
 
-    tally = _Tally()
-    tally.skipped = skipped
-    for lo in range(0, len(vectors), block):
-        chunk = vectors[lo : lo + block]
-        coeffs = np.array(chunk, dtype=np.int16)
-        _scan_block(ctx, coeffs, chunk, tally, argmax_cap)
-
-    argmax_forms = [
-        form_from_vector(surface.field, d, vec) for vec in sorted(tally.argmax)
-    ]
-    return SearchResult(
-        q=surface.q, d=d, mode="random",
-        examined=tally.examined,
-        skipped_hermitian_multiples=tally.skipped,
-        max_count=tally.max_count,
-        argmax_forms=argmax_forms,
-        argmax_total=tally.total,
-        seed=seed, samples=samples,
-        wall_time=time.monotonic() - start_t,
-    )
+    tally = _Tally(skipped=skipped)
+    for lo in range(0, len(vectors), SCAN_BLOCK):
+        chunk = vectors[lo : lo + SCAN_BLOCK]
+        _scan_block(ctx, np.array(chunk, dtype=np.int16), chunk, tally)
+    return _result(ctx, "random", tally, sorted(tally.argmax), start_t, seed, samples)

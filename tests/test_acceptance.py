@@ -146,10 +146,10 @@ def test_criterion_06_extremal_pencils():
 def test_criterion_07_exhaustive_maxima():
     with criterion(7, "exhaustive maxima q=2: d=1 -> 13, d=2 -> 23 with factoring argmaxes", 300.0):
         surface = canonical_surface(2)
-        res1 = exhaustive_search(surface, 1, progress=False)
+        res1 = exhaustive_search(surface, 1)
         assert res1.examined == 85
         assert res1.max_count == 13
-        res2 = exhaustive_search(surface, 2, progress=False)
+        res2 = exhaustive_search(surface, 2)
         assert res2.examined == 349_525
         assert res2.max_count == 23 == sorensen_bound(2, 2)
         assert res2.argmax_total == len(res2.argmax_forms)  # cap not hit
@@ -229,7 +229,7 @@ def test_criterion_10_codes():
             surface = canonical_surface(q)
             code = build_code(surface, d)
             assert (code.n, code.k) == (n, k)
-            enumerated = min_distance_enumerate(code)
+            enumerated = min_distance_enumerate(code)[0]
             assert enumerated == dist == min_distance_geometric(q, d)
 
 
@@ -237,7 +237,6 @@ def test_criterion_11_canonicalization():
     with criterion(11, "100 random Hermitian matrices per q: rank and point count agree", 30.0):
         for q in (2, 3):
             f = build_field(q)
-            geom = canonical_surface(q).geometry
             rng = random.Random(1100 + q)
             for _ in range(100):
                 a = random_hermitian(f, rng)
@@ -248,6 +247,6 @@ def test_criterion_11_canonicalization():
                     tuple(1 if (i == j and i < rank) else 0 for j in range(4)) for i in range(4)
                 )
                 assert diag == expected
-                before = HermitianSurface(f, a, geometry=geom).n_surface_points()
-                after = HermitianSurface(f, diag, geometry=geom).n_surface_points()
+                before = HermitianSurface(f, a).n_surface_points()
+                after = HermitianSurface(f, diag).n_surface_points()
                 assert before == after

@@ -209,3 +209,47 @@ def test_surface_commands_refuse_q_above_limit(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"q <= {MAX_SURFACE_Q}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "2", "--d", "100", "--mode", "random"],
+    ["search", "--q", "2", "--d", "100"],
+    ["search", "--q", "2", "--d", "0"],
+    ["code", "--q", "2", "--d", "100"],
+    ["code", "--q", "2", "--d", "5"],
+    ["check", "20"],
+    ["check", "200"],
+    ["check", "2000"],
+])
+def test_scan_commands_refuse_degree_above_q_squared(tmp_path, capsys, argv):
+    """search, code and check decide d in 1..q^2 and refuse the rest at once."""
+    if argv[0] == "check":
+        d = int(argv[1])
+        form_file = tmp_path / "f.json"
+        form_file.write_text(json.dumps({"q": 2, "d": d, "terms": [[[d, 0, 0, 0], 1]]}))
+        argv = ["check", str(form_file)]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1..q^2 = 1..4" in err
+
+
+def test_check_top_degree_form_is_not_a_falsification(tmp_path, capsys):
+    """x0^(q^2) at q=2: a residual point exists, every applicable bound holds."""
+    form_file = tmp_path / "f.json"
+    form_file.write_text(json.dumps({"q": 2, "d": 4, "terms": [[[4, 0, 0, 0], 1]]}))
+    code, out, _ = run(capsys, "check", str(form_file))
+    assert code == 0
+    assert load_report(out)["bounds"]["ok"] is True
+
+
+def test_huge_prime_q_is_refused_before_factoring(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify-counts", "--q", "1000000000000000003")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "exceeds the supported limit" in err

@@ -47,8 +47,8 @@ def test_columns_follow_point_enumeration(s2):
 
 
 def test_min_distance_small(s2, s3):
-    assert min_distance_enumerate(build_code(s2, 1)) == 32
-    assert min_distance_enumerate(build_code(s3, 1)) == 243
+    assert min_distance_enumerate(build_code(s2, 1))[0] == 32
+    assert min_distance_enumerate(build_code(s3, 1))[0] == 243
 
 
 def test_geometric_prediction():
@@ -68,7 +68,7 @@ def test_budget_guard(s3):
 
 
 def test_weight_distribution_d1(s2):
-    d_min, dist = min_distance_enumerate(build_code(s2, 1), collect_weights=True)
+    d_min, dist = min_distance_enumerate(build_code(s2, 1))
     assert d_min == 32
     # 45 tangent planes give weight 32, the 40 other planes weight 36,
     # each class counts q^2 - 1 = 3 codewords, plus the zero word
@@ -97,7 +97,7 @@ def test_codeword_weight_identity(s2):
 def test_singleton_bound(s2, s3):
     for surface, d in [(s2, 1), (s2, 2), (s3, 1)]:
         code = build_code(surface, d)
-        d_min = min_distance_enumerate(code)
+        d_min, _ = min_distance_enumerate(code)
         assert code.k + d_min <= code.n + 1
 
 
@@ -111,6 +111,7 @@ def test_code_report(s2):
         "d_min_geometric": 32,
         "d_min_geometric_conditional": False,
         "d_min_enumerated": 32,
+        "weight_distribution": {"0": 1, "32": 135, "36": 120},
     }
 
 

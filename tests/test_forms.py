@@ -329,6 +329,69 @@ def test_division_reconstruction(s2):
         assert all(any(x < y for x, y in zip(m, lead)) for m in rem)
 
 
+def rescan_divide(form, divisor):
+    """Reference division: each step rescans the whole remainder for its
+    largest monomial divisible by the divisor's leading monomial."""
+    f = form.field
+    lead = divisor.leading_monomial()
+    lead_inv = f.inv(divisor.coeffs[lead])
+    rem = dict(form.coeffs)
+    quo: dict = {}
+    while True:
+        target = None
+        for m in rem:
+            if all(a >= b for a, b in zip(m, lead)):
+                if target is None or m > target:
+                    target = m
+        if target is None:
+            return quo, rem
+        shift = tuple(a - b for a, b in zip(target, lead))
+        factor = f.mul(rem[target], lead_inv)
+        quo[shift] = f.add(quo.get(shift, 0), factor)
+        for dm, dc in divisor.coeffs.items():
+            m = tuple(a + b for a, b in zip(shift, dm))
+            val = f.sub(rem.get(m, 0), f.mul(factor, dc))
+            if val:
+                rem[m] = val
+            else:
+                rem.pop(m, None)
+
+
+@st.composite
+def division_cases(draw):
+    """(form, divisor): the divisor is the surface equation, a linear form
+    or a random form; the form is random, half the time a multiple of it."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    field = build_field(q)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("surface", "linear", "random")))
+    if kind == "surface":
+        divisor = surface_form(canonical_surface(q))
+    else:
+        divisor = random_form(field, 1 if kind == "linear" else draw(st.integers(1, 3)), rng)
+    extra = draw(st.integers(0, 3))
+    if extra and draw(st.booleans()):
+        return random_form(field, extra, rng) * divisor, divisor
+    return random_form(field, divisor.degree + extra, rng), divisor
+
+
+@settings(max_examples=60, deadline=None)
+@given(division_cases())
+def test_divide_matches_rescan_division(case):
+    """Same quotient and remainder, with their terms found in the same order."""
+    form, divisor = case
+    one_pass = [list(part.items()) for part in divide(form, divisor)]
+    assert one_pass == [list(part.items()) for part in rescan_divide(form, divisor)]
+
+
+def test_high_degree_division_tabulates_no_monomials(s2):
+    """x0^200 is divided by H without caching the 1.37M degree-200 monomials."""
+    monomials.cache_clear()
+    intersection_stats(Form(s2.field, 200, {(200, 0, 0, 0): 1}), s2)
+    # only degree q+1 = 3 is tabulated, for H's leading monomial
+    assert monomials.cache_info().currsize == 1
+
+
 def test_divides_and_quotient():
     f = build_field(2)
     x0 = linear_form(f, (1, 0, 0, 0))

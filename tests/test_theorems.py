@@ -1,9 +1,12 @@
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hermsurf import theorems
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
     Form,
@@ -97,7 +100,7 @@ def test_bound_crossover():
 
 def test_residual_bound_is_incidence_bound_at_delta_q_plus_1():
     for q in (2, 3, 4):
-        for d in range(1, q + 2):
+        for d in range(1, 2 * q**2 + 2):
             assert incidence_bound(q, d, q + 1) == residual_point_bound(q, d)
 
 
@@ -120,6 +123,18 @@ def test_bounds_non_tangent_plane(s2):
     assert not checks["multiplicity_bound"].applicable
     assert checks["no_tangent_plane_bound"].applicable
     assert checks["sorensen_bound"].satisfied
+    assert br.ok
+
+
+def test_residual_bound_needs_d_at_most_q_squared_plus_1(s2):
+    """x0^20 at q=2 has residual points, but past d = q^2+1 the incidence
+    bound grows with delta, so its value at delta = q+1 (here -105) bounds
+    nothing."""
+    rep = intersection_stats(Form(s2.field, 20, {(20, 0, 0, 0): 1}), s2)
+    br = evaluate_bounds(rep)
+    assert rep.residual_ids
+    assert br.checks["residual_point_bound"].value == -105
+    assert not br.checks["residual_point_bound"].applicable
     assert br.ok
 
 
@@ -305,13 +320,13 @@ def test_exhaustive_d1_matches_scalar_oracle(s2):
             best, argmax = count, {form.normalized().coefficient_vector()}
         elif count == best:
             argmax.add(form.normalized().coefficient_vector())
-    res = exhaustive_search(s2, 1, progress=False)
+    res = exhaustive_search(s2, 1)
     assert res.max_count == best
     assert {g.coefficient_vector() for g in res.argmax_forms} == argmax
 
 
 def test_exhaustive_d1(s2):
-    res = exhaustive_search(s2, 1, progress=False)
+    res = exhaustive_search(s2, 1)
     assert res.examined == 85
     assert res.max_count == 13
     assert res.argmax_total == 45
@@ -326,18 +341,41 @@ def test_exhaustive_d1(s2):
 
 def test_exhaustive_budget_guard(s2):
     with pytest.raises(BudgetExceededError):
-        exhaustive_search(s2, 3, budget=1000, progress=False)
+        exhaustive_search(s2, 3, budget=1000)
 
 
 def test_exhaustive_workers_match_serial(s2):
-    serial = exhaustive_search(s2, 1, progress=False)
-    parallel = exhaustive_search(s2, 1, workers=2, progress=False)
+    serial = exhaustive_search(s2, 1)
+    parallel = exhaustive_search(s2, 1, workers=2)
     assert serial.to_json() == parallel.to_json()
 
 
-def test_argmax_cap_keeps_the_first_maximizers(s2):
-    full = exhaustive_search(s2, 2, progress=False)
-    capped = exhaustive_search(s2, 2, argmax_cap=5, progress=False)
+def test_falsification_error_pickles():
+    witness = {"form": {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}}
+    back = pickle.loads(pickle.dumps(FalsificationError("bound violated", witness)))
+    assert type(back) is FalsificationError
+    assert str(back) == "bound violated"
+    assert back.witness == witness
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched bound only through fork")
+def test_worker_violation_reaches_the_caller(s2, monkeypatch):
+    """A bound that a plane section beats: workers raise the same
+    FalsificationError as the serial scan."""
+    monkeypatch.setattr(theorems, "sorensen_bound", lambda q, d: 12)
+    with pytest.raises(FalsificationError) as serial:
+        exhaustive_search(s2, 1)
+    with pytest.raises(FalsificationError) as parallel:
+        exhaustive_search(s2, 1, workers=2)
+    assert str(parallel.value) == str(serial.value)
+    assert parallel.value.witness == serial.value.witness
+
+
+def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
+    full = exhaustive_search(s2, 2)
+    monkeypatch.setattr(theorems, "_ARGMAX_CAP", 5)
+    capped = exhaustive_search(s2, 2)
     assert capped.argmax_total == full.argmax_total == 720
     assert capped.max_count == full.max_count
     assert capped.argmax_forms == full.argmax_forms[:5]
@@ -405,7 +443,7 @@ def test_falsification_machinery(s2):
 
 
 def test_search_result_serialization(s2):
-    res = exhaustive_search(s2, 1, progress=False)
+    res = exhaustive_search(s2, 1)
     data = res.to_json()
     assert data["max_count"] == 13
     assert data["mode"] == "exhaustive"
