@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermsurf.finite_field import Field, rref
-from hermsurf.forms import class_count, class_vectors, combination_values, monomial_matrix
+from hermsurf.forms import class_count, class_zero_blocks, monomial_matrix
 from hermsurf.hermitian import HermitianSurface
-from hermsurf.theorems import SCAN_BLOCK, BudgetExceededError, sorensen_bound
+from hermsurf.theorems import BudgetExceededError, sorensen_bound
 
 
 @dataclass
@@ -65,12 +65,9 @@ def min_distance_enumerate(code: EvaluationCode, *, budget: int = 10_000_000):
         raise BudgetExceededError(
             f"{order**code.k} codewords exceed the budget {budget}"
         )
-    total = class_count(order, code.k)
     dist = np.zeros(code.n + 1, dtype=np.int64)
-    for lo in range(0, total, SCAN_BLOCK):
-        coeffs = class_vectors(code.field, code.k, lo, min(lo + SCAN_BLOCK, total))
-        values = combination_values(code.field, code.basis, coeffs)
-        dist += np.bincount(code.n - np.count_nonzero(values == 0, axis=1), minlength=code.n + 1)
+    for _, _, zero in class_zero_blocks(code.field, code.basis, 0, class_count(order, code.k)):
+        dist += np.bincount(code.n - np.count_nonzero(zero, axis=1), minlength=code.n + 1)
     if dist[0]:
         raise RuntimeError("independent basis rows produced a zero codeword")
     weights = Counter({0: 1})

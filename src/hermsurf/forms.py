@@ -495,7 +495,9 @@ def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, 
 
 
 # ----------------------------------------------------------------------
-# batch evaluation helpers (shared by searches and weight enumeration)
+# batch evaluation helpers: exhaustive scans and weight enumeration run on
+# class_zero_blocks; combination_values serves random search and the
+# prefix rows of those blocks
 # ----------------------------------------------------------------------
 
 def monomial_matrix(field: Field, degree: int, pts: np.ndarray) -> np.ndarray:
@@ -549,12 +551,15 @@ _SLICE_ROWS = 64
 def combination_values(field: Field, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(B, N) values of the linear combinations coeffs @ rows over the field.
 
-    rows is (M, N); coeffs is (B, M) of element indices.  For each used
-    monomial m the table of packed c*rows[m] over all elements c is built
-    once; a class then costs one row gather per nonzero term.  Groups of
-    K packed terms add as plain integers, are decoded by one lookup and
-    merged with field addition.  Rows are evaluated in slices so the
-    decode's intp index stays small.
+    rows is (M, N); coeffs is (B, M) of element indices.  It evaluates
+    arbitrary vectors (random search) and the one-row prefixes of
+    ``class_zero_blocks``; exhaustive scans never call it per class.
+
+    For each used monomial m the table of packed c*rows[m] over all
+    elements c is built once; a class then costs one row gather per
+    nonzero term.  Groups of K packed terms add as plain integers, are
+    decoded by one lookup and merged with field addition.  Rows are
+    evaluated in slices so the decode's intp index stays small.
     """
     group, pack_mul, unpack = _digit_lanes(field)
     b, n = coeffs.shape[0], rows.shape[1]
@@ -603,6 +608,46 @@ def class_vectors(field: Field, m: int, start: int, stop: int) -> np.ndarray:
             row += hi - lo
         offset += size
     return out
+
+
+SCAN_BLOCK = 4096  # scalar classes per block of a scan
+# The table of class_zero_blocks holds at most this many int16 elements (8 MB).
+_TABLE_ELEMENTS = 1 << 22
+
+
+def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
+    """Yield (lo, hi, zero) over the scalar classes [start, stop) in
+    ``class_vectors`` order: zero is the (hi-lo, N) mask of the
+    combinations of the (M, N) rows that vanish, for classes lo..hi-1.
+
+    One table T holds the values of every combination of the last L rows,
+    the last row as the least significant digit, for the largest L with
+    q^(2L) <= SCAN_BLOCK and q^(2L) N <= _TABLE_ELEMENTS.  The classes of
+    one span of q^(2L) share their leading position and high digits, so
+    they share one prefix row, and a class vanishes where its T row equals
+    minus that prefix.  A tail of fewer than L digits uses a leading slice
+    of T.  Each yield covers at most one span.
+    """
+    order = field.order
+    m, n = rows.shape
+    low = 0
+    while low < m - 1 and order ** (low + 1) <= min(SCAN_BLOCK, _TABLE_ELEMENTS // n):
+        low += 1
+    table = np.zeros((1, n), dtype=np.int16)
+    for row in rows[m - low :][::-1]:
+        table = field.add_np[field.mul_np[:, row][:, None], table].reshape(-1, n)
+    offset = 0
+    for j in range(m):
+        size = order ** (m - 1 - j)
+        span = order ** min(low, m - 1 - j)
+        lo, end = max(start, offset), min(stop, offset + size)
+        while lo < end:
+            first = lo - lo % span  # offset is a multiple of span
+            hi = min(end, first + span)
+            prefix = combination_values(field, rows, class_vectors(field, m, first, first + 1))[0]
+            yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
+            lo = hi
+        offset += size
 
 
 def form_from_vector(field: Field, degree: int, vec) -> Form:

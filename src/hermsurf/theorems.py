@@ -45,11 +45,13 @@ import numpy as np
 
 from hermsurf.finite_field import Field, build_field
 from hermsurf.forms import (
+    SCAN_BLOCK,
     Form,
     FormError,
     IntersectionReport,
     class_count,
     class_vectors,
+    class_zero_blocks,
     combination_values,
     exact_quotient,
     form_from_vector,
@@ -370,7 +372,6 @@ class SearchResult:
         }
 
 
-SCAN_BLOCK = 4096  # scalar classes per kernel call
 _ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
 
 
@@ -408,16 +409,15 @@ class _SearchContext:
         # a worker process rebuilds the context once, from (q, matrix, d)
         return _worker_context, (self.q, self.surface.matrix, self.d)
 
-    def scan(self, coeffs: np.ndarray):
-        """Return (x_counts, jf_counts) for a block of coefficient rows."""
-        values = combination_values(self.field, self.rows, coeffs)
-        zero = values == 0
+    def scan(self, zero: np.ndarray):
+        """Return (x_counts, jf_counts) for a block's (B, N) zero mask."""
         x_counts = np.count_nonzero(zero, axis=1)
         jf_counts = np.count_nonzero(zero[:, self.gen_pos].all(axis=2), axis=1)
         return x_counts, jf_counts
 
-    def check_block(self, coeffs: np.ndarray, x_counts, jf_counts, keep: np.ndarray):
-        """Raise FalsificationError if a kept row beats a proved bound."""
+    def check_block(self, x_counts, jf_counts, keep: np.ndarray, vector):
+        """Raise FalsificationError if a kept row beats a proved bound;
+        vector(i) decodes row i's coefficients for the witness."""
         lhs = x_counts * (self.q + 1)
         top = len(self.incidence_rhs) - 1
         over = jf_counts > top  # |J_F| > d(q+1) would itself refute deg X = d(q+1)
@@ -426,7 +426,7 @@ class _SearchContext:
             bad |= keep & (x_counts > self.sorensen)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
-            form = form_from_vector(self.field, self.d, coeffs[i])
+            form = form_from_vector(self.field, self.d, vector(i))
             confirm = check_theorems(intersection_stats(form, self.surface), self.surface)
             raise FalsificationError(
                 f"bound violated at q={self.q} d={self.d}: |X|={int(x_counts[i])}",
@@ -459,17 +459,19 @@ class _Tally:
             self.argmax.extend(other.argmax[: max(0, _ARGMAX_CAP - len(self.argmax))])
 
 
-def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally):
-    x_counts, jf_counts = ctx.scan(coeffs)
-    keep = np.ones(len(coeffs), dtype=bool)
+def _scan_block(ctx: _SearchContext, zero: np.ndarray, keys, vector, tally: _Tally):
+    """Tally one block from its zero mask.  keys[i] stands for row i in the
+    argmax list; vector(i) decodes row i's coefficients, which only a
+    candidate multiple of the surface equation or a witness needs."""
+    x_counts, jf_counts = ctx.scan(zero)
+    keep = np.ones(len(zero), dtype=bool)
     if ctx.d >= ctx.q + 1:
-        for i in np.nonzero(x_counts == ctx.n)[0]:
-            form = form_from_vector(ctx.field, ctx.d, coeffs[int(i)])
-            if hermitian_divides(form, ctx.surface):
-                keep[int(i)] = False
-    ctx.check_block(coeffs, x_counts, jf_counts, keep)
+        for i in np.flatnonzero(x_counts == ctx.n).tolist():
+            if hermitian_divides(form_from_vector(ctx.field, ctx.d, vector(i)), ctx.surface):
+                keep[i] = False
+    ctx.check_block(x_counts, jf_counts, keep, vector)
     kept = np.flatnonzero(keep)
-    block = _Tally(examined=len(kept), skipped=len(coeffs) - len(kept))
+    block = _Tally(examined=len(kept), skipped=len(zero) - len(kept))
     if len(kept):
         counts = x_counts[kept]
         block.max_count = int(counts.max())
@@ -481,9 +483,9 @@ def _scan_block(ctx: _SearchContext, coeffs: np.ndarray, keys, tally: _Tally):
 
 def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally = _Tally()
-    for lo in range(start, stop, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, stop)
-        _scan_block(ctx, class_vectors(ctx.field, ctx.m, lo, hi), range(lo, hi), tally)
+    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.rows, start, stop):
+        _scan_block(ctx, zero, range(lo, hi),
+                    lambda i: class_vectors(ctx.field, ctx.m, lo + i, lo + i + 1)[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
     return tally
@@ -600,5 +602,6 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     tally = _Tally(skipped=skipped)
     for lo in range(0, len(vectors), SCAN_BLOCK):
         chunk = vectors[lo : lo + SCAN_BLOCK]
-        _scan_block(ctx, np.array(chunk, dtype=np.int16), chunk, tally)
+        zero = combination_values(ctx.field, ctx.rows, np.array(chunk, dtype=np.int16)) == 0
+        _scan_block(ctx, zero, chunk, chunk.__getitem__, tally)
     return _result(ctx, "random", tally, sorted(tally.argmax), start_t, seed, samples)

@@ -1,17 +1,21 @@
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermsurf.codes import build_code
 from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
+    SCAN_BLOCK,
     Form,
     FormError,
     _digit_lanes,
     class_count,
     class_vectors,
+    class_zero_blocks,
     combination_values,
     contained_planes,
     contains_tangent_plane,
@@ -712,6 +716,48 @@ def test_combination_values_matches_scalar_evaluation(case):
             continue
         form = form_from_vector(field, degree, vec)
         assert row.tolist() == [form.evaluate(tuple(int(x) for x in pt)) for pt in points]
+
+
+@lru_cache(maxsize=None)
+def _scan_rows(q: int, d: int | None):
+    """(field, rows): the monomial rows of the search at (q, d), or for
+    d None the q=2 degree-3 code basis, whose k = 19 rows are fewer than
+    its M = 20 monomials."""
+    surface = canonical_surface(q)
+    if d is None:
+        return surface.field, build_code(surface, 3).basis
+    return surface.field, monomial_matrix(surface.field, d, surface.arr)
+
+
+@st.composite
+def class_ranges(draw):
+    """(field, rows, start, stop): a window of at most 1200 classes around a
+    multiple of q^(2l) inside one leading-position segment, so that it
+    crosses span and segment boundaries."""
+    q, d = draw(st.sampled_from(
+        ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (2, None))))
+    field, rows = _scan_rows(q, d)
+    m, order = rows.shape[0], field.order
+    total = class_count(order, m)
+    j = draw(st.integers(0, m - 1))
+    offset = total - class_count(order, m - j)  # the first class led by position j
+    place = order ** draw(st.integers(0, m - 1 - j))
+    center = offset + place * draw(st.integers(0, order ** (m - 1 - j) // place))
+    start = max(0, min(total - 1, center - draw(st.integers(0, 600))))
+    return field, rows, start, min(total, max(start + 1, center + draw(st.integers(0, 600))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_ranges())
+def test_class_zero_blocks_match_combination_values(case):
+    field, rows, start, stop = case
+    blocks = list(class_zero_blocks(field, rows, start, stop))
+    bounds = [start] + [hi for _, hi, _ in blocks]
+    assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
+    assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
+    zero = np.concatenate([z for _, _, z in blocks])
+    want = combination_values(field, rows, class_vectors(field, rows.shape[0], start, stop)) == 0
+    assert zero.shape == want.shape and (zero == want).all()
 
 
 def test_form_json_roundtrip(s2):

@@ -11,8 +11,11 @@ from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
     Form,
     FormError,
+    class_count,
+    class_vectors,
     combination_values,
     form_from_vector,
+    form_to_json,
     intersection_stats,
     linear_form,
     monomial_count,
@@ -22,6 +25,7 @@ from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface, ra
 from hermsurf.theorems import (
     BudgetExceededError,
     FalsificationError,
+    _scan_range,
     _SearchContext,
     book_bound,
     build_extremal_pencil,
@@ -372,6 +376,47 @@ def test_worker_violation_reaches_the_caller(s2, monkeypatch):
     assert parallel.value.witness == serial.value.witness
 
 
+def test_serial_witness_is_the_first_violating_class(s2, monkeypatch):
+    """The witness is decoded from the first class, in scan order, that
+    beats the patched bound."""
+    monkeypatch.setattr(theorems, "sorensen_bound", lambda q, d: 12)
+    f = s2.field
+    vecs = class_vectors(f, 4, 0, class_count(f.order, 4))
+    x_counts = (combination_values(f, _SearchContext(s2, 1).rows, vecs) == 0).sum(axis=1)
+    first = int(np.flatnonzero(x_counts > 12)[0])
+    with pytest.raises(FalsificationError) as err:
+        exhaustive_search(s2, 1)
+    witness = form_from_vector(f, 1, class_vectors(f, 4, first, first + 1)[0])
+    assert err.value.witness["form"] == form_to_json(witness, 2)
+
+
+@pytest.mark.parametrize("split", [1, 4095, 4096, 4097, 5000, 262143, 262144, 262161, 349524])
+def test_scan_range_splits_merge_to_the_full_scan(s2, split):
+    """Worker chunks end anywhere, also inside a span of the table."""
+    ctx = _SearchContext(s2, 2)
+    total = class_count(s2.field.order, ctx.m)
+    merged = _scan_range(ctx, 0, split)
+    merged.merge(_scan_range(ctx, split, total))
+    assert merged == _scan_range(ctx, 0, total)
+
+
+def test_scan_range_decodes_the_surface_equation_lazily(s2, capsys):
+    """At (2,3) the normalized surface equation is the one class that is
+    skipped; scanning 1,000,100 classes writes one progress line."""
+    ctx = _SearchContext(s2, 3)
+    f = s2.field
+    vec = surface_form(s2).normalized().coefficient_vector()
+    lead = next(i for i, c in enumerate(vec) if c)
+    index = class_count(f.order, ctx.m) - class_count(f.order, ctx.m - lead)
+    index += sum(c * f.order**k for k, c in enumerate(reversed(vec[lead + 1 :])))
+    assert class_vectors(f, ctx.m, index, index + 1)[0].tolist() == list(vec)
+    tally = _scan_range(ctx, index - 5000, index + 5000)
+    assert (tally.skipped, tally.examined) == (1, 9999)
+    capsys.readouterr()
+    _scan_range(ctx, 0, 1_000_100)
+    assert capsys.readouterr().err.splitlines() == ["scanned 1000100 of 1000100 classes"]
+
+
 def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
     full = exhaustive_search(s2, 2)
     monkeypatch.setattr(theorems, "_ARGMAX_CAP", 5)
@@ -402,8 +447,8 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
             else:
                 rows.append([rng.randrange(f.order) for _ in range(ctx.m)])
         coeffs = np.array(rows, dtype=np.int16)
-        _, jf_counts = ctx.scan(coeffs)
         zero = combination_values(f, ctx.rows, coeffs) == 0
+        _, jf_counts = ctx.scan(zero)
         full = zero[:, surface.generator_positions()].all(axis=2).sum(axis=1)
         assert full.any()
         assert jf_counts.tolist() == full.tolist()
@@ -438,7 +483,7 @@ def test_falsification_machinery(s2):
     x_counts = np.array([44], dtype=np.int64)  # absurd for a plane
     jf_counts = np.array([0], dtype=np.int64)
     with pytest.raises(FalsificationError) as err:
-        ctx.check_block(coeffs, x_counts, jf_counts, np.array([True]))
+        ctx.check_block(x_counts, jf_counts, np.array([True]), coeffs.__getitem__)
     assert "form" in err.value.witness
 
 
