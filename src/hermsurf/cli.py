@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from random import Random
 
 import numpy as np
@@ -64,9 +65,40 @@ def _surface(q: int) -> HermitianSurface:
     return canonical_surface(q)
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from
+    joined strings; indent is the newline and indentation of value's
+    own line.  Dict keys must be str (encode_basestring_ascii raises
+    TypeError on any other)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # plain ints, most of a report's values, are written without a call
+        items = [int.__repr__(v) if type(v) is int else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, meta: dict, out: str | None) -> None:
-    doc = {"report": report, "meta": meta}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _dumps({"report": report, "meta": meta}) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -309,7 +341,8 @@ def _parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=max(1, os.cpu_count() or 1),
-        help="parallel workers for exhaustive mode (1 = serial reference run)",
+        help="parallel workers for exhaustive mode, at most the CPU count"
+             " (1 = serial reference run)",
     )
 
     p = sub.add_parser("extremal", help="build the d-plane pencil attaining the bound")
@@ -349,7 +382,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FalsificationError as err:
         doc = {"falsification": str(err), "witness": err.witness}
-        sys.stderr.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stderr.write(_dumps(doc) + "\n")
         return 2
     except (FieldError, FormError, BudgetExceededError, ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")

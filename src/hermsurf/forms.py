@@ -584,29 +584,34 @@ def class_count(order: int, m: int) -> int:
     return (order**m - 1) // (order - 1)
 
 
-def class_vectors(field: Field, m: int, start: int, stop: int) -> np.ndarray:
-    """Decode scalar-class indices [start, stop) into normalized vectors.
+def class_vectors(field: Field, m: int, indices) -> np.ndarray:
+    """Decode an array of scalar-class indices into normalized vectors,
+    one row per index, in the order given.
 
     Classes are ordered by the position j of the leading 1, then by the
     remaining m-1-j digits read as a base-(q^2) integer.
     """
     order = field.order
-    out = np.zeros((stop - start, m), dtype=np.int16)
-    row = 0
-    offset = 0
-    for j in range(m):
-        size = order ** (m - 1 - j)
-        lo, hi = max(start, offset), min(stop, offset + size)
-        if lo < hi:
-            tails = np.arange(lo - offset, hi - offset, dtype=np.int64)
-            block = slice(row, row + hi - lo)
-            out[block, j] = 1
-            for t in range(m - 1 - j):
-                div = order ** (m - 2 - j - t)
-                if div < hi - offset:  # larger divisors leave the digit 0
-                    out[block, j + 1 + t] = (tails // div) % order
-            row += hi - lo
-        offset += size
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.zeros((len(indices), m), dtype=np.int16)
+    if not len(indices):
+        return out
+    top, total = int(indices.max()), class_count(order, m)
+    if indices.min() < 0 or top >= total:
+        raise ValueError(f"class indices must lie in 0..{total - 1}")
+    # the first class led by each position, up to the first past every index
+    offsets = [0]
+    while len(offsets) < m and offsets[-1] <= top:
+        offsets.append(offsets[-1] + order ** (m - len(offsets)))
+    offsets = np.array([min(o, top + 1) for o in offsets], dtype=np.int64)
+    lead = np.searchsorted(offsets, indices, side="right") - 1
+    tails = indices - offsets[lead]
+    for j in range(m - 1, 0, -1):
+        place = order ** (m - 1 - j)
+        if place > top:  # this and every larger place value leave the digit 0
+            break
+        out[:, j] = (tails // place) % order
+    out[np.arange(len(indices)), lead] = 1
     return out
 
 
@@ -644,7 +649,7 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
         while lo < end:
             first = lo - lo % span  # offset is a multiple of span
             hi = min(end, first + span)
-            prefix = combination_values(field, rows, class_vectors(field, m, first, first + 1))[0]
+            prefix = combination_values(field, rows, class_vectors(field, m, [first]))[0]
             yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
             lo = hi
         offset += size
@@ -658,12 +663,18 @@ def form_from_vector(field: Field, degree: int, vec) -> Form:
 # serialization
 # ----------------------------------------------------------------------
 
-def form_to_json(form: Form, q: int) -> dict:
+def vector_to_json(q: int, degree: int, vec) -> dict:
+    """A form of the given degree serialized from its coefficient vector
+    (Python ints in monomial order), without building the ``Form``."""
     return {
         "q": q,
-        "d": form.degree,
-        "terms": [[list(m), c] for m, c in form.terms()],
+        "d": degree,
+        "terms": [[list(m), c] for m, c in zip(monomials(degree), vec) if c],
     }
+
+
+def form_to_json(form: Form, q: int) -> dict:
+    return vector_to_json(q, form.degree, form.coefficient_vector())
 
 
 def _json_int(value, what: str) -> int:

@@ -32,6 +32,7 @@ drivers raise ``FalsificationError`` with the offending form serialized.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +63,7 @@ from hermsurf.forms import (
     monomial_count,
     monomial_matrix,
     vanishing_tangent_planes,
+    vector_to_json,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
 from hermsurf.proj_geometry import normalize
@@ -351,11 +353,16 @@ class SearchResult:
     examined: int
     skipped_hermitian_multiples: int
     max_count: int
-    argmax_forms: list[Form]
+    argmax_vectors: list[list[int]]  # normalized coefficient vectors, monomial order
     argmax_total: int
     seed: int | None
     samples: int | None
     wall_time: float
+    field: Field = dc_field(repr=False, compare=False)
+
+    @property
+    def argmax_forms(self) -> list[Form]:
+        return [form_from_vector(self.field, self.d, vec) for vec in self.argmax_vectors]
 
     def to_json(self) -> dict:
         return {
@@ -366,7 +373,7 @@ class SearchResult:
             "skipped_hermitian_multiples": self.skipped_hermitian_multiples,
             "max_count": self.max_count,
             "argmax_total": self.argmax_total,
-            "argmax_forms": [form_to_json(f, self.q) for f in self.argmax_forms],
+            "argmax_forms": [vector_to_json(self.q, self.d, vec) for vec in self.argmax_vectors],
             "seed": self.seed,
             "samples": self.samples,
         }
@@ -485,7 +492,7 @@ def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally = _Tally()
     for lo, hi, zero in class_zero_blocks(ctx.field, ctx.rows, start, stop):
         _scan_block(ctx, zero, range(lo, hi),
-                    lambda i: class_vectors(ctx.field, ctx.m, lo + i, lo + i + 1)[0], tally)
+                    lambda i: class_vectors(ctx.field, ctx.m, [lo + i])[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
     return tally
@@ -498,10 +505,11 @@ def _result(ctx: _SearchContext, mode: str, tally: _Tally, argmax_vectors, start
         examined=tally.examined,
         skipped_hermitian_multiples=tally.skipped,
         max_count=tally.max_count,
-        argmax_forms=[form_from_vector(ctx.field, ctx.d, vec) for vec in argmax_vectors],
+        argmax_vectors=argmax_vectors,
         argmax_total=tally.total,
         seed=seed, samples=samples,
         wall_time=time.monotonic() - start_t,
+        field=ctx.field,
     )
 
 
@@ -512,7 +520,8 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     Every scanned form is checked against the incidence bound and (for
     d <= q+1) the Sorensen bound; a violation aborts the scan.  At
     d >= q+1, multiples of the surface equation are skipped and counted
-    separately.  Each scanning process writes a line to stderr for every
+    separately.  A parallel scan uses at most min(workers, CPU count)
+    processes.  Each scanning process writes a line to stderr for every
     million classes of its range.
     """
     require_scan_degree(surface.q, d)
@@ -524,6 +533,9 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     ctx = _SearchContext(surface, d)
     start_t = time.monotonic()
 
+    # a fork pool starts all its workers at once, so it never gets more
+    # than the CPUs or the ranges can use
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         tally = _scan_range(ctx, 0, total)
     else:
@@ -531,12 +543,12 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
         starts = range(0, total, chunk)
         stops = [min(lo + chunk, total) for lo in starts]
         tally = _Tally()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             # results come in range order, so the first violation is raised
             for part in pool.map(_scan_range, repeat(ctx), starts, stops):
                 tally.merge(part)
 
-    argmax = [class_vectors(surface.field, ctx.m, i, i + 1)[0] for i in sorted(tally.argmax)]
+    argmax = class_vectors(surface.field, ctx.m, sorted(tally.argmax)).tolist()
     return _result(ctx, "exhaustive", tally, argmax, start_t)
 
 
@@ -604,4 +616,5 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
         chunk = vectors[lo : lo + SCAN_BLOCK]
         zero = combination_values(ctx.field, ctx.rows, np.array(chunk, dtype=np.int16)) == 0
         _scan_block(ctx, zero, chunk, chunk.__getitem__, tally)
-    return _result(ctx, "random", tally, sorted(tally.argmax), start_t, seed, samples)
+    argmax = [list(vec) for vec in sorted(tally.argmax)]
+    return _result(ctx, "random", tally, argmax, start_t, seed, samples)

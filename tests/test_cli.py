@@ -1,9 +1,12 @@
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermsurf.cli import MAX_SURFACE_Q, main
+from hermsurf import theorems
+from hermsurf.cli import MAX_SURFACE_Q, _dumps, main
 
 
 def run(capsys, *argv):
@@ -253,3 +256,60 @@ def test_huge_prime_q_is_refused_before_factoring(capsys):
     assert code == 1
     assert out == ""
     assert "exceeds the supported limit" in err
+
+
+# ----------------------------------------------------------------------
+# the report emitter
+# ----------------------------------------------------------------------
+
+def indent2(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_strings = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+            | st.floats() | _strings)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_strings, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dumps_matches_json_dumps(doc):
+    assert _dumps(doc) == indent2(doc)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [1, np.int16(2)], {"a": {"b": np.int32(0)}}, (np.bool_(True),),
+    {"x": {1, 2}}, b"bytes", object(),
+])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        indent2(value)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 0}}, [{2.5: 1}]])
+def test_dumps_refuses_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def test_reports_are_indent_2_json_with_sorted_keys(tmp_path, capsys, monkeypatch):
+    """A search report, and the falsification document a patched bound
+    provokes, are written as json.dumps(doc, sort_keys=True, indent=2)."""
+    out = tmp_path / "s.json"
+    assert main(["search", "--q", "2", "--d", "2", "--workers", "1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == indent2(json.loads(text)) + "\n"
+    monkeypatch.setattr(theorems, "sorensen_bound", lambda q, d: 12)
+    code, _, err = run(capsys, "search", "--q", "2", "--d", "1", "--workers", "1")
+    assert code == 2
+    assert err == indent2(json.loads(err)) + "\n"
+    assert json.loads(err)["witness"]["form"]["terms"] == [[[1, 0, 0, 0], 1], [[0, 0, 0, 1], 1]]

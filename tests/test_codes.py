@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from hermsurf.codes import (
     min_distance_enumerate,
     min_distance_geometric,
 )
-from hermsurf.forms import combination_values, form_from_vector, monomial_count, monomials
+from hermsurf.forms import (
+    class_count,
+    class_zero_blocks,
+    combination_values,
+    form_from_vector,
+    monomial_count,
+    monomial_matrix,
+    monomials,
+)
 from hermsurf.hermitian import canonical_surface
 from hermsurf.theorems import BudgetExceededError
 
@@ -125,3 +134,21 @@ def test_code_report_conditional_at_d_q_plus_1(s2):
     report = code_report(s2, 3, budget=100)
     assert report["d_min_geometric_conditional"] is True
     assert report["d_min_geometric"] == 45 - 33
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_search_histogram_is_the_weight_distribution(q, d):
+    """With k = M every class of forms is one class of codewords: the
+    n - |X| histogram over the search's monomial rows, q^2-1 codewords a
+    class plus the zero word, is the enumerated weight distribution."""
+    surface = canonical_surface(q)
+    code = build_code(surface, d)
+    rows = monomial_matrix(surface.field, d, surface.arr)
+    m, n = rows.shape
+    assert code.k == m
+    hist = Counter()
+    for _, _, zero in class_zero_blocks(surface.field, rows, 0, class_count(q * q, m)):
+        hist.update((n - np.count_nonzero(zero, axis=1)).tolist())
+    weights = Counter({w: c * (q * q - 1) for w, c in hist.items()})
+    weights[0] += 1
+    assert weights == min_distance_enumerate(code)[1]

@@ -37,6 +37,7 @@ from hermsurf.forms import (
     restrict,
     surface_form,
     vanishing_tangent_planes,
+    vector_to_json,
 )
 from hermsurf.hermitian import canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
@@ -648,24 +649,76 @@ def test_class_vectors_enumerate_all_classes():
     f = build_field(2)
     total = class_count(f.order, 4)
     assert total == 85
-    vecs = class_vectors(f, 4, 0, total)
+    vecs = class_vectors(f, 4, np.arange(total))
     seen = {tuple(int(x) for x in row) for row in vecs}
     assert len(seen) == 85
     for row in seen:
         lead = next(i for i, x in enumerate(row) if x)
         assert row[lead] == 1
     # block splits agree with the full decode
-    import numpy as np
-
-    again = np.concatenate([class_vectors(f, 4, lo, min(lo + 7, total)) for lo in range(0, total, 7)])
+    again = np.concatenate([class_vectors(f, 4, np.arange(lo, min(lo + 7, total)))
+                            for lo in range(0, total, 7)])
     assert (again == vecs).all()
 
 
 def test_class_vectors_long_tails():
     """Digits whose place value exceeds every tail in the block stay 0
     instead of overflowing the int64 division."""
-    vecs = class_vectors(build_field(3), 35, 0, 2)
+    vecs = class_vectors(build_field(3), 35, np.arange(2))
     assert vecs.tolist() == [[1] + [0] * 34, [1] + [0] * 33 + [1]]
+
+
+def _class_vectors_by_range(field, m, start, stop):
+    """The per-range decoder that the array decoder replaced."""
+    order = field.order
+    out = np.zeros((stop - start, m), dtype=np.int16)
+    row = 0
+    offset = 0
+    for j in range(m):
+        size = order ** (m - 1 - j)
+        lo, hi = max(start, offset), min(stop, offset + size)
+        if lo < hi:
+            tails = np.arange(lo - offset, hi - offset, dtype=np.int64)
+            block = slice(row, row + hi - lo)
+            out[block, j] = 1
+            for t in range(m - 1 - j):
+                div = order ** (m - 2 - j - t)
+                if div < hi - offset:  # larger divisors leave the digit 0
+                    out[block, j + 1 + t] = (tails // div) % order
+            row += hi - lo
+        offset += size
+    return out
+
+
+@st.composite
+def class_index_arrays(draw):
+    """Unsorted class indices, repeats allowed, crowded round the first
+    class of each leading position."""
+    q, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 2), (5, 1)]))
+    field = build_field(q)
+    m = monomial_count(d)
+    total = class_count(field.order, m)
+    firsts = [total - class_count(field.order, m - j) for j in range(m)]
+    near = st.sampled_from(firsts).flatmap(
+        lambda e: st.integers(max(0, e - 2), min(total - 1, e + 2)))
+    return field, m, draw(st.lists(st.integers(0, total - 1) | near, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_index_arrays())
+def test_class_vectors_match_the_range_decoder(case):
+    field, m, indices = case
+    got = class_vectors(field, m, np.array(indices, dtype=np.int64))
+    assert got.shape == (len(indices), m) and got.dtype == np.int16
+    for i, row in zip(indices, got.tolist()):
+        assert row == _class_vectors_by_range(field, m, i, i + 1)[0].tolist()
+
+
+def test_class_vectors_refuse_indices_outside_the_classes():
+    f = build_field(2)
+    for bad in ([-1], [0, 85]):
+        with pytest.raises(ValueError):
+            class_vectors(f, 4, bad)
 
 
 def test_combination_values_matches_forms(s2):
@@ -756,8 +809,15 @@ def test_class_zero_blocks_match_combination_values(case):
     assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
     assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
     zero = np.concatenate([z for _, _, z in blocks])
-    want = combination_values(field, rows, class_vectors(field, rows.shape[0], start, stop)) == 0
+    want = combination_values(field, rows, class_vectors(field, rows.shape[0], np.arange(start, stop))) == 0
     assert zero.shape == want.shape and (zero == want).all()
+
+
+def test_form_to_json_is_the_vector_serializer(s2):
+    form = pencil_form(s2)
+    vec = form.coefficient_vector()
+    assert form_to_json(form, 2) == vector_to_json(2, 2, vec) == {
+        "q": 2, "d": 2, "terms": [[list(m), c] for m, c in form.terms()]}
 
 
 def test_form_json_roundtrip(s2):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -354,6 +355,51 @@ def test_exhaustive_workers_match_serial(s2):
     assert serial.to_json() == parallel.to_json()
 
 
+def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
+    """A huge --workers asks a fork pool, which starts every worker at
+    once, for no more processes than the CPUs and the ranges allow."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+    serial = exhaustive_search(s2, 2)
+    assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
+    assert all(n <= (os.cpu_count() or 1) for n in sizes)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    sizes.clear()
+    assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
+    assert exhaustive_search(s2, 1, workers=10_000).to_json() == exhaustive_search(s2, 1).to_json()
+    assert sizes == [64, 1]  # 86 ranges of 4096 classes at d=2; one range at d=1
+
+
+@pytest.mark.parametrize("q, d, mode", [(2, 2, "exhaustive"), (3, 2, "random")])
+def test_argmax_forms_serialize_from_their_vectors(q, d, mode):
+    surface = canonical_surface(q)
+    if mode == "exhaustive":
+        res = exhaustive_search(surface, d)
+    else:
+        res = random_search(surface, d, 3000, 7)
+    forms = res.argmax_forms
+    assert len(forms) == len(res.argmax_vectors) > 0
+    assert res.to_json()["argmax_forms"] == [form_to_json(f, q) for f in forms]
+    assert [list(f.coefficient_vector()) for f in forms] == res.argmax_vectors
+    assert all(f.field is surface.field and f.degree == d and f.normalized() == f for f in forms)
+    if mode == "exhaustive":
+        assert len(forms) == 720
+
+
 def test_falsification_error_pickles():
     witness = {"form": {"q": 2, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}}
     back = pickle.loads(pickle.dumps(FalsificationError("bound violated", witness)))
@@ -381,12 +427,12 @@ def test_serial_witness_is_the_first_violating_class(s2, monkeypatch):
     beats the patched bound."""
     monkeypatch.setattr(theorems, "sorensen_bound", lambda q, d: 12)
     f = s2.field
-    vecs = class_vectors(f, 4, 0, class_count(f.order, 4))
+    vecs = class_vectors(f, 4, np.arange(class_count(f.order, 4)))
     x_counts = (combination_values(f, _SearchContext(s2, 1).rows, vecs) == 0).sum(axis=1)
     first = int(np.flatnonzero(x_counts > 12)[0])
     with pytest.raises(FalsificationError) as err:
         exhaustive_search(s2, 1)
-    witness = form_from_vector(f, 1, class_vectors(f, 4, first, first + 1)[0])
+    witness = form_from_vector(f, 1, class_vectors(f, 4, np.arange(first, first + 1))[0])
     assert err.value.witness["form"] == form_to_json(witness, 2)
 
 
@@ -409,7 +455,7 @@ def test_scan_range_decodes_the_surface_equation_lazily(s2, capsys):
     lead = next(i for i, c in enumerate(vec) if c)
     index = class_count(f.order, ctx.m) - class_count(f.order, ctx.m - lead)
     index += sum(c * f.order**k for k, c in enumerate(reversed(vec[lead + 1 :])))
-    assert class_vectors(f, ctx.m, index, index + 1)[0].tolist() == list(vec)
+    assert class_vectors(f, ctx.m, np.arange(index, index + 1))[0].tolist() == list(vec)
     tally = _scan_range(ctx, index - 5000, index + 5000)
     assert (tally.skipped, tally.examined) == (1, 9999)
     capsys.readouterr()
