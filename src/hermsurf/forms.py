@@ -11,23 +11,24 @@ class through their normalized coefficient vectors.
 surface S with generator set J:
 
     X          = V(F) n S, its rational points
-    J_F        = generators symbolically contained in V(F)
+    J_F        = generators contained in V(F)
     delta      = d(q+1) - |J_F|
     residuals  = rational points of X on no line of J_F (a nonempty set
                  certifies that the non-line part of X has a rational
                  point; emptiness certifies nothing)
     T(l)       = lines of J_F meeting l (l excluded), per l in J_F
     X_min      = min |T(l)| over J_F (None when J_F is empty)
-    a[l][Pi]   = members of T(l) inside the plane Pi, over the book of l
+    a[l][Pi]   = members of T(l) inside Pi, over the book of l (on demand)
     r[P]       = number of J_F lines through P, for P on their union
 
 plus the flags: is V(F) a multiple of the surface equation, and does
 V(F) contain a tangent plane.
 
-Line and plane containment are decided symbolically (the restriction of
-F to a parametrization vanishes identically), which is correct over the
-algebraic closure for every degree.  Rational vanishing is used only as
-a no-false-negative prefilter before the symbolic check.
+For d <= q^2, J_F is the set of generators whose q^2+1 rational points
+all lie in V(F): F restricted to a line is a binary form of degree d,
+and a nonzero one has at most d < q^2+1 zeros.  Above q^2, and for every
+plane, containment is decided symbolically: the restriction of F to a
+parametrization vanishes identically, over the algebraic closure.
 """
 
 from __future__ import annotations
@@ -113,12 +114,7 @@ class Form:
         lead = self.coeffs[self.leading_monomial()]
         if lead == 1:
             return self
-        inv = self.field.inv(lead)
-        return Form(
-            self.field,
-            self.degree,
-            {m: self.field.mul(inv, c) for m, c in self.coeffs.items()},
-        )
+        return self.scale(self.field.inv(lead))
 
     def coefficient_vector(self) -> tuple[int, ...]:
         return tuple(self.coeffs.get(m, 0) for m in monomials(self.degree))
@@ -240,7 +236,9 @@ def restrict(form: Form, frame) -> dict[tuple[int, ...], int]:
 
 def line_contained(form: Form, geometry, line: Line) -> bool:
     """True iff the restriction to the line vanishes identically (over the
-    algebraic closure, not just at rational points)."""
+    algebraic closure, not just at rational points).  For d <= q^2 that is
+    vanishing at the line's q^2+1 rational points, since a nonzero binary
+    form of degree d has at most d zeros."""
     return not restrict(form, geometry.arr[list(line.key)].tolist())
 
 
@@ -331,7 +329,6 @@ class IntersectionReport:
     residual_ids: tuple[int, ...] | None  # points of X on no J_F line
     meeting_sizes: tuple[int, ...] | None  # |T(l)| aligned with jf_indices
     x_min: int | None  # min |T(l)|; None when J_F is empty
-    book_counts: dict | None  # jf index -> {plane tuple: a_{Pi,l}}
     multiplicities: dict | None  # point id -> r_P on the union of J_F
 
     @property
@@ -345,6 +342,20 @@ class IntersectionReport:
     def jf_lines(self, surface: HermitianSurface) -> tuple[Line, ...]:
         gens = surface.generators()
         return tuple(gens[i] for i in self.jf_indices or ())
+
+    def book_counts(self, surface: HermitianSurface) -> dict | None:
+        """jf index -> {plane tuple: a_{Pi,l}} over the book of l.
+
+        The planes through a generator l are the tangent planes T_P at its
+        points P (l is its own polar), and the lines of T(l) through P lie
+        in T_P, so a_{T_P,l} = r_P - 1.
+        """
+        if self.jf_indices is None:
+            return None
+        r = _jf_multiplicities(surface, self.jf_indices).tolist()
+        planes = list(surface.tangent_planes())
+        gen_pos = surface.generator_positions()
+        return {i: {planes[p]: r[p] - 1 for p in gen_pos[i].tolist()} for i in self.jf_indices}
 
     def to_json(self, surface: HermitianSurface, verbose: bool = False) -> dict:
         geom = surface.geometry
@@ -378,6 +389,13 @@ def _vanishing_generators(surface: HermitianSurface, zero_positions) -> np.ndarr
     zero = np.zeros(len(surface.point_ids), dtype=bool)
     zero[zero_positions] = True
     return zero[surface.generator_positions()].all(axis=1)
+
+
+def _jf_multiplicities(surface: HermitianSurface, jf) -> np.ndarray:
+    """r_P at every surface position: the number of J_F lines through P."""
+    in_jf = np.zeros(len(surface.generators()), dtype=bool)
+    in_jf[np.asarray(jf, dtype=np.intp)] = True
+    return in_jf[surface.generators_through()].sum(axis=1)
 
 
 def vanishing_tangent_planes(surface: HermitianSurface, zero_positions) -> list[tuple[int, ...]]:
@@ -421,11 +439,10 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
         raise HermitianError("intersection statistics need a non-degenerate surface")
     if form.field is not surface.field:
         raise FormError("form and surface live over different fields")
-    q = surface.q
-    d = form.degree
+    q, d = surface.q, form.degree
 
     zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
-    x_ids = tuple(int(surface.point_ids[i]) for i in zero_positions)
+    x_ids = tuple(surface.point_ids[zero_positions].tolist())
 
     quo, rem = divide(form, surface_form(surface))
     if not rem:
@@ -438,50 +455,31 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
             hermitian_multiple=True,
             contains_tangent_plane=rest is not None and contains_tangent_plane(rest, surface),
             jf_indices=None, delta=None, residual_ids=None,
-            meeting_sizes=None, x_min=None, book_counts=None, multiplicities=None,
+            meeting_sizes=None, x_min=None, multiplicities=None,
         )
 
-    # J_F: rational prefilter, symbolic confirmation
-    gens = surface.generators()
-    geom = surface.geometry
-    jf = tuple(int(i) for i in np.flatnonzero(_vanishing_generators(surface, zero_positions))
-               if line_contained(form, geom, gens[int(i)]))
-    delta = d * (q + 1) - len(jf)
+    # J_F: exact from rational zeros for d <= q^2, symbolic above
+    jf = np.flatnonzero(_vanishing_generators(surface, zero_positions))
+    if d > q * q:
+        gens, geom = surface.generators(), surface.geometry
+        jf = jf[[line_contained(form, geom, gens[i]) for i in jf.tolist()]]
 
-    # r_P: the J_F lines through each surface point
-    in_jf = np.zeros(len(gens), dtype=bool)
-    in_jf[list(jf)] = True
-    through = surface.generators_through()
-    r = in_jf[through].sum(axis=1)
-    residuals = tuple(pid for pid, p in zip(x_ids, zero_positions.tolist()) if not r[p])
-    multiplicities = {int(surface.point_ids[p]): int(r[p]) for p in np.flatnonzero(r)}
-
-    # T(l) and the book table a_{Pi,l}: a line of T(l) meets l in exactly
-    # one point P, and two generators through P span the tangent plane T_P
-    gen_pos = surface.generator_positions()
-    tangent = surface.tangent_plane_ids()
-    meeting: list[int] = []
-    book_counts: dict = {}
-    for i in jf:
-        rows = through[gen_pos[i]]  # the generators through each point of l
-        hits = (in_jf[rows] & (rows != i)).sum(axis=1)
-        meeting.append(int(hits.sum()))
-        counts = {plane: 0 for plane in geom.book_of_planes(gens[i])}
-        for plane, n in zip(geom.arr[tangent[gen_pos[i]]].tolist(), hits.tolist()):
-            if n:
-                counts[tuple(plane)] += n
-        book_counts[i] = counts
+    # r_P, and T(l): the lines of T(l) through a point P of l are the
+    # other r_P - 1 lines of J_F through P, and no two of them meet l twice
+    r = _jf_multiplicities(surface, jf)
+    meeting = (r[surface.generator_positions()[jf]] - 1).sum(axis=1).tolist()
+    on_union = np.flatnonzero(r)
 
     return IntersectionReport(
         form=form, q=q, d=d,
         x_count=len(x_ids), x_point_ids=x_ids,
         hermitian_multiple=False,
         contains_tangent_plane=contains_tangent_plane(form, surface, zero_positions),
-        jf_indices=jf, delta=delta, residual_ids=residuals,
+        jf_indices=tuple(jf.tolist()), delta=d * (q + 1) - len(jf),
+        residual_ids=tuple(surface.point_ids[zero_positions[r[zero_positions] == 0]].tolist()),
         meeting_sizes=tuple(meeting),
         x_min=min(meeting) if meeting else None,
-        book_counts=book_counts,
-        multiplicities=multiplicities,
+        multiplicities=dict(zip(surface.point_ids[on_union].tolist(), r[on_union].tolist())),
     )
 
 
@@ -700,8 +698,10 @@ def form_from_json(field: Field, data) -> Form:
         isinstance(t, list) and len(t) == 2 and isinstance(t[0], list) for t in terms
     ):
         raise FormError("terms must be a list of [[e0, e1, e2, e3], coefficient] pairs")
-    coeffs = {
-        tuple(_json_int(e, "an exponent") for e in m): _json_int(c, "a coefficient")
-        for m, c in terms
-    }
+    coeffs: dict = {}
+    for m, c in terms:
+        exps = tuple(_json_int(e, "an exponent") for e in m)
+        if exps in coeffs:
+            raise FormError(f"monomial {list(exps)} appears more than once")
+        coeffs[exps] = _json_int(c, "a coefficient")
     return Form(field, degree, coeffs)

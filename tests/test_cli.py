@@ -184,6 +184,19 @@ def test_check_rejects_malformed_form_document(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("second", [2, 0])
+def test_check_refuses_repeated_monomial(tmp_path, capsys, second):
+    """A repeated monomial is refused by name: it is neither overwritten
+    by its last coefficient nor read as the zero form."""
+    form_file = tmp_path / "f.json"
+    terms = [[[1, 0, 0, 0], 1], [[1, 0, 0, 0], second]]
+    form_file.write_text(json.dumps({"q": 2, "d": 1, "terms": terms}))
+    code, out, err = run(capsys, "check", str(form_file))
+    assert code == 1
+    assert out == ""
+    assert err == "error: monomial [1, 0, 0, 0] appears more than once\n"
+
+
 def test_verbose_point_lists(capsys):
     code, out, _ = run(capsys, "extremal", "--q", "2", "--d", "1", "--verbose")
     assert code == 0

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermsurf.codes import build_code
 from hermsurf.finite_field import build_field, nullspace
@@ -472,6 +472,7 @@ def test_stats_hermitian_multiple(s2):
     assert rep.v2_component
     assert rep.x_count == 45
     assert rep.jf_indices is None and rep.delta is None and rep.x_min is None
+    assert rep.book_counts(s2) is None
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -515,9 +516,11 @@ def test_sum_of_book_counts_equals_meeting_size(s2, s3):
     for s, form in [(s2, pencil_form(s2)), (s3, linear_form(s3.field, tangent3))]:
         rep = intersection_stats(form, s)
         assert rep.jf_count > 0
+        books = rep.book_counts(s)
         for k, i in enumerate(rep.jf_indices):
-            counts = rep.book_counts[i]
+            counts = books[i]
             assert len(counts) == s.q**2 + 1
+            assert set(counts) == set(s.geometry.book_of_planes(s.generators()[i]))
             assert sum(counts.values()) == rep.meeting_sizes[k]
 
 
@@ -525,9 +528,10 @@ def test_book_count_range_and_containment_exception(s2):
     """a <= d-1 can only fail on planes inside V(F)."""
     rep = intersection_stats(pencil_form(s2), s2)
     g = s2.geometry
+    books = rep.book_counts(s2)
     overfull = []
     for i in rep.jf_indices:
-        for plane, a in rep.book_counts[i].items():
+        for plane, a in books[i].items():
             assert a >= 0
             if a > rep.d - 1:
                 overfull.append(plane)
@@ -540,11 +544,12 @@ def test_multiplicity_equals_book_count_plus_one(s2):
     gens = s2.generators()
     for form in [pencil_form(s2), linear_form(s2.field, (0, 0, 1, 1))]:
         rep = intersection_stats(form, s2)
+        books = rep.book_counts(s2)
         for pid, r in rep.multiplicities.items():
             plane = s2.tangent_plane(s2.geometry.points[pid])
             for i in rep.jf_indices:
                 if pid in gens[i].point_ids:
-                    assert r == rep.book_counts[i][plane] + 1
+                    assert r == books[i][plane] + 1
 
 
 def test_two_tangent_planes_through_generator(s2):
@@ -584,6 +589,113 @@ def test_residual_points_certify_delta(s2, s3):
             rep = intersection_stats(form, s)
             if rep.residual_ids:
                 assert rep.delta >= s.q + 1
+
+
+def slow_generator_stats(form, surface):
+    """J_F and its statistics by per-line symbolic confirmation and sets:
+    (jf, delta, meeting_sizes, x_min, residual_ids, multiplicities)."""
+    gens, geom = surface.generators(), surface.geometry
+    zero = form.values_at(surface.arr) == 0
+    vanishing = [i for i, pos in enumerate(surface.generator_positions()) if zero[pos].all()]
+    jf = [i for i in vanishing if line_contained(form, geom, gens[i])]
+    through: dict = {}  # point id -> the J_F lines through it
+    for i in jf:
+        for pid in gens[i].point_ids:
+            through.setdefault(pid, set()).add(i)
+    meeting = [len(set().union(*(through[pid] for pid in gens[i].point_ids)) - {i}) for i in jf]
+    x_ids = surface.point_ids[np.flatnonzero(zero)].tolist()
+    return (
+        tuple(jf),
+        form.degree * (surface.q + 1) - len(jf),
+        tuple(meeting),
+        min(meeting) if meeting else None,
+        tuple(pid for pid in x_ids if pid not in through),
+        {pid: len(lines) for pid, lines in through.items()},
+    )
+
+
+@st.composite
+def generator_stats_cases(draw):
+    """(surface, form) at q in {2, 3} and d <= q^2: a product of k plane
+    factors, tangent or arbitrary, times a random form of degree d - k,
+    so that J_F ranges from empty to the pencils' d(q+1) lines."""
+    q = draw(st.sampled_from((2, 3)))
+    surface = canonical_surface(q)
+    f, geom = surface.field, surface.geometry
+    tangent = sorted(surface.tangent_planes())
+    d = draw(st.integers(1, q * q))
+    k = draw(st.integers(0, d))
+    form = None
+    for _ in range(k):
+        if draw(st.booleans()):
+            plane = tangent[draw(st.integers(0, len(tangent) - 1))]
+        else:
+            plane = geom.points[draw(st.integers(0, geom.n_points - 1))]
+        form = linear_form(f, plane) if form is None else form * linear_form(f, plane)
+    if k < d:
+        rest = random_form(f, d - k, random.Random(draw(st.integers(0, 2**32 - 1))))
+        form = rest if form is None else form * rest
+    return surface, form
+
+
+_S2 = canonical_surface(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_stats_cases())
+@example((_S2, linear_form(_S2.field, (0, 0, 1, 1)) * random_form(_S2.field, 3, random.Random(7))))
+def test_generator_stats_match_symbolic_confirmation(case):
+    """For d <= q^2, J_F from rational zeros and the array statistics
+    equal per-line symbolic confirmation and set-based counting; the
+    explicit example, a tangent plane times a cubic at d = q^2, has a
+    nonempty J_F."""
+    surface, form = case
+    rep = intersection_stats(form, surface)
+    if rep.hermitian_multiple:
+        return
+    fast = (rep.jf_indices, rep.delta, rep.meeting_sizes, rep.x_min,
+            rep.residual_ids, rep.multiplicities)
+    assert fast == slow_generator_stats(form, surface)
+
+
+def test_stats_above_q_squared_confirm_generators_symbolically(s2):
+    """x0^4 x1 - x0 x1^4 at q=2, d=5 > q^2: all 27 generators vanish at
+    every rational point, but only the 9 inside V(F) form J_F."""
+    form = Form(s2.field, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1})
+    zero = form.values_at(s2.arr) == 0
+    assert len(s2.generators()) == int(zero[s2.generator_positions()].all(axis=1).sum()) == 27
+    rep = intersection_stats(form, s2)
+    assert rep.jf_count == 9
+    assert rep.jf_indices == slow_generator_stats(form, s2)[0]
+
+
+def test_stats_skip_symbolic_lines_and_books_below_q_squared(s2, monkeypatch):
+    """For d <= q^2 with a nonempty J_F, neither intersection_stats nor
+    book_counts confirms a line symbolically or builds a book; above q^2
+    every rationally vanishing generator is confirmed."""
+    import hermsurf.forms as forms_module
+    from hermsurf.proj_geometry import Geometry
+
+    calls = []
+    line_contained_real, book_real = forms_module.line_contained, Geometry.book_of_planes
+
+    def spy_line(*args):
+        calls.append("line_contained")
+        return line_contained_real(*args)
+
+    def spy_book(self, line):
+        calls.append("book_of_planes")
+        return book_real(self, line)
+
+    monkeypatch.setattr(forms_module, "line_contained", spy_line)
+    monkeypatch.setattr(Geometry, "book_of_planes", spy_book)
+    rep = intersection_stats(pencil_form(s2), s2)
+    assert rep.jf_count > 0
+    assert calls == []
+    rep.book_counts(s2)
+    assert calls == []
+    intersection_stats(Form(s2.field, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1}), s2)
+    assert calls.count("line_contained") == 27
 
 
 def test_contains_tangent_plane_prefilter_and_confirm(s2):
