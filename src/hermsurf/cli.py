@@ -30,6 +30,7 @@ from hermsurf.forms import (
     form_json_q,
     form_to_json,
     intersection_stats,
+    require_scan_degree,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
 from hermsurf.codes import code_report
@@ -41,7 +42,6 @@ from hermsurf.theorems import (
     build_grid_example,
     exhaustive_search,
     random_search,
-    require_scan_degree,
     sorensen_bound,
 )
 

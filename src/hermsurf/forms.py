@@ -21,14 +21,18 @@ surface S with generator set J:
     a[l][Pi]   = members of T(l) inside Pi, over the book of l (on demand)
     r[P]       = number of J_F lines through P, for P on their union
 
-plus the flags: is V(F) a multiple of the surface equation, and does
-V(F) contain a tangent plane.
+plus whether V(F) is a multiple of the surface equation, and the tangent
+planes of the surface that lie in V(F).
 
-For d <= q^2, J_F is the set of generators whose q^2+1 rational points
-all lie in V(F): F restricted to a line is a binary form of degree d,
-and a nonzero one has at most d < q^2+1 zeros.  Above q^2, and for every
-plane, containment is decided symbolically: the restriction of F to a
-parametrization vanishes identically, over the algebraic closure.
+Containment is decided by evaluation alone, for the degrees 1 <= d <= q^2
+that ``intersection_stats``, ``line_contained``, ``plane_contained`` and
+``contains_tangent_plane`` accept (``require_scan_degree``): a line or a
+plane lies in V(F) exactly when F vanishes at all of its rational points.
+F restricted to a line is a binary form of degree d, and a nonzero one
+has at most d < q^2+1 zeros; restricted to a plane it is a ternary form,
+and a nonzero one has at most d q^2 + 1 < q^4+q^2+1 rational zeros
+(Serre, "Lettre a M. Tsfasman", Asterisque 198-200, 1991).  So J_F is
+the set of generators whose q^2+1 rational points all lie in V(F).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from hermsurf.finite_field import Field, nullspace
 from hermsurf.hermitian import HermitianError, HermitianSurface
-from hermsurf.proj_geometry import Line
+from hermsurf.proj_geometry import Line, span_ids
 
 
 class FormError(ValueError):
@@ -64,17 +68,6 @@ def monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
 
 def monomial_count(degree: int) -> int:
     return math.comb(degree + 3, 3)
-
-
-def _convolve(field: Field, a: dict, b: dict) -> dict:
-    """Product of two polynomials given as {exponent tuple: element index}."""
-    add, mul = field.add, field.mul
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            out[e] = add(out.get(e, 0), mul(c1, c2))
-    return {e: c for e, c in out.items() if c}
 
 
 class Form:
@@ -127,8 +120,13 @@ class Form:
     def __mul__(self, other: "Form") -> "Form":
         if other.field is not self.field:
             raise FormError("forms over different fields")
-        return Form(self.field, self.degree + other.degree,
-                    _convolve(self.field, self.coeffs, other.coeffs))
+        add, mul = self.field.add, self.field.mul
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = add(out.get(e, 0), mul(c1, c2))
+        return Form(self.field, self.degree + other.degree, out)
 
     def __eq__(self, other):
         return (
@@ -168,17 +166,37 @@ class Form:
         return total
 
     def values_at(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an (N, 4) array of element indices."""
+        """Vectorized evaluation at an (N, 4) array of element indices.
+
+        Index i >= 1 is g^(i-1), so where no x_j with e_j > 0 is 0 a term
+        c x^e has index 1 + (s-1) mod (Q-1), s = c + sum_j e_j (x_j - 1).
+        With exponents reduced to 1..Q-1, which changes no value, and a
+        zero x_j given the log -1-top, s < 1 exactly where the term is 0.
+        Each |s| < 2^35, exact in float64.  Terms are added K at a time as
+        packed digits (``_digit_lanes``) over slices of points.
+        """
         f = self.field
-        pw = f.pow_table(self.degree)
-        acc = np.zeros(len(pts), dtype=np.int16)
-        for exps, c in self.coeffs.items():
-            term = np.full(len(pts), c, dtype=np.int16)
-            for i, e in enumerate(exps):
-                if e:
-                    term = f.mul_np[term, pw[pts[:, i], e]]
-            acc = f.add_np[acc, term]
-        return acc
+        cycle = f.order - 1
+        group, pack_mul, unpack = _digit_lanes(f)
+        exps = np.array(list(self.coeffs), dtype=np.int64)
+        exps = np.where(exps > 0, (exps - 1) % cycle + 1, 0)
+        top = cycle + int(exps.sum(axis=1).max()) * (cycle - 1)  # the largest s
+        lanes = pack_mul[1, 1 + (np.arange(top + 1) - 1) % cycle]
+        lanes[0] = 0  # the clipped index of every s < 1
+        exps = exps.astype(np.float64)
+        coeffs = np.array(list(self.coeffs.values()), dtype=np.float64)[:, None]
+        out = np.empty(len(pts), dtype=np.int16)
+        step = _SLICE_ELEMENTS // min(group, len(exps))
+        for lo in range(0, len(pts), step):
+            part = pts[lo : lo + step].T
+            logs = np.where(part > 0, part - 1.0, -1.0 - top)
+            res = out[lo : lo + step]
+            for g in range(0, len(exps), group):
+                s = exps[g : g + group] @ logs + coeffs[g : g + group]
+                packed = np.take(lanes, s.astype(np.intp), mode="clip")
+                vals = np.take(unpack, packed.sum(axis=0, dtype=np.uint16))
+                res[...] = vals if g == 0 else f.add_np[res, vals]
+        return out
 
 
 def linear_form(field: Field, coeffs) -> Form:
@@ -203,48 +221,26 @@ def surface_form(surface: HermitianSurface) -> Form:
 
 
 # ----------------------------------------------------------------------
-# restriction and containment
+# containment
 # ----------------------------------------------------------------------
 
-def restrict(form: Form, frame) -> dict[tuple[int, ...], int]:
-    """Nonzero coefficients of F(t_0 frame_0 + ... + t_(k-1) frame_(k-1)).
-
-    A frame of k = 2 points spans a line and one of k = 3 points a plane;
-    the result maps exponent k-tuples of (t_0, ..., t_(k-1)) to element
-    indices.  It is empty exactly when F vanishes identically on the span.
-    """
-    f = form.field
-    k = len(frame)
-    one = {(0,) * k: 1}
-    powers = []  # powers[j][e] = x_j^e for x_j = sum_i t_i frame_i[j]
-    for j in range(4):
-        x = {tuple(int(i == r) for r in range(k)): pt[j] for i, pt in enumerate(frame) if pt[j]}
-        pw = [one]
-        for _ in range(max(m[j] for m in form.coeffs)):
-            pw.append(_convolve(f, pw[-1], x))
-        powers.append(pw)
-    out: dict = {}
-    for exps, c in form.coeffs.items():
-        poly = {(0,) * k: c}
-        for pw, e in zip(powers, exps):
-            if e:
-                poly = _convolve(f, poly, pw[e])
-        for m, v in poly.items():
-            out[m] = f.add(out.get(m, 0), v)
-    return {m: v for m, v in out.items() if v}
+def require_scan_degree(q: int, d: int) -> None:
+    """Refuse d outside 1..q^2, where rational points decide the
+    containment of lines and planes exactly (see the module docstring)."""
+    if not 1 <= d <= q * q:
+        raise FormError(f"d must be in 1..q^2 = 1..{q * q}, got {d}")
 
 
 def line_contained(form: Form, geometry, line: Line) -> bool:
-    """True iff the restriction to the line vanishes identically (over the
-    algebraic closure, not just at rational points).  For d <= q^2 that is
-    vanishing at the line's q^2+1 rational points, since a nonzero binary
-    form of degree d has at most d zeros."""
-    return not restrict(form, geometry.arr[list(line.key)].tolist())
+    """Does V(F) contain the line?  F vanishes at its rational points."""
+    require_scan_degree(geometry.field.q, form.degree)
+    return not form.values_at(geometry.arr[list(line.point_ids)]).any()
 
 
 def plane_contained(form: Form, geometry, plane) -> bool:
-    """True iff the restriction to the plane vanishes identically."""
-    return not restrict(form, nullspace(geometry.field, [plane]))
+    """Does V(F) contain the plane?  F vanishes at its rational points."""
+    require_scan_degree(geometry.field.q, form.degree)
+    return not form.values_at(geometry.arr[geometry.plane_point_ids(plane)]).any()
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +319,7 @@ class IntersectionReport:
     x_count: int
     x_point_ids: tuple[int, ...]
     hermitian_multiple: bool
-    contains_tangent_plane: bool
+    contained_tangent_planes: tuple[tuple[int, ...], ...]  # inside V(F), ascending
     jf_indices: tuple[int, ...] | None  # indices into surface.generators()
     delta: int | None
     residual_ids: tuple[int, ...] | None  # points of X on no J_F line
@@ -334,6 +330,10 @@ class IntersectionReport:
     @property
     def v2_component(self) -> bool:
         return self.hermitian_multiple
+
+    @property
+    def contains_tangent_plane(self) -> bool:
+        return bool(self.contained_tangent_planes)
 
     @property
     def jf_count(self) -> int | None:
@@ -409,29 +409,25 @@ def vanishing_tangent_planes(surface: HermitianSurface, zero_positions) -> list[
 
 
 def contains_tangent_plane(form: Form, surface: HermitianSurface,
-                           zero_positions: np.ndarray | None = None) -> bool:
-    """Is some tangent plane of the surface inside V(F)?
+                           zero_positions: np.ndarray | None = None) -> tuple[tuple[int, ...], ...]:
+    """The tangent planes of the surface inside V(F), ascending: empty,
+    and so false, when V(F) contains none.
 
-    Prefilter: a contained plane's surface section must vanish under F.
-    Candidates are then confirmed symbolically.
+    The candidates are the tangent planes whose surface section vanishes
+    (``vanishing_tangent_planes``).  F is evaluated at all of their
+    points in one batch, and a candidate lies in V(F) when F vanishes at
+    every one of them.
     """
+    require_scan_degree(surface.q, form.degree)
     if zero_positions is None:
         zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
-    geom = surface.geometry
-    return any(plane_contained(form, geom, plane)
-               for plane in vanishing_tangent_planes(surface, zero_positions))
-
-
-def contained_planes(form: Form, geometry) -> list[tuple[int, ...]]:
-    """Every plane of PG(3, q^2) inside V(F) (prefilter + symbolic)."""
-    vals = form.values_at(geometry.arr)
-    zero = vals == 0
-    out = []
-    for plane in geometry.points:  # dual coordinates enumerate like points
-        ids = geometry.plane_point_ids(plane)
-        if zero[ids].all() and plane_contained(form, geometry, plane):
-            out.append(plane)
-    return out
+    candidates = sorted(vanishing_tangent_planes(surface, zero_positions))
+    if not candidates:
+        return ()
+    field = surface.field
+    ids = span_ids(field, [nullspace(field, [plane]) for plane in candidates])
+    zero = form.values_at(surface.geometry.arr[ids.ravel()]).reshape(ids.shape) == 0
+    return tuple(plane for plane, inside in zip(candidates, zero.all(axis=1)) if inside)
 
 
 def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionReport:
@@ -440,6 +436,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     if form.field is not surface.field:
         raise FormError("form and surface live over different fields")
     q, d = surface.q, form.degree
+    require_scan_degree(q, d)
 
     zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
     x_ids = tuple(surface.point_ids[zero_positions].tolist())
@@ -453,16 +450,12 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
             form=form, q=q, d=d,
             x_count=len(x_ids), x_point_ids=x_ids,
             hermitian_multiple=True,
-            contains_tangent_plane=rest is not None and contains_tangent_plane(rest, surface),
+            contained_tangent_planes=contains_tangent_plane(rest, surface) if rest else (),
             jf_indices=None, delta=None, residual_ids=None,
             meeting_sizes=None, x_min=None, multiplicities=None,
         )
 
-    # J_F: exact from rational zeros for d <= q^2, symbolic above
     jf = np.flatnonzero(_vanishing_generators(surface, zero_positions))
-    if d > q * q:
-        gens, geom = surface.generators(), surface.geometry
-        jf = jf[[line_contained(form, geom, gens[i]) for i in jf.tolist()]]
 
     # r_P, and T(l): the lines of T(l) through a point P of l are the
     # other r_P - 1 lines of J_F through P, and no two of them meet l twice
@@ -474,7 +467,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
         form=form, q=q, d=d,
         x_count=len(x_ids), x_point_ids=x_ids,
         hermitian_multiple=False,
-        contains_tangent_plane=contains_tangent_plane(form, surface, zero_positions),
+        contained_tangent_planes=contains_tangent_plane(form, surface, zero_positions),
         jf_indices=tuple(jf.tolist()), delta=d * (q + 1) - len(jf),
         residual_ids=tuple(surface.point_ids[zero_positions[r[zero_positions] == 0]].tolist()),
         meeting_sizes=tuple(meeting),

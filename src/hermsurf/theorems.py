@@ -62,11 +62,10 @@ from hermsurf.forms import (
     linear_form,
     monomial_count,
     monomial_matrix,
-    vanishing_tangent_planes,
+    require_scan_degree,
     vector_to_json,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
-from hermsurf.proj_geometry import normalize
 
 
 class BudgetExceededError(ValueError):
@@ -208,47 +207,30 @@ def evaluate_bounds(report: IntersectionReport) -> BoundReport:
 # structural detection and theorem-level checking
 # ----------------------------------------------------------------------
 
-def _linear_plane(form: Form) -> tuple[int, ...]:
-    """Normalized dual coordinates of the plane cut out by a linear form."""
-    vec = [0, 0, 0, 0]
-    for m, c in form.coeffs.items():
-        vec[m.index(1)] = c
-    return normalize(form.field, vec)
-
-
 def tangent_plane_factors(report: IntersectionReport,
                           surface: HermitianSurface) -> list[tuple[int, ...]] | None:
     """If the report's form is a product of tangent-plane linear forms,
     return the planes (with multiplicity, smallest dual tuples first);
     else None.
 
-    Iterated exact division.  The factor order does not matter since the
-    polynomial ring is a UFD.  Candidate planes are the tangent planes
-    whose surface section lies in the report's X (a divisor plane always
-    does), so non-products fail fast.
+    Every factor plane lies in V(F), so only the report's tangent planes
+    can divide.  Each is divided out while it divides and the rest is not
+    linear; the order does not matter since the polynomial ring is a UFD.
+    A product is left with one of them, whose linear form is normalized.
     """
-    f = surface.field
-    x_positions = surface.position_of[list(report.x_point_ids)]
-    candidates = sorted(vanishing_tangent_planes(surface, x_positions))
-    if not candidates:
+    planes = report.contained_tangent_planes
+    if not planes:
         return None
-
-    rest = report.form
-    factors: list[tuple[int, ...]] = []
-    while rest.degree > 1:
-        for plane in candidates:
-            quo = exact_quotient(rest, linear_form(f, plane))
-            if quo is not None:
-                factors.append(plane)
-                rest = quo
-                break
-        else:
-            return None
-    plane = _linear_plane(rest)
-    if plane in surface.tangent_planes():
-        factors.append(plane)
-        return sorted(factors)
-    return None
+    f = surface.field
+    rest, factors = report.form, []
+    for plane in planes:
+        divisor = linear_form(f, plane)
+        while rest.degree > 1 and (quo := exact_quotient(rest, divisor)) is not None:
+            factors.append(plane)
+            rest = quo
+    last = rest.normalized()
+    factors += [plane for plane in planes if linear_form(f, plane) == last]
+    return sorted(factors) if len(factors) == report.d else None
 
 
 def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> BoundReport:
@@ -382,13 +364,6 @@ class SearchResult:
 _ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
 
 
-def require_scan_degree(q: int, d: int) -> None:
-    """Refuse d outside 1..q^2, where the scans decide generator
-    containment exactly from rational points."""
-    if not 1 <= d <= q * q:
-        raise FormError(f"d must be in 1..q^2 = 1..{q * q}, got {d}")
-
-
 class _SearchContext:
     """Precomputed per-(q, d) state for vectorized block scanning."""
 
@@ -400,8 +375,8 @@ class _SearchContext:
         self.n = surface.n_surface_points()
         self.rows = monomial_matrix(self.field, d, surface.arr)
         self.m = self.rows.shape[0]
-        # a binary form of degree d <= q^2 with d+1 zeros on a line is zero
-        # there, so d+1 points of each generator decide its containment
+        # by the zero count in the forms module docstring (at most d zeros
+        # on a line), d+1 points of each generator decide its containment
         self.gen_pos = surface.generator_positions()[:, : d + 1]
         q = self.q
         # cross-multiplied incidence bound: (q+1)|X| <= rhs[jf_count]

@@ -18,7 +18,6 @@ from hermsurf.forms import (
     intersection_stats,
     monomial_count,
     plane_contained,
-    contained_planes,
     hermitian_divides,
 )
 from hermsurf.hermitian import (
@@ -39,6 +38,7 @@ from hermsurf.theorems import (
     tangent_plane_factors,
     tangent_planes_through,
 )
+from symbolic import planes_inside
 
 
 @contextmanager
@@ -170,7 +170,7 @@ def test_criterion_08_grid_example():
         rep3 = intersection_stats(form3, s3)
         assert rep3.x_count == 136 == (3 + 1) * (27 + 9 - 3) + 3 + 1
         assert rep3.jf_count == 16
-        assert contained_planes(form3, s3.geometry) == []
+        assert planes_inside(form3, s3.geometry) == []
         assert not rep3.hermitian_multiple
 
         s4 = canonical_surface(4)

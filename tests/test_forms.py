@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +18,6 @@ from hermsurf.forms import (
     class_vectors,
     class_zero_blocks,
     combination_values,
-    contained_planes,
     contains_tangent_plane,
     divide,
     divides,
@@ -34,13 +34,13 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
     plane_contained,
-    restrict,
     surface_form,
     vanishing_tangent_planes,
     vector_to_json,
 )
 from hermsurf.hermitian import canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
+from symbolic import line_inside, plane_inside, restrict
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,34 @@ def test_values_at_matches_scalar_evaluate(s3):
         vec = form.values_at(pts)
         for i in range(50):
             assert int(vec[i]) == form.evaluate(tuple(int(x) for x in pts[i]))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(form, points) at q in {2, 3, 4, 5, 7, 8}: a form of degree 1..q^2
+    with up to three ``_digit_lanes`` groups of random terms, often fewer
+    than one group, and points whose coordinates are often 0."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8)))
+    field = build_field(q)
+    d = draw(st.integers(1, q * q))
+    count = draw(st.integers(1, min(monomial_count(d), 3 * _digit_lanes(field)[0], 40)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {}
+    for _ in range(count):
+        a, b, c = sorted(rng.randint(0, d) for _ in range(3))
+        coeffs[(a, b - a, c - b, d - c)] = rng.randrange(1, field.order)
+    pts = [[rng.choice((0, rng.randrange(field.order))) for _ in range(4)] for _ in range(30)]
+    return Form(field, d, coeffs), np.array(pts, dtype=np.int16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases())
+@example((Form(build_field(8), 64, {(64, 0, 0, 0): 1, (0, 63, 1, 0): 9, (1, 0, 0, 63): 63}),
+          np.array([[1, 0, 5, 2], [7, 3, 0, 0], [0, 0, 0, 0], [2, 40, 63, 9]], dtype=np.int16)))
+def test_values_at_matches_evaluate_property(case):
+    """The log-domain, lane-packed evaluation equals scalar evaluation."""
+    form, pts = case
+    assert form.values_at(pts).tolist() == [form.evaluate(pt) for pt in pts.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +420,7 @@ def test_divide_matches_rescan_division(case):
 def test_high_degree_division_tabulates_no_monomials(s2):
     """x0^200 is divided by H without caching the 1.37M degree-200 monomials."""
     monomials.cache_clear()
-    intersection_stats(Form(s2.field, 200, {(200, 0, 0, 0): 1}), s2)
+    divide(Form(s2.field, 200, {(200, 0, 0, 0): 1}), surface_form(s2))
     # only degree q+1 = 3 is tabulated, for H's leading monomial
     assert monomials.cache_info().currsize == 1
 
@@ -478,8 +506,8 @@ def test_stats_hermitian_multiple(s2):
 @pytest.mark.parametrize("q", [2, 3])
 def test_tangent_plane_in_surface_multiples(q):
     """For multiples of the surface equation H, the quotient F/H decides
-    tangent-plane containment; pinned to the symbolic scan of every
-    tangent plane."""
+    tangent-plane containment; pinned to the symbolic test of every
+    tangent plane.  H x0 x1 has degree q+3, at most q^2 only for q > 2."""
     surface = canonical_surface(q)
     f = surface.field
     h = surface_form(surface)
@@ -490,14 +518,15 @@ def test_tangent_plane_in_surface_multiples(q):
         (h * tangent, True),
         (h * x0, False),
         (h * linear_form(f, (1, 1, 0, 0)), q == 2),  # x0+x1 is tangent in characteristic 2
-        (h * x0 * x1, False),
     ]
+    if q + 3 <= q * q:
+        cases.append((h * x0 * x1, False))
     for form, expected in cases:
         rep = intersection_stats(form, surface)
         assert rep.hermitian_multiple
-        full = any(plane_contained(form, surface.geometry, plane)
-                   for plane in surface.tangent_planes())
-        assert rep.contains_tangent_plane == full == expected, form
+        full = [plane for plane in sorted(surface.tangent_planes()) if plane_inside(form, plane)]
+        assert rep.contained_tangent_planes == tuple(full), form
+        assert rep.contains_tangent_plane == expected, form
 
 
 def test_stats_refuses_degenerate():
@@ -536,6 +565,7 @@ def test_book_count_range_and_containment_exception(s2):
             if a > rep.d - 1:
                 overfull.append(plane)
                 assert plane_contained(rep.form, g, plane)
+                assert plane in rep.contained_tangent_planes
     assert overfull  # the pencil's two planes are inside V(F)
 
 
@@ -597,7 +627,7 @@ def slow_generator_stats(form, surface):
     gens, geom = surface.generators(), surface.geometry
     zero = form.values_at(surface.arr) == 0
     vanishing = [i for i, pos in enumerate(surface.generator_positions()) if zero[pos].all()]
-    jf = [i for i in vanishing if line_contained(form, geom, gens[i])]
+    jf = [i for i in vanishing if line_inside(form, geom, gens[i])]
     through: dict = {}  # point id -> the J_F lines through it
     for i in jf:
         for pid in gens[i].point_ids:
@@ -658,21 +688,27 @@ def test_generator_stats_match_symbolic_confirmation(case):
     assert fast == slow_generator_stats(form, surface)
 
 
-def test_stats_above_q_squared_confirm_generators_symbolically(s2):
-    """x0^4 x1 - x0 x1^4 at q=2, d=5 > q^2: all 27 generators vanish at
-    every rational point, but only the 9 inside V(F) form J_F."""
+def test_stats_refuse_degree_above_q_squared(s2):
+    """Above q^2 rational points no longer decide containment (see
+    test_restriction_above_q_squared_is_not_rational), so intersection
+    statistics and the containment tests refuse d = q^2+1 at once."""
     form = Form(s2.field, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1})
-    zero = form.values_at(s2.arr) == 0
-    assert len(s2.generators()) == int(zero[s2.generator_positions()].all(axis=1).sum()) == 27
-    rep = intersection_stats(form, s2)
-    assert rep.jf_count == 9
-    assert rep.jf_indices == slow_generator_stats(form, s2)[0]
+    g = s2.geometry
+    start = time.monotonic()
+    with pytest.raises(FormError):
+        intersection_stats(form, s2)
+    with pytest.raises(FormError):
+        line_contained(form, g, g.line_through((1, 0, 0, 0), (0, 1, 0, 0)))
+    with pytest.raises(FormError):
+        plane_contained(form, g, (0, 0, 1, 0))
+    with pytest.raises(FormError):
+        contains_tangent_plane(form, s2)
+    assert time.monotonic() - start < 0.5
 
 
 def test_stats_skip_symbolic_lines_and_books_below_q_squared(s2, monkeypatch):
     """For d <= q^2 with a nonempty J_F, neither intersection_stats nor
-    book_counts confirms a line symbolically or builds a book; above q^2
-    every rationally vanishing generator is confirmed."""
+    book_counts confirms a line one at a time or builds a book."""
     import hermsurf.forms as forms_module
     from hermsurf.proj_geometry import Geometry
 
@@ -694,27 +730,39 @@ def test_stats_skip_symbolic_lines_and_books_below_q_squared(s2, monkeypatch):
     assert calls == []
     rep.book_counts(s2)
     assert calls == []
-    intersection_stats(Form(s2.field, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1}), s2)
-    assert calls.count("line_contained") == 27
 
 
 def test_contains_tangent_plane_prefilter_and_confirm(s2):
     f = s2.field
-    assert contains_tangent_plane(pencil_form(s2), s2)
-    assert not contains_tangent_plane(linear_form(f, (1, 0, 0, 0)), s2)
-    assert contains_tangent_plane(linear_form(f, (0, 0, 1, 1)), s2)
+    assert contains_tangent_plane(pencil_form(s2), s2) == ((0, 0, 1, 1), (0, 0, 1, f.gen_index))
+    assert contains_tangent_plane(linear_form(f, (1, 0, 0, 0)), s2) == ()
+    assert contains_tangent_plane(linear_form(f, (0, 0, 1, 1)), s2) == ((0, 0, 1, 1),)
+
+
+def refuted_candidate_form(surface):
+    """The product of T_Q over one point Q != P on each of the q+1
+    generators through the first surface point P: V(F) contains those
+    generators, so T_P passes the prefilter, but T_P is none of the
+    factors."""
+    geom, gens = surface.geometry, surface.generators()
+    p = int(surface.point_ids[0])
+    form = None
+    for i in surface.generators_through()[0].tolist():
+        other = next(pid for pid in gens[i].point_ids if pid != p)
+        factor = linear_form(surface.field, surface.tangent_plane(geom.points[other]))
+        form = factor if form is None else form * factor
+    return form, surface.tangent_plane(geom.points[p])
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_contains_tangent_plane_matches_symbolic_scan(q):
-    """The r_P = q+1 prefilter plus symbolic confirmation against the
-    symbolic test of every tangent plane: seeded random forms, products
-    of tangent planes, tangent planes times random forms and, at q=2,
-    degree 5 > q^2, where rational vanishing does not imply containment."""
+    """The r_P = q+1 prefilter plus evaluation against the symbolic test
+    of every tangent plane: seeded random forms, products of tangent
+    planes, tangent planes times random forms, and a form whose
+    candidate T_P the confirmation refutes."""
     surface = canonical_surface(q)
     f = surface.field
-    geom = surface.geometry
-    planes = list(surface.tangent_planes())
+    planes = sorted(surface.tangent_planes())
     rng = random.Random(40 + q)
     forms = []
     for d in (1, 2, 3) if q == 2 else (1, 2):
@@ -726,31 +774,54 @@ def test_contains_tangent_plane_matches_symbolic_scan(q):
             forms.append(product)
             if d > 1:
                 forms.append(linear_form(f, rng.choice(planes)) * random_form(f, d - 1, rng))
-    if q == 2:
-        # x_i^4 x_j - x_i x_j^4 vanishes at every rational point of PG(3, 4)
-        vanishing = [Form(f, 5, {(4, 1, 0, 0): 1, (1, 4, 0, 0): 1, (0, 0, 4, 1): 1, (0, 0, 1, 4): 1}),
-                     Form(f, 5, {(4, 0, 1, 0): 1, (1, 0, 4, 0): 1, (0, 4, 0, 1): 1, (0, 1, 0, 4): 1})]
-        forms += vanishing + [random_form(f, 5, rng) for _ in range(4)]
-        forms += [linear_form(f, rng.choice(planes)) * random_form(f, 4, rng) for _ in range(2)]
-    outcomes = set()
+    refuted, tangent = refuted_candidate_form(surface)
+    forms.append(refuted)
+    outcomes, rejected = set(), set()
     for form in forms:
-        contained = {plane for plane in planes if plane_contained(form, geom, plane)}
-        assert contains_tangent_plane(form, surface) == bool(contained), form
+        contained = tuple(plane for plane in planes if plane_inside(form, plane))
+        assert contains_tangent_plane(form, surface) == contained, form
         zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
         candidates = set(vanishing_tangent_planes(surface, zero_positions))
-        assert candidates >= contained
+        assert candidates >= set(contained)
         outcomes.add((bool(candidates), bool(contained)))
+        rejected |= candidates - set(contained)
     assert outcomes >= {(False, False), (True, True)}
-    if q == 2:
-        assert (True, False) in outcomes  # candidates the symbolic test refutes
+    assert tangent in rejected  # a candidate that the evaluation refutes
 
 
-def test_contained_planes(s2):
-    f = s2.field
-    prod = linear_form(f, (1, 0, 0, 0)) * linear_form(f, (0, 0, 1, 1))
-    found = contained_planes(prod, s2.geometry)
-    assert found == [(0, 0, 1, 1), (1, 0, 0, 0)]
-    assert contained_planes(surface_form(s2), s2.geometry) == []
+def _degree_q_squared_case(q, seed):
+    surface = canonical_surface(q)
+    plane = sorted(surface.tangent_planes())[seed]
+    rest = random_form(surface.field, q * q - 1, random.Random(seed))
+    return surface, linear_form(surface.field, plane) * rest
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_stats_cases(), st.integers(0, 2**16))
+@example(_degree_q_squared_case(2, 3), 5)
+@example(_degree_q_squared_case(3, 7), 11)
+@example((canonical_surface(3), refuted_candidate_form(canonical_surface(3))[0]), 0)
+def test_containment_matches_symbolic_restriction(case, pick):
+    """line_contained on generators, and plane_contained and
+    contains_tangent_plane on tangent planes, equal the symbolic test at
+    1 <= d <= q^2.  Every line or plane whose rational points F could
+    leave nonzero is checked: the rationally vanishing generators and
+    prefilter candidates, plus one generator and one tangent plane
+    picked at random."""
+    surface, form = case
+    if hermitian_divides(form, surface):
+        return  # every generator and tangent plane passes the prefilter
+    geom, gens = surface.geometry, surface.generators()
+    planes = sorted(surface.tangent_planes())
+    zero = form.values_at(surface.arr) == 0
+    vanishing = np.flatnonzero(zero[surface.generator_positions()].all(axis=1)).tolist()
+    for i in vanishing + [pick % len(gens)]:
+        assert line_contained(form, geom, gens[i]) == line_inside(form, geom, gens[i])
+    candidates = sorted(vanishing_tangent_planes(surface, np.flatnonzero(zero)))
+    contained = tuple(plane for plane in candidates if plane_inside(form, plane))
+    assert contains_tangent_plane(form, surface) == contained
+    for plane in candidates + [planes[pick % len(planes)]]:
+        assert plane_contained(form, geom, plane) == plane_inside(form, plane)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -134,8 +135,10 @@ def test_bounds_non_tangent_plane(s2):
 def test_residual_bound_needs_d_at_most_q_squared_plus_1(s2):
     """x0^20 at q=2 has residual points, but past d = q^2+1 the incidence
     bound grows with delta, so its value at delta = q+1 (here -105) bounds
-    nothing."""
-    rep = intersection_stats(Form(s2.field, 20, {(20, 0, 0, 0): 1}), s2)
+    nothing.  intersection_stats refuses d > q^2, so the report is x0's,
+    whose zero set and empty J_F x0^20 shares, at d = 20."""
+    x0 = intersection_stats(linear_form(s2.field, (1, 0, 0, 0)), s2)
+    rep = replace(x0, form=Form(s2.field, 20, {(20, 0, 0, 0): 1}), d=20, delta=20 * 3)
     br = evaluate_bounds(rep)
     assert rep.residual_ids
     assert br.checks["residual_point_bound"].value == -105
