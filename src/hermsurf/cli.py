@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from random import Random
 
@@ -233,15 +234,7 @@ def _cmd_search(args) -> int:
 def _cmd_extremal(args) -> int:
     surface = _surface(args.q)
     t0 = time.monotonic()
-    form = build_extremal_pencil(surface, args.d)
-    stats = intersection_stats(form, surface)
-    report = {
-        "form": form_to_json(form, args.q),
-        "stats": stats.to_json(surface, verbose=args.verbose),
-        "expected_x_count": sorensen_bound(args.q, args.d),
-    }
-    _emit(report, _meta(args, t0), args.out)
-    return 0 if stats.x_count == report["expected_x_count"] else 2
+    return _example_report(args, surface, build_extremal_pencil(surface, args.d), t0)
 
 
 def _cmd_grid(args) -> int:
@@ -255,13 +248,18 @@ def _cmd_grid(args) -> int:
     else:
         alpha = args.alpha
     t0 = time.monotonic()
-    form = build_grid_example(surface, alpha)
+    return _example_report(args, surface, build_grid_example(surface, alpha), t0, alpha=alpha)
+
+
+def _example_report(args, surface: HermitianSurface, form, t0: float, **extra) -> int:
+    """Emit a constructed form's statistics; exit 2 unless its x count
+    attains the Sorensen bound at its degree."""
     stats = intersection_stats(form, surface)
     report = {
-        "alpha": alpha,
+        **extra,
         "form": form_to_json(form, args.q),
         "stats": stats.to_json(surface, verbose=args.verbose),
-        "expected_x_count": sorensen_bound(args.q, args.q + 1),
+        "expected_x_count": sorensen_bound(args.q, form.degree),
     }
     _emit(report, _meta(args, t0), args.out)
     return 0 if stats.x_count == report["expected_x_count"] else 2
@@ -311,7 +309,9 @@ def _meta(args, t0: float, **extra) -> dict:
     return meta
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="hermsurf",
         description="Hermitian surface geometry over GF(q^2): counts, searches, codes.",
@@ -328,10 +328,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true", help="include point lists in reports")
 
     p = sub.add_parser("verify-counts", help="run the census suite for one q")
+    p.set_defaults(run=_cmd_verify_counts)
     common(p)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p = sub.add_parser("search", help="maximize |V(F) n V2| over degree-d forms")
+    p.set_defaults(run=_cmd_search)
     common(p, d_required=True)
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--samples", type=int, default=100_000, help="random-mode sample count")
@@ -346,19 +348,23 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("extremal", help="build the d-plane pencil attaining the bound")
+    p.set_defaults(run=_cmd_extremal)
     common(p, d_required=True)
 
     p = sub.add_parser("grid", help="build the degree-(q+1) two-ruling example (q > 2)")
+    p.set_defaults(run=_cmd_grid)
     common(p)
     p.add_argument("--alpha", type=int, default=None,
                    help="subfield element index, not 0 or 1 (default: smallest valid)")
 
     p = sub.add_parser("code", help="evaluation code parameters [n, k, d]")
+    p.set_defaults(run=_cmd_code)
     common(p, d_required=True)
     p.add_argument("--budget", type=int, default=10_000_000, help="max codewords to enumerate")
     p.add_argument("--weight-csv", help="also write the weight distribution as CSV")
 
     p = sub.add_parser("check", help="full report for a serialized form")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("form_file", help="JSON file: {q, d, terms: [[[e0,e1,e2,e3], c], ...]}")
     p.add_argument("--q", type=int, default=None, help="cross-check the form file's q")
     p.add_argument("--out", help="write the JSON report to this path")
@@ -366,20 +372,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "verify-counts": _cmd_verify_counts,
-    "search": _cmd_search,
-    "extremal": _cmd_extremal,
-    "grid": _cmd_grid,
-    "code": _cmd_code,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except FalsificationError as err:
         doc = {"falsification": str(err), "witness": err.witness}
         sys.stderr.write(_dumps(doc) + "\n")

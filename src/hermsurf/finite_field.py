@@ -17,8 +17,9 @@ same coefficient order, so repeated builds yield identical tables.
 
 Multiplication, inversion, conjugation and norm are index (discrete log)
 arithmetic; addition goes through the vector representation, baked into
-a full table at build time.  Fields are immutable once built and safe to
-share across workers.
+a full table at build time.  Every table is built by the constructor and
+none is changed or grown afterwards, so fields are immutable once built
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ class Field:
         self.conj_np = np.array(self._conj, dtype=np.int16)
         self.norm_np = np.array(self._norm, dtype=np.int16)
         self.neg_np = np.array(self._neg, dtype=np.int16)
-        # column e of pow_table holds x**e; x**0 = 1 for every x (0**0 = 1
-        # so that absent variables contribute a unit factor to monomials)
-        self._pow_np = np.ones((order, 1), dtype=np.int16)
 
     # -- scalar arithmetic on indices ----------------------------------
 
@@ -242,19 +240,6 @@ class Field:
 
     def index_of_vector(self, vec) -> int:
         return self._vec_index[tuple(c % self.p for c in vec)]
-
-    def pow_table(self, max_exp: int) -> np.ndarray:
-        """(order, max_exp+1) table of x**e; grown on demand and cached."""
-        have = self._pow_np.shape[1] - 1
-        if max_exp > have:
-            cols = [self._pow_np]
-            col = self._pow_np[:, -1].copy()
-            idx = np.arange(self.order, dtype=np.int16)
-            for _ in range(max_exp - have):
-                col = self.mul_np[col, idx]
-                cols.append(col[:, None])
-            self._pow_np = np.concatenate(cols, axis=1)
-        return self._pow_np
 
     def describe(self) -> dict:
         return {"p": self.p, "k": self.k, "q": self.q, "modulus": list(self.modulus)}

@@ -97,11 +97,11 @@ class Form:
     # -- structure ------------------------------------------------------
 
     def terms(self) -> list[tuple[tuple[int, int, int, int], int]]:
-        """(exponents, coefficient) pairs in monomial order."""
-        return [(m, self.coeffs[m]) for m in monomials(self.degree) if m in self.coeffs]
+        """(exponents, coefficient) pairs in monomial order: descending tuples."""
+        return sorted(self.coeffs.items(), reverse=True)
 
     def leading_monomial(self) -> tuple[int, int, int, int]:
-        return self.terms()[0][0]
+        return max(self.coeffs)
 
     def normalized(self) -> "Form":
         lead = self.coeffs[self.leading_monomial()]
@@ -168,28 +168,24 @@ class Form:
     def values_at(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (N, 4) array of element indices.
 
-        Index i >= 1 is g^(i-1), so where no x_j with e_j > 0 is 0 a term
-        c x^e has index 1 + (s-1) mod (Q-1), s = c + sum_j e_j (x_j - 1).
-        With exponents reduced to 1..Q-1, which changes no value, and a
-        zero x_j given the log -1-top, s < 1 exactly where the term is 0.
-        Each |s| < 2^35, exact in float64.  Terms are added K at a time as
+        Each term c x^e is read from ``_lanes`` at its log sum (``_logs``),
+        with exponents reduced to 1..Q-1, which changes no value; every
+        |s| < 2^35 is exact in float64.  Terms are added K at a time as
         packed digits (``_digit_lanes``) over slices of points.
         """
         f = self.field
         cycle = f.order - 1
-        group, pack_mul, unpack = _digit_lanes(f)
+        group, _, unpack = _digit_lanes(f)
         exps = np.array(list(self.coeffs), dtype=np.int64)
         exps = np.where(exps > 0, (exps - 1) % cycle + 1, 0)
         top = cycle + int(exps.sum(axis=1).max()) * (cycle - 1)  # the largest s
-        lanes = pack_mul[1, 1 + (np.arange(top + 1) - 1) % cycle]
-        lanes[0] = 0  # the clipped index of every s < 1
+        lanes = _lanes(f, top)
         exps = exps.astype(np.float64)
         coeffs = np.array(list(self.coeffs.values()), dtype=np.float64)[:, None]
         out = np.empty(len(pts), dtype=np.int16)
         step = _SLICE_ELEMENTS // min(group, len(exps))
         for lo in range(0, len(pts), step):
-            part = pts[lo : lo + step].T
-            logs = np.where(part > 0, part - 1.0, -1.0 - top)
+            logs = _logs(pts[lo : lo + step].T, top)
             res = out[lo : lo + step]
             for g in range(0, len(exps), group):
                 s = exps[g : g + group] @ logs + coeffs[g : g + group]
@@ -486,32 +482,40 @@ def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, 
 
 
 # ----------------------------------------------------------------------
-# batch evaluation helpers: exhaustive scans and weight enumeration run on
-# class_zero_blocks; combination_values serves random search and the
-# prefix rows of those blocks
+# batch evaluation helpers: every product is formed by the log rule of
+# _logs.  Exhaustive scans and weight enumeration run on
+# class_zero_blocks; combination_values serves random search.
 # ----------------------------------------------------------------------
 
+def _logs(values: np.ndarray, top: int) -> np.ndarray:
+    """L(x) = x-1 for element indices x >= 1 and -1-top for 0, as float64.
+    A log sum s = c + sum_j e_j L(x_j) (c, e_j >= 1) that is at most top
+    on nonzero x_j is below 1 exactly where some x_j is 0; elsewhere the
+    product c x^e has index 1 + (s-1) mod (Q-1)."""
+    return np.where(values > 0, values - 1.0, -1.0 - top)
+
+
 def monomial_matrix(field: Field, degree: int, pts: np.ndarray) -> np.ndarray:
-    """(M, N) values of every degree-d monomial at every point."""
-    pw = field.pow_table(degree)
-    rows = []
-    for exps in monomials(degree):
-        term = np.ones(len(pts), dtype=np.int16)
-        for i, e in enumerate(exps):
-            if e:
-                term = field.mul_np[term, pw[pts[:, i], e]]
-        rows.append(term)
-    return np.array(rows, dtype=np.int16)
+    """(M, N) values of every degree-d monomial at every point, x^e from
+    the log sum 1 + sum_j e_j L(x_j) one row at a time, so that no (M, N)
+    array of log sums is held."""
+    cycle = field.order - 1
+    logs = _logs(pts.T, degree * cycle)
+    out = np.empty((monomial_count(degree), len(pts)), dtype=np.int16)
+    for row, exps in zip(out, monomials(degree)):
+        s = np.dot(exps, logs) + 1
+        row[...] = np.where(s >= 1, 1 + (s - 1) % cycle, 0)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _digit_lanes(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
-    """(group K, pack_mul, unpack) for adding field elements as packed digits.
+    """(group K, pack, unpack) for adding field elements as packed digits.
 
     An element is packed as its 2k GF(p) digits in radix-R lanes of one
     uint16, R = K(p-1)+1 for the largest K with R^(2k) <= 2^16, so a sum
     of up to K packed elements carries no lane into the next.
-    pack_mul[c, x] is the packed c*x, and unpack maps every packed sum
+    pack[x] is the packed element x, and unpack maps every packed sum
     to the element index of its digits mod p.
     """
     p, digits = field.p, 2 * field.k
@@ -521,15 +525,21 @@ def _digit_lanes(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
     group = (radix - 1) // (p - 1)
     radix = group * (p - 1) + 1
     vecs = np.array([field.vector_of(i) for i in range(field.order)], dtype=np.int64)
-    pack = vecs @ radix ** np.arange(digits)
-    pack_mul = pack[field.mul_np].astype(np.uint16)
+    pack = (vecs @ radix ** np.arange(digits)).astype(np.uint16)
     index_of = np.zeros(field.order, dtype=np.int16)
     index_of[vecs @ p ** np.arange(digits)] = np.arange(field.order)
     # base-p code of the lanes mod p for every packed value, highest lane first
     codes = np.zeros(1, dtype=np.int16)
     for _ in range(digits):
         codes = (codes[:, None] * p + np.arange(radix, dtype=np.int16) % p).ravel()
-    return group, pack_mul, np.take(index_of, codes)
+    return group, pack, np.take(index_of, codes)
+
+
+def _lanes(field: Field, top: int) -> np.ndarray:
+    """The packed element at each log sum s in 0..top; s = 0, where a
+    lookup with mode="clip" puts every s < 1, holds the packed 0."""
+    s = np.arange(top + 1)
+    return _digit_lanes(field)[1][np.where(s >= 1, 1 + (s - 1) % (field.order - 1), 0)]
 
 
 # A slice of rows has about this many elements, which bounds the
@@ -542,20 +552,22 @@ _SLICE_ROWS = 64
 def combination_values(field: Field, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """(B, N) values of the linear combinations coeffs @ rows over the field.
 
-    rows is (M, N); coeffs is (B, M) of element indices.  It evaluates
-    arbitrary vectors (random search) and the one-row prefixes of
-    ``class_zero_blocks``; exhaustive scans never call it per class.
+    rows is (M, N); coeffs is (B, M) of element indices, any vectors.
 
-    For each used monomial m the table of packed c*rows[m] over all
-    elements c is built once; a class then costs one row gather per
-    nonzero term.  Groups of K packed terms add as plain integers, are
-    decoded by one lookup and merged with field addition.  Rows are
-    evaluated in slices so the decode's intp index stays small.
+    For each used monomial m the (Q, N) table of packed c*rows[m] is read
+    from ``_lanes`` at 1 + L(c) + L(rows[m]); a vector then costs one row
+    gather per nonzero term.  Groups of K packed terms add as plain
+    integers, are decoded by one lookup and merged with field addition.
+    Rows are evaluated in slices so the decode's intp index stays small.
     """
-    group, pack_mul, unpack = _digit_lanes(field)
+    group, _, unpack = _digit_lanes(field)
+    top = 2 * field.order - 3  # the largest 1 + L(c) + L(x)
+    lanes = _lanes(field, top)
+    scalars = 1 + _logs(np.arange(field.order), top)[:, None]
     b, n = coeffs.shape[0], rows.shape[1]
     used = np.flatnonzero(coeffs.any(axis=0))
-    tables = [pack_mul[:, rows[m]] for m in used]
+    tables = [np.take(lanes, (scalars + _logs(rows[m], top)).astype(np.intp), mode="clip")
+              for m in used]
     out = np.zeros((b, n), dtype=np.int16)
     step = max(_SLICE_ROWS, _SLICE_ELEMENTS // max(n, 1))
     for lo in range(0, b, step):
@@ -619,10 +631,10 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     One table T holds the values of every combination of the last L rows,
     the last row as the least significant digit, for the largest L with
     q^(2L) <= SCAN_BLOCK and q^(2L) N <= _TABLE_ELEMENTS.  The classes of
-    one span of q^(2L) share their leading position and high digits, so
-    they share one prefix row, and a class vanishes where its T row equals
-    minus that prefix.  A tail of fewer than L digits uses a leading slice
-    of T.  Each yield covers at most one span.
+    one span of q^(2L) share their leading position j and high digits c_i,
+    so they share one prefix row rows[j] + sum_i c_i rows[i], built like T;
+    a class vanishes where its T row equals minus that prefix.  A tail of
+    fewer than L digits uses a leading slice of T.  Each yield lies in one span.
     """
     order = field.order
     m, n = rows.shape
@@ -635,12 +647,16 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     offset = 0
     for j in range(m):
         size = order ** (m - 1 - j)
-        span = order ** min(low, m - 1 - j)
+        digits = min(low, m - 1 - j)  # the low digits one span covers
+        span = order**digits
         lo, end = max(start, offset), min(stop, offset + size)
         while lo < end:
             first = lo - lo % span  # offset is a multiple of span
             hi = min(end, first + span)
-            prefix = combination_values(field, rows, class_vectors(field, m, [first]))[0]
+            prefix, high = rows[j], (first - offset) // span
+            for i in range(m - 1 - digits, j, -1):
+                high, c = divmod(high, order)
+                prefix = field.add_np[field.mul_np[c, rows[i]], prefix]
             yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
             lo = hi
         offset += size
@@ -665,7 +681,7 @@ def vector_to_json(q: int, degree: int, vec) -> dict:
 
 
 def form_to_json(form: Form, q: int) -> dict:
-    return vector_to_json(q, form.degree, form.coefficient_vector())
+    return {"q": q, "d": form.degree, "terms": [[list(m), c] for m, c in form.terms()]}
 
 
 def _json_int(value, what: str) -> int:

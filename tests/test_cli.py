@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermsurf import theorems
+from hermsurf import cli, theorems
 from hermsurf.cli import MAX_SURFACE_Q, _dumps, main
 
 
@@ -34,6 +35,22 @@ def test_verify_counts_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "verify-counts", "--q", "6")
     assert code == 1
     assert "prime power" in err
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    """The parser is built on the first call and reused by the next."""
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, *args, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "verify-counts", "--q", "6")[0] == 1
+    assert built == ["hermsurf"]
 
 
 def test_search_exhaustive_reproducible(tmp_path, capsys):

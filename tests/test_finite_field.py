@@ -188,11 +188,6 @@ def test_numpy_tables_match_scalar_ops():
         assert int(f.conj_np[a]) == f.conj(a)
         assert int(f.norm_np[a]) == f.norm(a)
         assert int(f.neg_np[a]) == f.neg(a)
-    pw = f.pow_table(5)
-    for a in range(f.order):
-        for e in range(6):
-            expect = f.pow(a, e) if (a or e) else 1
-            assert int(pw[a, e]) == expect
 
 
 # ----------------------------------------------------------------------

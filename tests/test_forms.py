@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hermsurf import forms as forms_module
 from hermsurf.codes import build_code
 from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
     SCAN_BLOCK,
+    _SLICE_ELEMENTS,
+    _SLICE_ROWS,
     Form,
     FormError,
     _digit_lanes,
@@ -77,6 +80,30 @@ def test_monomial_order():
     assert len(ms) == monomial_count(2) == 10
     assert list(ms) == sorted(ms, reverse=True)
     assert monomial_count(3) == 20
+
+
+def test_term_order_needs_no_monomial_table(monkeypatch):
+    """Terms, the leading monomial, repr, normalization and serialization
+    order the form's own terms; none of them walks monomials(d)."""
+    f = build_field(3)
+    rng = random.Random(27)
+    cases = [random_form(f, d, rng) for d in (1, 2, 5)]
+    cases.append(Form(f, 9, {(0, 9, 0, 0): 2, (1, 0, 8, 0): 5, (0, 0, 0, 9): 7}))
+    want = [[(m, form.coeffs[m]) for m in monomials(form.degree) if m in form.coeffs]
+            for form in cases]
+    docs = [vector_to_json(3, form.degree, form.coefficient_vector()) for form in cases]
+    texts = [repr(form) for form in cases]
+
+    def refuse(degree):
+        raise AssertionError(f"monomials({degree}) walked")
+
+    monkeypatch.setattr(forms_module, "monomials", refuse)
+    for form, terms, doc, text in zip(cases, want, docs, texts):
+        assert form.terms() == terms
+        assert form.leading_monomial() == terms[0][0]
+        assert form_to_json(form, 3) == doc
+        assert repr(form) == text
+        assert form.normalized().coeffs[terms[0][0]] == 1
 
 
 def test_form_validation():
@@ -421,8 +448,8 @@ def test_high_degree_division_tabulates_no_monomials(s2):
     """x0^200 is divided by H without caching the 1.37M degree-200 monomials."""
     monomials.cache_clear()
     divide(Form(s2.field, 200, {(200, 0, 0, 0): 1}), surface_form(s2))
-    # only degree q+1 = 3 is tabulated, for H's leading monomial
-    assert monomials.cache_info().currsize == 1
+    # no degree is tabulated: H's leading monomial is the largest of its terms
+    assert monomials.cache_info().currsize == 0
 
 
 def test_divides_and_quotient():
@@ -925,7 +952,10 @@ def test_combination_values_matches_forms(s2):
 def kernel_cases(draw):
     """(field, degree, points, coeffs): the number of monomials M lies
     below or above the kernel's group size K, so that above it groups of
-    packed terms are decoded and merged."""
+    packed terms are decoded and merged.  Either a few vectors at a few
+    points, or more than one slice of _SLICE_ROWS vectors at over
+    _SLICE_ELEMENTS / _SLICE_ROWS points; coefficients come from a small
+    pool of elements, so that they repeat."""
     q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
     field = build_field(q)
     group = _digit_lanes(field)[0]
@@ -934,9 +964,14 @@ def kernel_cases(draw):
     else:
         degree = draw(st.sampled_from([d for d in (1, 2, 3) if monomial_count(d) <= group]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    else:
+        n = draw(st.integers(_SLICE_ELEMENTS // _SLICE_ROWS + 1, 1100))
+        b = draw(st.integers(_SLICE_ROWS + 1, 2 * _SLICE_ROWS + 2))
     points = rng.integers(0, field.order, (n, 4)).astype(np.int16)
-    coeffs = rng.integers(0, field.order, (b, monomial_count(degree))).astype(np.int16)
+    pool = rng.integers(0, field.order, draw(st.sampled_from((2, 3, field.order))))
+    coeffs = rng.choice(pool, (b, monomial_count(degree))).astype(np.int16)
     coeffs[rng.random(coeffs.shape) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0
     return field, degree, points, coeffs
 
@@ -944,14 +979,31 @@ def kernel_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(kernel_cases())
 def test_combination_values_matches_scalar_evaluation(case):
+    """Every row equals the form's values_at, and scalar evaluation at
+    (up to) its first six points."""
     field, degree, points, coeffs = case
     values = combination_values(field, monomial_matrix(field, degree, points), coeffs)
+    head = points[:6].tolist()
     for row, vec in zip(values, coeffs):
         if not vec.any():
             assert not row.any()
             continue
         form = form_from_vector(field, degree, vec)
-        assert row.tolist() == [form.evaluate(tuple(int(x) for x in pt)) for pt in points]
+        assert row.tolist() == form.values_at(points).tolist()
+        assert row[:6].tolist() == [form.evaluate(pt) for pt in head]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_monomial_matrix_matches_evaluate(q):
+    """x^e at points with zero coordinates, up to degree q^2, where an
+    exponent passes Q-1: 0^e = 0 for e >= 1 and 0^0 = 1."""
+    field = build_field(q)
+    rng = random.Random(q)
+    pts = [[rng.choice((0, rng.randrange(1, field.order))) for _ in range(4)] for _ in range(12)]
+    for d in (1, 2, q * q):
+        rows = monomial_matrix(field, d, np.array(pts, dtype=np.int16))
+        for m, row in zip(monomials(d), rows.tolist()):
+            assert row == [Form(field, d, {m: 1}).evaluate(pt) for pt in pts]
 
 
 @lru_cache(maxsize=None)
@@ -971,7 +1023,7 @@ def class_ranges(draw):
     multiple of q^(2l) inside one leading-position segment, so that it
     crosses span and segment boundaries."""
     q, d = draw(st.sampled_from(
-        ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (2, None))))
+        ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (2, None))))
     field, rows = _scan_rows(q, d)
     m, order = rows.shape[0], field.order
     total = class_count(order, m)
