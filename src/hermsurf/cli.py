@@ -49,9 +49,9 @@ from hermsurf.theorems import (
 
 # The largest q at which every command that builds the surface is timed.
 # The slowest is verify-counts, whose plane census spans the q^4+q^2+1
-# planes through each surface point and so grows as q^9: on one 2.1 GHz
-# x86-64 core, 8.3 s at q = 8 (extremal, grid and check take 1-1.5 s);
-# the census alone takes 17 s at q = 9.
+# planes through each surface point and so grows as q^9: on one 2.0 GHz
+# x86-64 core, 9-11 s at q = 8 (extremal, grid and check take 0.8-1.3 s,
+# the surface and its generators 0.4 s); the census alone takes 17 s at q = 9.
 MAX_SURFACE_Q = 8
 _BOOK_SAMPLES = 50  # lines of each class whose book the census checks
 
@@ -321,7 +321,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, d_required=False):
         p.add_argument("--q", type=int, required=True,
                        help=f"prime power, at most {MAX_SURFACE_Q} (verify-counts takes about"
-                            f" 8 s at q={MAX_SURFACE_Q})")
+                            f" 10 s at q={MAX_SURFACE_Q})")
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")

@@ -195,10 +195,7 @@ class HermitianSurface:
 
         # x^T A x^(q) pairs each point with the coordinates of its polar plane
         arr, n = self.geometry.arr, self.geometry.n_points
-        acc = np.zeros(n, dtype=np.int16)
-        for column, polar in zip(arr.T, self._polar(arr).T):
-            acc = field.add_np[acc, field.mul_np[column, polar]]
-        self.point_ids = np.nonzero(acc == 0)[0].astype(np.int64)
+        self.point_ids = np.flatnonzero(self._pair_np(arr, self._polar(arr)) == 0).astype(np.int64)
         self.arr = arr[self.point_ids]  # (n_surface_points, 4) coordinates
         # position of a geometry point id inside the surface point list
         self.position_of = np.full(n, -1, dtype=np.int64)
@@ -266,12 +263,12 @@ class HermitianSurface:
         """Plane ids of the polar planes of the rows of a point array."""
         return span_ids(self.field, self._polar(pts)[:, None])[:, 0]
 
-    def _plane_sections(self, plane_ids) -> list[np.ndarray]:
-        """For each plane id: the ids of the surface points on it, ascending."""
-        f = self.field
-        bases = [nullspace(f, [plane]) for plane in self.geometry.arr[plane_ids].tolist()]
-        ids = np.sort(span_ids(f, bases), axis=1)
-        return [row[self.position_of[row] >= 0] for row in ids]
+    def _pair_np(self, pts: np.ndarray, planes: np.ndarray) -> np.ndarray:
+        """sum_k P_k c_k for rows P of pts and c of planes: 0 iff P is on c."""
+        acc = np.zeros(len(pts), dtype=np.int16)
+        for column, coeffs in zip(pts.T, planes.T):
+            acc = self.field.add_np[acc, self.field.mul_np[column, coeffs]]
+        return acc
 
     def tangent_plane_ids(self) -> np.ndarray:
         """Plane id (dual coordinates ranked like points) of the tangent
@@ -319,46 +316,39 @@ class HermitianSurface:
     # -- generators --------------------------------------------------------
 
     def generators(self) -> tuple[Line, ...]:
-        """All lines contained in the surface, from one non-tangent section.
+        """All lines contained in the surface, by key.
 
         The polar plane of a point off the surface is not tangent, so each
-        generator meets it in exactly one of its q^3+1 surface points R.
-        The section of the tangent plane at R is the q+1 generators through
-        R; walking its uncovered points builds each of them once.
+        generator meets it in exactly one of its q^3+1 surface points R.  If
+        R_i = 1 leads R, the plane x_i = 0 misses R and meets the tangent
+        plane T_R in a line, R's chord.  T_R cuts the surface in the q+1
+        generators through R, which meet only in R; the chord, a line of T_R
+        off R, meets each once.  So its q+1 surface points, the feet, lie one
+        on each generator through R, and those generators join R to its feet.
         """
         if self._generators is None:
             self._require_nondegenerate()
-            geom, q = self.geometry, self.q
+            f, geom, q = self.field, self.geometry, self.q
             off_surface = geom.arr[np.flatnonzero(self.position_of < 0)[:1]]
-            (on_pi,) = self._plane_sections(self._polar_ids(off_surface))
-            sections = self._plane_sections(self._polar_ids(geom.arr[on_pi]))
-            found: list[Line] = []
-            for rid, section in zip(on_pi.tolist(), sections):
-                covered: set[int] = {rid}
-                count = 0
-                for qid in section.tolist():
-                    if qid in covered:
-                        continue
-                    line = geom.line_between_ids(rid, qid)
-                    covered.update(line.point_ids)
-                    found.append(line)
-                    count += 1
-                if count != q + 1:
-                    raise InternalConsistencyError(
-                        f"tangent section split into {count} lines, expected {q+1}"
-                    )
-            if len(found) != (q**3 + 1) * (q + 1):
-                raise InternalConsistencyError(
-                    f"found {len(found)} generators, expected {(q**3 + 1) * (q + 1)}"
-                )
-            gens = tuple(sorted(found, key=lambda line: line.key))
-            positions = self.position_of[np.array([line.point_ids for line in gens])]
+            rs = self.arr[self._pair_np(self.arr, self._polar(off_surface)) == 0]
+            axes = np.eye(4, dtype=np.int16)[(rs != 0).argmax(axis=1)]
+            planes = np.stack([self._polar(rs), axes], axis=1)  # meeting in the chords
+            chords = span_ids(f, [nullspace(f, pair) for pair in planes.tolist()])
+            on = self.position_of[chords] >= 0
+            if (on.sum(axis=1) != q + 1).any():
+                raise InternalConsistencyError(f"a chord holds other than {q+1} surface points")
+            feet = geom.arr[chords[on]]
+            ids = np.sort(span_ids(f, np.stack([np.repeat(rs, q + 1, axis=0), feet], axis=1)))
+            ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+            positions = self.position_of[ids]
+            if (positions < 0).any():
+                raise InternalConsistencyError("the join of a point and a foot leaves the surface")
             flat = positions.ravel()
             if (np.bincount(flat, minlength=len(self.point_ids)) != q + 1).any():
                 raise InternalConsistencyError("a surface point is not on exactly q+1 generators")
             # a stable sort keeps each point's generator indices ascending
             through = np.argsort(flat, kind="stable") // (q * q + 1)
-            self._generators = gens
+            self._generators = tuple(Line(tuple(row)) for row in ids.tolist())
             self._generator_positions = positions
             self._generators_through = through.reshape(len(self.point_ids), q + 1)
         return self._generators

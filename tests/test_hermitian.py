@@ -18,6 +18,7 @@ from hermsurf.hermitian import (
     is_hermitian,
     random_hermitian,
 )
+from hermsurf.proj_geometry import Geometry
 
 
 def brute_force_points(field, matrix, geometry):
@@ -220,10 +221,11 @@ def test_generator_counts(s2, s3):
     assert len(s3.generators()) == 112
 
 
-@pytest.mark.parametrize("seed", [None, 5, 6], ids=["canonical", "random5", "random6"])
-def test_generators_match_all_line_classification(seed):
-    """Oracle: classify every line of PG(3,4) and compare the sets."""
-    s = canonical_surface(2) if seed is None else random_surface(2, seed)
+@pytest.mark.parametrize("q,seed", [(2, None), (2, 5), (2, 6), (3, None), (3, 5)],
+                         ids=["canonical", "random5", "random6", "q3-canonical", "q3-random5"])
+def test_generators_match_all_line_classification(q, seed):
+    """Oracle: classify every line of PG(3, q^2) and compare the sets."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
     via_classification = {
         line.key
         for line in s.geometry.enumerate_lines()
@@ -258,10 +260,20 @@ def test_tangent_sections_match_plane_scan(q, seed):
         assert np.array_equal(section, pos[pos >= 0])
 
 
-def test_generator_points_lie_on_surface(s3):
-    for line in s3.generators()[:20]:
-        assert (s3.position_of[list(line.point_ids)] >= 0).all()
-        assert len(line.point_ids) == 10
+def test_generators_make_no_line_through_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generators() built a line by line_through")
+
+    monkeypatch.setattr(Geometry, "line_through", refuse)
+    s = HermitianSurface.canonical(build_field(3))
+    assert len(s.generators()) == 112
+
+
+def test_generator_points_lie_on_surface():
+    for q in (3, 4):
+        positions = canonical_surface(q).generator_positions()
+        assert positions.shape == ((q**3 + 1) * (q + 1), q * q + 1)
+        assert (positions >= 0).all()
 
 
 def test_classify_book_examples(s2):
