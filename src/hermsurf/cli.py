@@ -33,7 +33,8 @@ from hermsurf.forms import (
     intersection_stats,
     require_scan_degree,
 )
-from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
+from hermsurf.hermitian import HermitianSurface, canonical_surface
+from hermsurf.proj_geometry import span_ids
 from hermsurf.codes import code_report
 from hermsurf.theorems import (
     BudgetExceededError,
@@ -136,56 +137,37 @@ def census_report(q: int, seed: int = 0) -> dict:
     _check(checks, "dual_tangency_criterion", True, bool(((dual_sum == 0) == tangent).all()))
     _check(checks, "tangent_plane_count", surface.n_surface_points(), int(tangent.sum()))
 
-    # line trichotomy: full for small q, sampled otherwise
+    # line trichotomy: full for small q, sampled otherwise (line_counts checks each count)
     rng = Random(seed)
     if geom.n_points <= 1000:
-        lines = geom.enumerate_lines()
-        counts = {LineKind.TANGENT: 0, LineKind.SECANT: 0, LineKind.GENERATOR: 0}
-        for line in lines:
-            counts[surface.classify_line(line).kind] += 1
-        _check(checks, "line_total", (q**4 + 1) * (q**4 + q**2 + 1), len(lines))
-        _check(checks, "trichotomy_generator_count", (q**3 + 1) * (q + 1), counts[LineKind.GENERATOR])
-        _check(
-            checks,
-            "trichotomy_tangent_count",
-            surface.n_surface_points() * (q**2 - q),
-            counts[LineKind.TANGENT],
-        )
+        counts = surface.line_counts(geom.line_ids(np.eye(4)))
+        _check(checks, "line_total", (q**4 + 1) * (q**4 + q**2 + 1), len(counts))
+        _check(checks, "trichotomy_generator_count", (q**3 + 1) * (q + 1),
+               int((counts == q**2 + 1).sum()))
+        _check(checks, "trichotomy_tangent_count", surface.n_surface_points() * (q**2 - q),
+               int((counts == 1).sum()))
         mode = "full"
     else:
-        for _ in range(500):
-            i, j = rng.sample(range(geom.n_points), 2)
-            surface.classify_line(geom.line_between_ids(i, j))  # raises on impossible counts
+        pairs = [rng.sample(range(geom.n_points), 2) for _ in range(500)]
+        surface.line_counts(span_ids(f, geom.arr[pairs]))
         mode = "sampled"
     _check(checks, "line_trichotomy_mode", mode, mode)
 
-    # books per line class
-    want = {
-        LineKind.GENERATOR: q**2 + 1,
-        LineKind.TANGENT: 1,
-        LineKind.SECANT: q + 1,
-    }
-    buckets = {kind: 0 for kind in want}
-    books_ok = True
+    # books by the surface count of their line, which is also the number of
+    # tangent planes in the book
     gens = surface.generators()
-    for idx in rng.sample(range(len(gens)), min(_BOOK_SAMPLES, len(gens))):
-        if surface.classify_book(gens[idx]).tangent_plane_count != want[LineKind.GENERATOR]:
-            books_ok = False
-        buckets[LineKind.GENERATOR] += 1
+    picked = rng.sample(range(len(gens)), min(_BOOK_SAMPLES, len(gens)))
+    books = {1: [], q + 1: [], q**2 + 1: [gens[i] for i in picked]}
     attempts = 0
-    while (
-        min(buckets[LineKind.TANGENT], buckets[LineKind.SECANT]) < _BOOK_SAMPLES
-        and attempts < 100_000
-    ):
+    while min(len(books[1]), len(books[q + 1])) < _BOOK_SAMPLES and attempts < 100_000:
         attempts += 1
         i, j = rng.sample(range(geom.n_points), 2)
         line = geom.line_between_ids(i, j)
-        kind = surface.classify_line(line).kind
-        if kind is LineKind.GENERATOR or buckets[kind] >= _BOOK_SAMPLES:
-            continue
-        if surface.classify_book(line).tangent_plane_count != want[kind]:
-            books_ok = False
-        buckets[kind] += 1
+        count = int(surface.line_counts(np.array(line.point_ids)))
+        if count != q**2 + 1 and len(books[count]) < _BOOK_SAMPLES:
+            books[count].append(line)
+    books_ok = all(surface.classify_book(line).tangent_plane_count == count
+                   for count, lines in books.items() for line in lines)
     _check(checks, "book_tangent_counts", True, books_ok)
 
     # tangent-plane line census at sampled surface points

@@ -8,7 +8,9 @@ x^T A x^(q); it is non-degenerate iff rank A = 4, in which case
 
 and the surface carries (q^3 + 1)(q + 1) generators (lines fully
 contained in it).  Every line of PG(3, q^2) meets the surface in exactly
-1, q+1 or q^2+1 rational points (tangent / secant / generator), and the
+1, q+1 or q^2+1 rational points (tangent / secant / generator), so a
+line's class is its surface-point count, and that count is also the
+number of tangent planes through the line (``line_counts``).  The
 tangent plane at a surface point P is the polar plane with dual
 coordinates A P^(q); it cuts the surface in the q+1 generators through P
 (q^3 + q^2 + 1 points), while a non-tangent plane cuts a non-degenerate
@@ -297,21 +299,25 @@ class HermitianSurface:
 
     # -- line classification ----------------------------------------------
 
-    def classify_line(self, line: Line) -> LineClass:
+    def line_counts(self, ids) -> np.ndarray:
+        """The number of surface points on each row of an array of line
+        point ids (a scalar for one row).  Any count but 1, q+1 or q^2+1
+        raises InternalConsistencyError."""
         self._require_nondegenerate()
         q = self.q
-        on = tuple(i for i in line.point_ids if self.position_of[i] >= 0)
-        if len(on) == 1:
-            kind = LineKind.TANGENT
-        elif len(on) == q + 1:
-            kind = LineKind.SECANT
-        elif len(on) == q * q + 1:
-            kind = LineKind.GENERATOR
-        else:
+        counts = (self.position_of[ids] >= 0).sum(axis=-1)
+        bad = counts[~np.isin(counts, (1, q + 1, q * q + 1))]
+        if bad.size:
             raise InternalConsistencyError(
-                f"line meets the surface in {len(on)} points; expected 1, {q+1} or {q*q+1}"
+                f"a line meets the surface in {bad.flat[0]} points; expected 1, {q+1} or {q*q+1}"
             )
-        return LineClass(kind, on)
+        return counts
+
+    def classify_line(self, line: Line) -> LineClass:
+        ids = np.array(line.point_ids)
+        count = self.line_counts(ids)
+        kind = {1: LineKind.TANGENT, self.q + 1: LineKind.SECANT}.get(count, LineKind.GENERATOR)
+        return LineClass(kind, tuple(ids[self.position_of[ids] >= 0].tolist()))
 
     # -- generators --------------------------------------------------------
 
@@ -391,27 +397,13 @@ class HermitianSurface:
 
     def tangent_plane_line_census(self, point) -> TangentPlaneCensus:
         """Classify every line inside the tangent plane at a surface point."""
-        self._require_nondegenerate()
-        geom = self.geometry
-        pid = geom.point_id(point)
-        plane = self.tangent_plane(point)
-        gens = tangents = secants = 0
-        lines = geom.lines_in_plane(plane)
-        for line in lines:
-            cls = self.classify_line(line)
-            if cls.kind is LineKind.GENERATOR:
-                if pid not in line.point_ids:
-                    raise InternalConsistencyError("generator in tangent plane misses the point")
-                gens += 1
-            elif cls.kind is LineKind.TANGENT:
-                if pid not in line.point_ids:
-                    raise InternalConsistencyError("tangent line in tangent plane misses the point")
-                tangents += 1
-            else:
-                if pid in line.point_ids:
-                    raise InternalConsistencyError("secant through the tangency point")
-                secants += 1
-        return TangentPlaneCensus(gens, tangents, secants, len(lines))
+        q = self.q
+        ids = self.geometry.line_ids(nullspace(self.field, [self.tangent_plane(point)]))
+        counts = self.line_counts(ids)
+        if ((ids == self.geometry.point_id(point)).any(axis=1) == (counts == q + 1)).any():
+            raise InternalConsistencyError("a tangent-plane line is secant iff it misses the point")
+        gens, tangents, secants = (int((counts == c).sum()) for c in (q * q + 1, 1, q + 1))
+        return TangentPlaneCensus(gens, tangents, secants, len(ids))
 
     def describe(self) -> dict:
         """Serialized form: q plus the 16 matrix element indices, row major."""

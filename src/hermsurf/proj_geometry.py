@@ -176,9 +176,10 @@ class Geometry:
     def points_on_line(self, line: Line) -> list[tuple[int, ...]]:
         return self._tuples(list(line.point_ids))
 
-    def _lines_in(self, basis) -> list[Line]:
-        """Every line inside the span of 3 or 4 independent rows, by key:
-        the spans of R·basis over the 2 x len(basis) RREF matrices R."""
+    def line_ids(self, basis) -> np.ndarray:
+        """(L, q^2+1) ids of every line inside the span of 3 or 4 independent
+        rows, each row ascending, the rows in key order: the spans of
+        R·basis over the 2 x len(basis) RREF matrices R."""
         f = self.field
         basis = np.asarray(basis, dtype=np.int16)
         coeffs = _rref_matrices(f.order, 2, len(basis))
@@ -186,13 +187,12 @@ class Geometry:
         for i, row in enumerate(basis):
             rows = f.add_np[rows, f.mul_np[coeffs[:, :, i, None], row]]
         ids = np.sort(span_ids(f, rows), axis=1)
-        ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
-        return [Line(tuple(row)) for row in ids.tolist()]
+        return ids[np.lexsort((ids[:, 1], ids[:, 0]))]
 
     def enumerate_lines(self) -> list[Line]:
         """All lines in ascending key order, which is the order in which a
         walk over ascending point pairs first meets them."""
-        return self._lines_in(np.eye(4))
+        return [Line(tuple(row)) for row in self.line_ids(np.eye(4)).tolist()]
 
     # -- planes ---------------------------------------------------------
 
@@ -224,7 +224,7 @@ class Geometry:
 
     def lines_in_plane(self, plane) -> list[Line]:
         """The q^4+q^2+1 lines of a plane, by key."""
-        return self._lines_in(self._null_basis(plane))
+        return [Line(tuple(row)) for row in self.line_ids(self._null_basis(plane)).tolist()]
 
     def planes_through_point(self, P) -> list[tuple[int, ...]]:
         """The q^4+q^2+1 planes through P, in ascending tuple order (dual

@@ -1,6 +1,7 @@
 import argparse
 import json
 import time
+from random import Random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermsurf import cli, theorems
 from hermsurf.cli import MAX_SURFACE_Q, _dumps, main
+from hermsurf.hermitian import HermitianSurface, canonical_surface
 
 
 def run(capsys, *argv):
@@ -29,6 +31,54 @@ def test_verify_counts_q2(capsys):
     assert {"surface_point_count", "generator_count", "planar_section_sizes",
             "dual_tangency_criterion", "book_tangent_counts",
             "tangent_plane_line_census"} <= names
+
+
+def test_census_makes_no_classify_line_call(monkeypatch):
+    """The census and the tangent-plane line census count surface points on
+    id arrays instead of classifying one line at a time."""
+    def refuse(*args):
+        raise AssertionError("a line was classified one at a time")
+
+    monkeypatch.setattr(HermitianSurface, "classify_line", refuse)
+    assert cli.census_report(3, seed=0)["pass"] is True
+    s = canonical_surface(3)
+    for pid in s.point_ids[[0, 100, 279]].tolist():
+        census = s.tangent_plane_line_census(s.geometry.points[pid])
+        assert (census.generators, census.tangents_through_point, census.secants,
+                census.total_lines) == (4, 6, 81, 91)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_census_draw_order(monkeypatch, seed):
+    """census_report(4, seed) draws 500 point pairs for the sampled
+    trichotomy, then 50 generator indices, then one point pair at a time
+    for the books until 50 tangents and 50 secants are found, then 10
+    surface points."""
+    calls = []
+
+    class Recording(Random):
+        def sample(self, population, k, **kwargs):
+            drawn = super().sample(population, k, **kwargs)
+            calls.append((len(population), k, drawn))
+            return drawn
+
+    monkeypatch.setattr(cli, "Random", Recording)
+    assert cli.census_report(4, seed)["pass"] is True
+    s = canonical_surface(4)
+    g = s.geometry
+    shapes = [call[:2] for call in calls]
+    assert shapes[:500] == [(g.n_points, 2)] * 500
+    assert shapes[500] == (len(s.generators()), 50)
+    assert shapes[-1] == (s.n_surface_points(), 10)
+    books = calls[501:-1]
+    assert books and {call[:2] for call in books} == {(g.n_points, 2)}
+    found = {1: 0, 5: 0}  # tangents and secants drawn so far
+    for _, _, pair in books:
+        assert min(found.values()) < 50  # no pair is drawn after the last one needed
+        count = int((s.position_of[list(g.line_between_ids(*pair).point_ids)] >= 0).sum())
+        if count in found:
+            found[count] += 1
+    assert min(found.values()) == 50
 
 
 def test_verify_counts_rejects_non_prime_power(capsys):

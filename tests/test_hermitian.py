@@ -205,6 +205,34 @@ def test_classify_line_examples(s2):
     assert [g.points[i] for i in cls.point_ids] == [(1, 1, 0, 0)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_line_counts_match_scalar_count(q):
+    """Every line of PG(3, 4) at q = 2, 200 random lines at q = 3 and 4,
+    against a count of the points for which x^T A x^(q) = 0."""
+    s = canonical_surface(q)
+    g = s.geometry
+    if q == 2:
+        lines = g.enumerate_lines()
+    else:
+        rng = random.Random(q)
+        lines = [g.line_between_ids(*rng.sample(range(g.n_points), 2)) for _ in range(200)]
+    want = [sum(s.contains(g.points[i]) for i in line.point_ids) for line in lines]
+    ids = np.array([line.point_ids for line in lines])
+    assert s.line_counts(ids).tolist() == want
+    assert [s.line_counts(row) for row in ids] == want
+
+
+def test_line_counts_refuse_impossible_counts(s3):
+    """Two surface points on a row of q^2+1 ids is neither 1, q+1 nor q^2+1."""
+    off = np.flatnonzero(s3.position_of < 0)[:8]
+    row = np.concatenate([s3.point_ids[:2], off])
+    with pytest.raises(InternalConsistencyError):
+        s3.line_counts(row)
+    generator = np.array(s3.generators()[0].point_ids)
+    with pytest.raises(InternalConsistencyError):
+        s3.line_counts(np.stack([generator, row]))
+
+
 def test_trichotomy_exhaustive_q2(s2):
     counts = {LineKind.TANGENT: 0, LineKind.SECANT: 0, LineKind.GENERATOR: 0}
     for line in s2.geometry.enumerate_lines():
@@ -340,6 +368,8 @@ def test_degenerate_surface_refusals():
     line = s.geometry.line_through((1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(HermitianError):
         s.classify_line(line)
+    with pytest.raises(HermitianError):
+        s.line_counts(np.array(line.point_ids))
     with pytest.raises(HermitianError):
         s.generators()
     with pytest.raises(HermitianError):
