@@ -5,21 +5,24 @@ Every element is identified by an integer index:
     0             the additive zero
     i in 1..q^2-1 the power g**(i-1) of the canonical generator g
 
-so the index doubles as the serialized form of an element.  Each element
-also has a vector representation: a tuple of 2k coefficients over GF(p)
-(coefficients of 1, t, t^2, ... modulo the field modulus, q = p^k).  The
-bridge between the two encodings is ``vector_of``/``index_of_vector``.
+so the index doubles as the serialized form of an element.  Two
+encodings derive every table, and no other module rebuilds them:
+
+- digit rows, for sums: ``digits[i]`` holds the 2k GF(p) coefficients of
+  element i (of 1, t, t^2, ... modulo the field modulus, q = p^k), and
+  ``index_of_code`` maps the base-p code sum_j digits[i, j] p^j back to i;
+- index logs, for products: a nonzero index i is 1 + log_g of its element.
+
+Addition and negation are digit-wise mod p; multiplication, inversion,
+powers, conjugation and norm are log arithmetic; the trace is x + x^q.
 
 Determinism: the modulus is the lexicographically smallest monic
 irreducible polynomial of degree 2k over GF(p) (coefficients compared
 from the constant term up) and g is the first primitive element in the
 same coefficient order, so repeated builds yield identical tables.
-
-Multiplication, inversion, conjugation and norm are index (discrete log)
-arithmetic; addition goes through the vector representation, baked into
-a full table at build time.  Every table is built by the constructor and
-none is changed or grown afterwards, so fields are immutable once built
-and safe to share across workers.
+Every table is built by the constructor and none is changed or grown
+afterwards, so fields are immutable once built and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -117,57 +120,43 @@ class Field:
 
         deg = 2 * k
         mod = list(self.modulus)
-        zero = (0,) * deg
-
-        # first primitive element in coefficient order
-        gen = None
-        for tail in itertools.product(range(p), repeat=deg):
-            if tail == zero:
-                continue
-            v, n = tail, 1
-            one = tuple([1] + [0] * (deg - 1))
-            while v != one:
-                v = tuple(_poly_mulmod(list(v), list(tail), mod, p))
-                n += 1
-                if n > order:
-                    raise FieldError("multiplicative order overflow; modulus not irreducible?")
-            if n == order - 1:
-                gen = tail
+        one = [1] + [0] * (deg - 1)
+        # The first primitive element in coefficient order, skipping zero
+        # (the first tuple); the powers collected while finding its order
+        # are the digit rows of indices 1..q^2-1.
+        for gen in itertools.islice(itertools.product(range(p), repeat=deg), 1, None):
+            powers, v = [one], list(gen)
+            while v != one and len(powers) < order:
+                powers.append(v)
+                v = _poly_mulmod(v, list(gen), mod, p)
+            if len(powers) == order - 1:
                 break
-        if gen is None:
+        else:
             raise FieldError("no primitive element found")
+        self.gen_index = 2  # gen**1
+        self.digits = np.array([[0] * deg] + powers, dtype=np.int16)
+        weights = p ** np.arange(deg, dtype=np.int16)
+        self.index_of_code = np.zeros(order, dtype=np.int16)
+        self.index_of_code[self.digits @ weights] = np.arange(order)
 
-        # index 0 -> zero, index i >= 1 -> gen**(i-1)
-        vecs = [zero]
-        v = tuple([1] + [0] * (deg - 1))
-        for _ in range(order - 1):
-            vecs.append(v)
-            v = tuple(_poly_mulmod(list(v), list(gen), mod, p))
-        self._vecs = tuple(vecs)
-        self._vec_index = {vec: i for i, vec in enumerate(vecs)}
-        self.gen_index = self._vec_index[gen]
-
-        self._add = [
-            [
-                self._vec_index[tuple((x + y) % p for x, y in zip(va, vb))]
-                for vb in vecs
-            ]
-            for va in vecs
-        ]
-        self._neg = [self._vec_index[tuple((-x) % p for x in vec)] for vec in vecs]
-        self._conj = [self.pow(a, q) for a in range(order)]
-        self._norm = [self.mul(a, self._conj[a]) for a in range(order)]
-        self._trace = [self._add[a][self._conj[a]] for a in range(order)]
-
-        # numpy mirrors for vectorized paths
-        self.add_np = np.array(self._add, dtype=np.int16)
-        idx = np.arange(order)
-        a, b = np.meshgrid(idx, idx, indexing="ij")
-        nz = (a > 0) & (b > 0)
-        self.mul_np = np.where(nz, 1 + (a - 1 + b - 1) % (order - 1), 0).astype(np.int16)
-        self.conj_np = np.array(self._conj, dtype=np.int16)
-        self.norm_np = np.array(self._norm, dtype=np.int16)
-        self.neg_np = np.array(self._neg, dtype=np.int16)
+        # sums digit by digit into one (q^2, q^2) array of base-p codes
+        code = np.zeros((order, order), dtype=np.int16)
+        for col, w in zip(self.digits.T, weights):
+            code += np.add.outer(col, col) % p * w
+        self.add_np = self.index_of_code[code]
+        self.neg_np = self.index_of_code[-self.digits % p @ weights]
+        # products by the log rule: index i >= 1 has log i - 1
+        idx, cycle = np.arange(order), order - 1
+        log = (idx - 1).astype(np.int16)  # keeps the (q^2, q^2) log sums small
+        self.mul_np = np.where(np.outer(idx > 0, idx > 0), 1 + np.add.outer(log, log) % cycle, 0)
+        self.conj_np, self.norm_np = (
+            np.where(idx > 0, 1 + (idx - 1) * e % cycle, 0).astype(np.int16) for e in (q, q + 1)
+        )
+        trace = self.add_np[idx, self.conj_np]
+        # scalar mirrors: list lookups beat numpy indexing one element at a time
+        self._add, self._neg, self._conj, self._norm, self._trace = (
+            t.tolist() for t in (self.add_np, self.neg_np, self.conj_np, self.norm_np, trace)
+        )
 
     # -- scalar arithmetic on indices ----------------------------------
 
@@ -186,24 +175,18 @@ class Field:
         return 1 + (a - 1 + b - 1) % (self.order - 1)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 + (self.order - 1 - (a - 1)) % (self.order - 1)
+        return self.pow(a, -1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply on the integer exponent (negative allowed)."""
-        if e < 0:
-            a, e = self.inv(a), -e
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        """a**e by the log rule, for any integer e; 0**0 is 1."""
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return int(e == 0)
+        return 1 + (a - 1) * e % (self.order - 1)
 
     def conj(self, a: int) -> int:
         return self._conj[a]
@@ -218,28 +201,26 @@ class Field:
 
     def subfield_indices(self) -> tuple[int, ...]:
         """Indices of the q elements fixed by conjugation, ascending."""
-        return tuple(i for i in range(self.order) if self._conj[i] == i)
+        return tuple(np.flatnonzero(self.conj_np == np.arange(self.order)).tolist())
 
     def norm_preimage(self, value: int) -> int:
         """Smallest index c with norm(c) == value (norm is onto the subfield)."""
-        for c in range(self.order):
-            if self._norm[c] == value:
-                return c
-        raise FieldError(f"{value} is not a norm value")
+        hits = np.flatnonzero(self.norm_np == value)
+        if not len(hits):
+            raise FieldError(f"{value} is not a norm value")
+        return int(hits[0])
 
     def nonzero_trace_element(self) -> int:
-        for c in range(self.order):
-            if self._trace[c] != 0:
-                return c
-        raise FieldError("trace is identically zero")  # impossible
+        return int(np.flatnonzero(self._trace)[0])  # the trace is onto the subfield
 
     # -- encodings ------------------------------------------------------
 
     def vector_of(self, index: int) -> tuple[int, ...]:
-        return self._vecs[index]
+        return tuple(self.digits[index].tolist())
 
     def index_of_vector(self, vec) -> int:
-        return self._vec_index[tuple(c % self.p for c in vec)]
+        code = np.mod(vec, self.p) @ self.p ** np.arange(2 * self.k)  # a wrong length raises
+        return int(self.index_of_code[code])
 
     def describe(self) -> dict:
         return {"p": self.p, "k": self.k, "q": self.q, "modulus": list(self.modulus)}

@@ -524,15 +524,12 @@ def _digit_lanes(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
         radix += 1
     group = (radix - 1) // (p - 1)
     radix = group * (p - 1) + 1
-    vecs = np.array([field.vector_of(i) for i in range(field.order)], dtype=np.int64)
-    pack = (vecs @ radix ** np.arange(digits)).astype(np.uint16)
-    index_of = np.zeros(field.order, dtype=np.int16)
-    index_of[vecs @ p ** np.arange(digits)] = np.arange(field.order)
+    pack = (field.digits @ radix ** np.arange(digits)).astype(np.uint16)
     # base-p code of the lanes mod p for every packed value, highest lane first
     codes = np.zeros(1, dtype=np.int16)
     for _ in range(digits):
         codes = (codes[:, None] * p + np.arange(radix, dtype=np.int16) % p).ravel()
-    return group, pack, np.take(index_of, codes)
+    return group, pack, np.take(field.index_of_code, codes)
 
 
 def _lanes(field: Field, top: int) -> np.ndarray:

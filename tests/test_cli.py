@@ -279,6 +279,9 @@ def test_verbose_point_lists(capsys):
     ["grid", "--q", "9"],
     ["code", "--q", "9", "--d", "1"],
     ["check"],
+    ["search", "--q", "16", "--d", "1"],
+    ["search", "--q", "27", "--d", "1"],
+    ["search", "--q", "32", "--d", "1"],
 ])
 def test_surface_commands_refuse_q_above_limit(tmp_path, capsys, argv):
     if argv == ["check"]:

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hermsurf.finite_field import (
@@ -11,7 +13,20 @@ from hermsurf.finite_field import (
     nullspace,
     rref,
     _poly_rem,
+    _prime_power,
 )
+
+# Beyond q = 5 the definitions are checked on these q, sampled where the
+# field is large.
+LARGE_QS = [7, 8, 9, 16, 27, 32]
+
+
+def sample(field, n, seed):
+    """Every element of a field of at most n elements, else n random ones."""
+    if field.order <= n:
+        return range(field.order)
+    rng = random.Random(seed)
+    return [rng.randrange(field.order) for _ in range(n)]
 
 
 def poly_mul_mod(field, a, b):
@@ -24,6 +39,65 @@ def poly_mul_mod(field, a, b):
             prod[i + j] = (prod[i + j] + x * y) % p
     rem = _poly_rem(prod, list(field.modulus), p)
     return field.index_of_vector(tuple(rem))
+
+
+# (q, gen_index, modulus, sha256 of the bytes of add_np, mul_np, neg_np,
+# conj_np and norm_np and of the trace as int16, in that order) for every
+# supported q.  Every report is written in these indices, so any drift in
+# the modulus, the generator or a table shows here.
+GOLDEN = [
+    (2, 2, (1, 1, 1), "a8328b148f5f3a345d2928b7daabe7d76f3b82a4b077576cf173211f352c55b3"),
+    (3, 2, (1, 0, 1), "9345a52e10236155c6b71e8acccc36af2203cb2621457bef7a33d6a0e8977189"),
+    (4, 2, (1, 0, 0, 1, 1), "0a56d01f468fe3645c13a01cd1677db2ece1b8a7eaf1b23168985fb2afbb182c"),
+    (5, 2, (1, 1, 1), "caf22e6774bcc63b68ae10f336e21d852ab4fc8ccf51a3e71de08232c447285a"),
+    (7, 2, (1, 0, 1), "d2fc94ac473c95fdd2b91422e53f122dd65dcdd5bff8539307fbc1367c79583d"),
+    (8, 2, (1, 0, 0, 0, 0, 1, 1), "49ee5bb382f388376c268a7099ac319d8c8d6b543fd6c218b37905e530727411"),
+    (9, 2, (1, 0, 1, 1, 1), "2f5b104c71cdddac9e84ea40bfb22a88849b54321050d5400dd8c4701beaf16f"),
+    (11, 2, (1, 0, 1), "2557a5ab093fed2f5b3ddd0960e3df573a6b1b3c004ce4dc098796c75bfb0c70"),
+    (13, 2, (1, 3, 1), "0f1c6a55b6743b4f478e1eeae246499fe96c28bfc99907199c7d75cfabab2bc1"),
+    (16, 2, (1, 0, 0, 0, 1, 1, 0, 1, 1), "8295f48b9b0367e6f32a9560c275aeef3e00050bd8a7afebf0e33507cb6e9cea"),
+    (17, 2, (1, 1, 1), "1c5c51e0fb4fb59b4409e440e53108ea155cd0decc30823886d23f15687f483e"),
+    (19, 2, (1, 0, 1), "c556fb130e64a3a8d6f1b4b5dd8e79c41611156d918625552c977c828defbae7"),
+    (23, 2, (1, 0, 1), "e29a51cfce4e048d75419d2bd3ca91e42963bf692f64d75e3857014a4043f147"),
+    (25, 2, (1, 0, 1, 1, 1), "e2ae734cc1ca2c31036ddf1831024b53ca90a646c0e1e7acd467cc7e0e0f979b"),
+    (27, 2, (1, 0, 0, 0, 1, 1, 1), "0d92a3c9e735b39397cc8e86a5d3dc7f2099b0c35fba1ef0c233bf509456c864"),
+    (29, 2, (1, 1, 1), "8ccd25073d3e5a6a8268d3c20407a4eaa5806a4e735c98b5962540a48ae9d51c"),
+    (31, 2, (1, 0, 1), "402da2b176169bde3e05f6d902c9c6309fb4b5ef12675cc77ab84d45659c2df5"),
+    (32, 2, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), "c86cb74625c7ba32e84c770c74360abe4e07c845a7263bfafbc4494059cb9eab"),
+]
+
+
+def test_golden_digests_cover_every_supported_q():
+    supported = []
+    for q in range(2, 33):
+        try:
+            _prime_power(q)
+        except FieldError:
+            continue
+        supported.append(q)
+    assert [g[0] for g in GOLDEN] == supported
+
+
+@pytest.mark.parametrize("q,gen_index,modulus,digest", GOLDEN, ids=[str(g[0]) for g in GOLDEN])
+def test_tables_match_golden_digests(q, gen_index, modulus, digest):
+    f = Field(q)
+    trace = np.array([f.trace(a) for a in range(f.order)], dtype=np.int16)
+    h = hashlib.sha256()
+    for table in (f.add_np, f.mul_np, f.neg_np, f.conj_np, f.norm_np, trace):
+        h.update(table.tobytes())
+    assert (f.gen_index, f.modulus, h.hexdigest()) == (gen_index, modulus, digest)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, *LARGE_QS])
+def test_add_neg_match_digit_sums(q):
+    f = build_field(q)
+    elems = sample(f, 150, q)
+    for a in elems:
+        va = f.vector_of(a)
+        assert f.vector_of(f.neg(a)) == tuple(-x % f.p for x in va)
+        for b in elems:
+            digit_sum = tuple((x + y) % f.p for x, y in zip(va, f.vector_of(b)))
+            assert f.vector_of(f.add(a, b)) == digit_sum
 
 
 def test_moduli_are_deterministic_and_minimal():
@@ -121,15 +195,19 @@ def test_f9_multiplicative_group():
     assert all(n == 4 for n in hits.values())
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, *LARGE_QS])
 def test_conjugation_norm_trace(q):
+    """conj, norm and trace against repeated multiplication."""
     f = build_field(q)
     sub = set(f.subfield_indices())
-    for a in range(f.order):
-        assert f.conj(f.conj(a)) == a
-        assert f.conj(a) == f.pow(a, q)
-        assert f.norm(a) == f.pow(a, q + 1)
-        assert f.trace(a) == f.add(a, f.conj(a))
+    for a in sample(f, 200, q):
+        conj = 1
+        for _ in range(q):
+            conj = f.mul(conj, a)
+        assert f.conj(a) == conj
+        assert f.conj(conj) == a
+        assert f.norm(a) == f.mul(conj, a)
+        assert f.trace(a) == f.add(a, conj)
         assert f.norm(a) in sub
         assert f.trace(a) in sub
 
@@ -148,15 +226,23 @@ def test_subfield_is_closed(q):
 
 
 def test_pow_square_and_multiply():
-    f = build_field(3)
-    for a in range(1, f.order):
-        acc = 1
-        for e in range(12):
-            assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
-        assert f.pow(a, -1) == f.inv(a)
-    assert f.pow(0, 0) == 1
-    assert f.pow(0, 5) == 0
+    """pow against repeated multiplication and inversion, and at zero."""
+    for q in (3, *LARGE_QS):
+        f = build_field(q)
+        for a in sample(f, 40, q):
+            if a == 0:
+                continue
+            acc = 1
+            for e in range(12):
+                assert f.pow(a, e) == acc
+                assert f.pow(a, -e) == f.inv(acc)
+                acc = f.mul(acc, a)
+            assert f.mul(a, f.inv(a)) == 1
+        assert f.pow(0, 0) == 1
+        assert f.pow(0, 5) == 0
+        assert f.pow(0, f.order) == 0
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
 
 
 def test_division_errors():
@@ -173,7 +259,7 @@ def test_describe_serialization():
 
 
 def test_vector_index_roundtrip():
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, *LARGE_QS):
         f = build_field(q)
         for a in range(f.order):
             assert f.index_of_vector(f.vector_of(a)) == a

@@ -948,6 +948,20 @@ def test_combination_values_matches_forms(s2):
         assert (values[i] == form.values_at(pts)).all()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 32])
+def test_digit_lanes_pack_and_unpack(q):
+    """unpack[pack[x]] == x for every x, and a sum of K packed elements
+    unpacks to their field sum."""
+    field = build_field(q)
+    group, pack, unpack = _digit_lanes(field)
+    assert (unpack[pack] == np.arange(field.order)).all()
+    terms = np.random.default_rng(q).integers(0, field.order, (group, 500))
+    total = terms[0]
+    for t in terms[1:]:
+        total = field.add_np[total, t]
+    assert (unpack[pack[terms].sum(axis=0, dtype=np.uint16)] == total).all()
+
+
 @st.composite
 def kernel_cases(draw):
     """(field, degree, points, coeffs): the number of monomials M lies
