@@ -24,7 +24,7 @@ from random import Random
 
 import numpy as np
 
-from hermsurf.finite_field import FieldError, build_field
+from hermsurf.finite_field import FieldError, _prime_power
 from hermsurf.forms import (
     FormError,
     form_from_json,
@@ -51,15 +51,15 @@ from hermsurf.theorems import (
 # The largest q at which every command that builds the surface is timed.
 # The slowest is verify-counts, whose plane census spans the q^4+q^2+1
 # planes through each surface point and so grows as q^9: on one 2.0 GHz
-# x86-64 core, 9-11 s at q = 8 (extremal, grid and check take 0.8-1.3 s,
-# the surface and its generators 0.4 s); the census alone takes 17 s at q = 9.
+# x86-64 core, 4-6 s at q = 8 (extremal, grid and check take 0.8-1.3 s,
+# the surface and its generators 0.4 s); the census alone takes 11 s at q = 9.
 MAX_SURFACE_Q = 8
 _BOOK_SAMPLES = 50  # lines of each class whose book the census checks
 
 
 def _surface(q: int) -> HermitianSurface:
     """The canonical surface at q, or a ValueError above MAX_SURFACE_Q."""
-    build_field(q)  # a q that is not a prime power is refused as such first
+    _prime_power(q)  # refuses a q that is not a prime power as such, and builds no field
     if q > MAX_SURFACE_Q:
         raise ValueError(
             f"q={q} exceeds the limit q <= {MAX_SURFACE_Q} of commands that build the surface"
@@ -249,7 +249,6 @@ def _example_report(args, surface: HermitianSurface, form, t0: float, **extra) -
 
 def _cmd_code(args) -> int:
     surface = _surface(args.q)
-    require_scan_degree(args.q, args.d)
     t0 = time.monotonic()
     report = code_report(surface, args.d, budget=args.budget)
     weights = report.pop("weight_distribution")
@@ -303,7 +302,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, d_required=False):
         p.add_argument("--q", type=int, required=True,
                        help=f"prime power, at most {MAX_SURFACE_Q} (verify-counts takes about"
-                            f" 10 s at q={MAX_SURFACE_Q})")
+                            f" 5 s at q={MAX_SURFACE_Q})")
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")

@@ -4,7 +4,8 @@ The degree-d code has length n = (q^3+1)(q^2+1): a codeword is the value
 vector of a degree-d form at the surface points, taken in the surface's
 deterministic point enumeration order.  Its weight is n - |X(F)| for
 X(F) = V(F) n V2, so the minimum distance is n minus the maximum number
-of rational points a degree-d section can have.
+of rational points a degree-d section can have.  For 1 <= d <= q^2 its
+dimension is k = C(d+3,3) - C(d-q+2,3), C(m,3) = 0 for m < 3 (``build_code``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hermsurf.finite_field import Field, rref
-from hermsurf.forms import class_count, class_zero_blocks, monomial_matrix
-from hermsurf.hermitian import HermitianSurface
+from hermsurf.finite_field import Field
+from hermsurf.forms import class_count, class_zero_blocks, monomial_count, monomial_matrix
+from hermsurf.forms import monomials, require_scan_degree, surface_form
+from hermsurf.hermitian import HermitianError, HermitianSurface
 from hermsurf.theorems import BudgetExceededError, sorensen_bound
 
 
@@ -26,29 +28,39 @@ class EvaluationCode:
     q: int
     d: int
     n: int
-    matrix: np.ndarray  # (M, n) monomial evaluations
     k: int
-    basis: np.ndarray  # (k, n) row-reduced basis of the row space
+    basis: np.ndarray  # (k, n) evaluations of the standard monomials
 
     def __repr__(self):
         return f"EvaluationCode(q={self.q}, d={self.d}, n={self.n}, k={self.k})"
 
 
+def code_dimension(surface: HermitianSurface, d: int) -> int:
+    """k = C(d+3,3) - C(d-q+2,3); refuses d outside 1..q^2 and degenerate surfaces."""
+    require_scan_degree(surface.q, d)
+    if not surface.is_nondegenerate:
+        raise HermitianError("the code basis needs a non-degenerate surface")
+    return monomial_count(d) - (monomial_count(d - surface.q - 1) if d > surface.q else 0)
+
+
 def build_code(surface: HermitianSurface, d: int) -> EvaluationCode:
-    """Generator matrix of monomial evaluations, plus its rank."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    matrix = monomial_matrix(surface.field, d, surface.arr)
-    rows, pivots = rref(surface.field, matrix.tolist())
-    basis = np.array(rows[: len(pivots)], dtype=np.int16)
+    """The code, with the evaluations of the standard monomials as basis: those not
+    divisible by LM(H), the leading monomial of the surface equation H.
+
+    For 1 <= d <= q^2, H divides each degree-d F vanishing on every rational point: each
+    generator holds q^2+1 > d zeros of F, so lies in V(F); were the irreducible H no factor
+    of F, V(F) n V(H) would be a curve of degree d(q+1) < (q+1)(q^3+1), the generators'
+    total degree (Bezout).  So the rows span the code (division by H), and a vanishing
+    combination of them is some Q H, of non-standard leading monomial LM(Q) LM(H), so 0."""
+    k = code_dimension(surface, d)
+    standard = (np.array(monomials(d)) < surface_form(surface).leading_monomial()).any(axis=1)
     return EvaluationCode(
         field=surface.field,
         q=surface.q,
         d=d,
         n=len(surface.point_ids),
-        matrix=matrix,
-        k=len(basis),
-        basis=basis,
+        k=k,
+        basis=monomial_matrix(surface.field, d, surface.arr)[standard],
     )
 
 
@@ -90,21 +102,20 @@ def min_distance_geometric(q: int, d: int) -> int:
 
 def code_report(surface: HermitianSurface, d: int, *, budget: int = 10_000_000) -> dict:
     """JSON-ready record {q, d, n, k, d_min_enumerated, d_min_geometric,
-    weight_distribution}; the enumerated entries are None over budget."""
-    code = build_code(surface, d)
-    report = {
-        "q": code.q,
-        "d": code.d,
-        "n": code.n,
-        "k": code.k,
-        "d_min_geometric": min_distance_geometric(code.q, d) if d <= code.q + 1 else None,
-        "d_min_geometric_conditional": d == code.q + 1,
-    }
-    try:
-        d_min, weights = min_distance_enumerate(code, budget=budget)
+    weight_distribution}; the enumerated entries are None over budget,
+    and then no matrix is built."""
+    q, k = surface.q, code_dimension(surface, d)
+    d_min = weights = None
+    if surface.field.order**k <= budget:
+        d_min, weights = min_distance_enumerate(build_code(surface, d), budget=budget)
         weights = {str(w): c for w, c in sorted(weights.items())}
-    except BudgetExceededError:
-        d_min = weights = None
-    report["d_min_enumerated"] = d_min
-    report["weight_distribution"] = weights
-    return report
+    return {
+        "q": q,
+        "d": d,
+        "n": len(surface.point_ids),
+        "k": k,
+        "d_min_geometric": min_distance_geometric(q, d) if d <= q + 1 else None,
+        "d_min_geometric_conditional": d == q + 1,
+        "d_min_enumerated": d_min,
+        "weight_distribution": weights,
+    }

@@ -40,9 +40,11 @@ class FieldError(ValueError):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, k) with p prime and q = p**k."""
+    """Split q into (p, k) with p prime and q = p**k; q^2 > MAX_ORDER is refused first."""
     if q < 2:
         raise FieldError(f"q must be at least 2, got {q}")
+    if q * q > MAX_ORDER:
+        raise FieldError(f"q^2 = {q * q} exceeds the supported limit {MAX_ORDER}")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -109,8 +111,6 @@ class Field:
 
     def __init__(self, q: int):
         order = q * q
-        if q > 0 and order > MAX_ORDER:  # refused before factoring q
-            raise FieldError(f"q^2 = {order} exceeds the supported limit {MAX_ORDER}")
         p, k = _prime_power(q)
         self.p = p
         self.k = k

@@ -44,9 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field, nullspace
+from hermsurf.finite_field import Field
 from hermsurf.hermitian import HermitianError, HermitianSurface
-from hermsurf.proj_geometry import Line, span_ids
+from hermsurf.proj_geometry import Line, dual_basis, span_ids
 
 
 class FormError(ValueError):
@@ -420,8 +420,7 @@ def contains_tangent_plane(form: Form, surface: HermitianSurface,
     candidates = sorted(vanishing_tangent_planes(surface, zero_positions))
     if not candidates:
         return ()
-    field = surface.field
-    ids = span_ids(field, [nullspace(field, [plane]) for plane in candidates])
+    ids = span_ids(surface.field, dual_basis(surface.field, candidates))
     zero = form.values_at(surface.geometry.arr[ids.ravel()]).reshape(ids.shape) == 0
     return tuple(plane for plane, inside in zip(candidates, zero.all(axis=1)) if inside)
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from hermsurf.finite_field import Field, matrix_rank, nullspace
-from hermsurf.proj_geometry import Line, geometry_for, span_ids
+from hermsurf.proj_geometry import Line, dual_basis, geometry_for, span_ids
 
 
 class HermitianError(ValueError):
@@ -380,8 +380,8 @@ class HermitianSurface:
         f = self.field
         sizes = np.zeros(self.geometry.n_points, dtype=np.int64)
         for lo in range(0, len(self.arr), _SECTION_BATCH):
-            bases = [nullspace(f, [x]) for x in self.arr[lo : lo + _SECTION_BATCH].tolist()]
-            sizes += np.bincount(span_ids(f, bases).ravel(), minlength=len(sizes))
+            ids = span_ids(f, dual_basis(f, self.arr[lo : lo + _SECTION_BATCH]))
+            sizes += np.bincount(ids.ravel(), minlength=len(sizes))
         return sizes
 
     def classify_book(self, line: Line) -> BookClassification:
@@ -398,7 +398,7 @@ class HermitianSurface:
     def tangent_plane_line_census(self, point) -> TangentPlaneCensus:
         """Classify every line inside the tangent plane at a surface point."""
         q = self.q
-        ids = self.geometry.line_ids(nullspace(self.field, [self.tangent_plane(point)]))
+        ids = self.geometry.line_ids(dual_basis(self.field, [self.tangent_plane(point)])[0])
         counts = self.line_counts(ids)
         if ((ids == self.geometry.point_id(point)).any(axis=1) == (counts == q + 1)).any():
             raise InternalConsistencyError("a tangent-plane line is secant iff it misses the point")

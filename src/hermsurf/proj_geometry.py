@@ -79,18 +79,19 @@ def span_ids(field: Field, rows) -> np.ndarray:
     non-pivot entry times its place value; only those entries need field
     arithmetic.  The span is b_j + <b_(j+1), ..., b_(k-1)> over j.
     """
-    bases = np.asarray(rows)
+    bases = np.array(rows, dtype=np.int16)
     if bases.ndim == 2:
         return span_ids(field, bases[None])[0]
     count, k = bases.shape[:2]
-    reduced = [rref(field, basis) for basis in bases.tolist()]
-    if any(len(pivots) != k for _, pivots in reduced):
-        raise GeometryError("span_ids needs independent rows")
-    free = [[c for c in range(4) if c not in pivots] for _, pivots in reduced]
-    tails = np.array([[[row[c] for c in cols] for row in m] for (m, _), cols in zip(reduced, free)],
-                     dtype=np.int16).reshape(count, k, 4 - k)  # the rows' entries off the pivots
-    pivots = np.array([p for _, p in reduced]).reshape(count, k)
-    free = np.array(free).reshape(count, 4 - k)
+    pivots = (bases != 0).argmax(axis=2)  # bases in RREF skip rref: p_j ascend, column p_j = e_j
+    ok = (np.take_along_axis(bases, pivots[:, None], axis=2) == np.eye(k)).all(axis=(1, 2))
+    for b in np.flatnonzero(~ok | (pivots[:, 1:] <= pivots[:, :-1]).any(axis=1)):
+        matrix, found = rref(field, bases[b].tolist())
+        if len(found) != k:
+            raise GeometryError("span_ids needs independent rows")
+        bases[b], pivots[b] = matrix, found
+    free = np.nonzero((np.arange(4) != pivots[..., None]).all(axis=1))[1].reshape(count, 4 - k)
+    tails = bases[np.arange(count)[:, None, None], np.arange(k)[:, None], free[:, None]]
     order, add, mul = field.order, field.add_np, field.mul_np
     place = order ** np.arange(3, -1, -1, dtype=np.int32)  # of each coordinate in an id
     offset = np.array([1 + order + order**2, 1 + order, 1, 0], dtype=np.int32)
@@ -108,6 +109,18 @@ def span_ids(field: Field, rows) -> np.ndarray:
             ids = ids + entries[:, :, c] * place[free[:, c, None]]
         parts.append(ids)
     return np.concatenate(parts, axis=1)
+
+
+def dual_basis(field: Field, rows) -> np.ndarray:
+    """(B, 3, 4) bases of the null spaces of B nonzero rows, the planes through a
+    point or the points on a plane: with x_l the last nonzero entry of x, the rows
+    e_c - (x_c / x_l) e_l, c != l, are orthogonal to x, and in RREF as x_c = 0 for c > l."""
+    x = np.asarray(rows, dtype=np.int16)
+    b, last = np.arange(len(x)), 3 - (x[:, ::-1] != 0).argmax(axis=1)
+    ratios = np.where(x > 0, 1 + (x - x[b, last, None]) % (field.order - 1), 0)  # the log rule
+    basis = np.tile(np.eye(4, dtype=np.int16), (len(x), 1, 1))
+    basis[b, :, last] = field.neg_np[ratios]
+    return basis[np.arange(4) != last[:, None]].reshape(-1, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -210,26 +223,22 @@ class Geometry:
             raise GeometryError("plane_through needs three non-collinear points")
         return normalize(self.field, basis[0])
 
-    def _null_basis(self, coords) -> list[tuple[int, ...]]:
-        """A basis of the null space of one point or plane: the planes
-        through the point, or the points on the plane."""
-        return nullspace(self.field, [self.normalize(coords)])
-
     def plane_point_ids(self, plane) -> np.ndarray:
         """Ids of the points on a plane, ascending."""
-        return np.sort(span_ids(self.field, self._null_basis(plane)))
+        return np.sort(span_ids(self.field, dual_basis(self.field, [self.normalize(plane)]))[0])
 
     def points_on_plane(self, plane) -> list[tuple[int, ...]]:
         return self._tuples(self.plane_point_ids(plane))
 
     def lines_in_plane(self, plane) -> list[Line]:
         """The q^4+q^2+1 lines of a plane, by key."""
-        return [Line(tuple(row)) for row in self.line_ids(self._null_basis(plane)).tolist()]
+        ids = self.line_ids(dual_basis(self.field, [self.normalize(plane)])[0])
+        return [Line(tuple(row)) for row in ids.tolist()]
 
     def planes_through_point(self, P) -> list[tuple[int, ...]]:
         """The q^4+q^2+1 planes through P, in ascending tuple order (dual
         coordinates enumerate like points)."""
-        return self._tuples(span_ids(self.field, self._null_basis(P)))
+        return self._tuples(span_ids(self.field, dual_basis(self.field, [self.normalize(P)]))[0])
 
     def book_of_planes(self, line: Line) -> list[tuple[int, ...]]:
         """The q^2+1 planes containing the line, in ascending tuple order."""

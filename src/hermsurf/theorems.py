@@ -362,6 +362,7 @@ class SearchResult:
 
 
 _ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
+_MATRIX_ELEMENTS = 1 << 21  # cap on a search's M N: random search's tables take 2 q^2 M N bytes
 
 
 class _SearchContext:
@@ -372,9 +373,10 @@ class _SearchContext:
         self.field = surface.field
         self.q = surface.q
         self.d = d
-        self.n = surface.n_surface_points()
+        self.n, self.m = surface.n_surface_points(), monomial_count(d)
+        if self.m * self.n > _MATRIX_ELEMENTS:
+            raise BudgetExceededError(f"{self.m} x {self.n} monomial values exceed {_MATRIX_ELEMENTS}")
         self.rows = monomial_matrix(self.field, d, surface.arr)
-        self.m = self.rows.shape[0]
         # by the zero count in the forms module docstring (at most d zeros
         # on a line), d+1 points of each generator decide its containment
         self.gen_pos = surface.generator_positions()[:, : d + 1]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermsurf import cli, theorems
 from hermsurf.cli import MAX_SURFACE_Q, _dumps, main
+from hermsurf.finite_field import build_field
 from hermsurf.hermitian import HermitianSurface, canonical_surface
 
 
@@ -175,6 +176,21 @@ def test_code_with_weights(tmp_path, capsys):
     assert dist == {0: 1, 32: 135, 36: 120}
 
 
+@pytest.mark.parametrize("q, d, k", [(4, 16, 605), (8, 64, 17_049)])
+def test_code_over_budget_reports_k_without_a_matrix(tmp_path, capsys, q, d, k):
+    """k comes in closed form and the budget is checked before any matrix."""
+    canonical_surface(q)  # the surface is not what is timed
+    csv = tmp_path / "weights.csv"
+    start = time.monotonic()
+    code, out, _ = run(capsys, "code", "--q", str(q), "--d", str(d), "--weight-csv", str(csv))
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    report = load_report(out)
+    assert report["k"] == k
+    assert report["d_min_enumerated"] is None
+    assert "weight_distribution" not in report and not csv.exists()
+
+
 def test_check_roundtrip(tmp_path, capsys):
     form_file = tmp_path / "pencil.json"
     form_file.write_text(json.dumps({
@@ -288,9 +304,11 @@ def test_surface_commands_refuse_q_above_limit(tmp_path, capsys, argv):
         form_file = tmp_path / "f.json"
         form_file.write_text(json.dumps({"q": 9, "d": 1, "terms": [[[1, 0, 0, 0], 1]]}))
         argv = ["check", str(form_file)]
+    fields = build_field.cache_info()
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - start < 1.0
+    assert build_field.cache_info() == fields  # no field is built for a refused q
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -7,11 +8,13 @@ import pytest
 from hermsurf.codes import (
     EvaluationCode,
     build_code,
+    code_dimension,
     code_report,
     min_distance_enumerate,
     min_distance_geometric,
 )
 from hermsurf.forms import (
+    FormError,
     class_count,
     class_zero_blocks,
     combination_values,
@@ -20,7 +23,8 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
 )
-from hermsurf.hermitian import canonical_surface
+from hermsurf.finite_field import build_field, matrix_rank, rref
+from hermsurf.hermitian import HermitianError, HermitianSurface, canonical_surface
 from hermsurf.theorems import BudgetExceededError
 
 
@@ -40,7 +44,40 @@ def test_dimensions(s2, s3):
     assert build_code(s3, 1).k == 4
     code = build_code(s2, 1)
     assert code.n == 45
-    assert code.matrix.shape == (4, 45)
+    assert code.basis.shape == (4, 45)
+
+
+# x0 x1^q + x1 x0^q + x2^(q+1) + x3^(q+1): its leading monomial is x0^q x1
+_HYPERBOLIC = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("q, top, canonical", [(2, 4, True), (3, 9, True), (2, 4, False)])
+def test_dimension_is_the_rank_of_the_monomial_matrix(q, top, canonical):
+    """Oracle: rref of every monomial row.  The closed-form k is that rank,
+    and at q=2 the standard monomials' rows are k independent rows: stacked
+    first above every row, they are the leading pivot columns of the
+    transpose, also where LM(H) is not x0^(q+1)."""
+    surface = canonical_surface(q) if canonical else HermitianSurface(build_field(q), _HYPERBOLIC)
+    f = surface.field
+    for d in range(1, top + 1):
+        k = math.comb(d + 3, 3) - math.comb(max(d - q + 2, 0), 3)
+        rows = monomial_matrix(f, d, surface.arr)
+        assert matrix_rank(f, rows.tolist()) == code_dimension(surface, d) == k
+        code = build_code(surface, d)
+        assert code.k == len(code.basis) == k
+        if q == 2:
+            pivots = rref(f, np.concatenate([code.basis, rows]).T.tolist())[1]
+            assert pivots == list(range(k))
+
+
+def test_build_code_refuses_degree_and_degenerate_surface(s2):
+    with pytest.raises(FormError):
+        build_code(s2, 5)
+    with pytest.raises(FormError):
+        code_report(s2, 0)
+    cone = tuple(tuple(int(i == j and i < 3) for j in range(4)) for i in range(4))
+    with pytest.raises(HermitianError):
+        build_code(HermitianSurface(build_field(2), cone), 1)
 
 
 def test_columns_follow_point_enumeration(s2):
@@ -52,7 +89,7 @@ def test_columns_follow_point_enumeration(s2):
             val = 1
             for x, e in zip(pts[j], exps):
                 val = f.mul(val, f.pow(x, e))
-            assert int(code.matrix[r, j]) == val
+            assert int(code.basis[r, j]) == val
 
 
 def test_min_distance_small(s2, s3):
@@ -96,7 +133,7 @@ def test_codeword_weight_identity(s2):
         if not any(vec):
             continue
         coeffs = np.array([vec], dtype=np.int16)
-        word = combination_values(f, code.matrix, coeffs)[0]
+        word = combination_values(f, code.basis, coeffs)[0]
         weight = int((word != 0).sum())
         form = form_from_vector(f, 2, vec)
         x_count = int((form.values_at(surf_pts) == 0).sum())

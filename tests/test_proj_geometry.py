@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hermsurf.finite_field import build_field, matrix_rank
+from hermsurf.finite_field import build_field, matrix_rank, nullspace, rref
 from hermsurf.hermitian import canonical_surface
 from hermsurf.proj_geometry import (
     Geometry,
     GeometryError,
     Line,
+    dual_basis,
     geometry_for,
     normalize,
     projective_points,
@@ -230,10 +231,33 @@ def test_span_ids_match_rank_filter(q, k, data):
     oracle = [i for i, pt in enumerate(g.points) if matrix_rank(f, rows + [list(pt)]) == k]
     assert sorted(ids.tolist()) == oracle
     assert len(ids) == (f.order**k - 1) // (f.order - 1)
-    batch = span_ids(f, np.array([rows, rows[::-1]]))
-    assert batch.shape == (2, len(ids))
-    assert np.array_equal(np.sort(batch[0]), np.sort(ids))
-    assert np.array_equal(np.sort(batch[1]), np.sort(ids))
+    # one batch mixing the paths: bases in RREF skip the row reduction,
+    # the others (a permuted RREF basis among them) take it
+    reduced = rref(f, rows)[0]
+    batch = span_ids(f, np.array([rows, rows[::-1], reduced, reduced[::-1]]))
+    assert batch.shape == (4, len(ids))
+    for row in batch:
+        assert np.array_equal(np.sort(row), np.sort(ids))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data())
+def test_dual_basis_is_an_rref_nullspace(q, data):
+    """Oracle: nullspace.  A vector read as a point or as a plane, scaled by
+    any nonzero element, has a dual basis in RREF that spans what the
+    nullspace basis spans: the planes through the point, or the points on
+    the plane."""
+    f = build_field(q)
+    g = geometry_for(f)
+    ids = data.draw(st.lists(st.integers(0, g.n_points - 1), min_size=1, max_size=4))
+    rows = [[f.mul(data.draw(st.integers(1, f.order - 1)), x) for x in g.points[i]] for i in ids]
+    bases = dual_basis(f, rows)
+    assert bases.shape == (len(rows), 3, 4)
+    for row, basis in zip(rows, bases.tolist()):
+        reduced, pivots = rref(f, basis)
+        assert reduced == basis and len(pivots) == 3
+        oracle = span_ids(f, nullspace(f, [row]))
+        assert np.array_equal(np.sort(span_ids(f, basis)), np.sort(oracle))
 
 
 def test_span_ids_rejects_dependent_rows():

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -523,6 +524,22 @@ def test_random_search_skips_hermitian_multiples(s2):
     assert res.max_count <= sorensen_bound(2, 3)
     herm_vec = surface_form(s2).normalized().coefficient_vector()
     assert all(f.coefficient_vector() != herm_vec for f in res.argmax_forms)
+
+
+def test_random_search_refuses_a_matrix_over_its_limit(monkeypatch):
+    """q=8, d=64 asks for a 47,905 x 33,345 monomial matrix (3.2 GB): refused
+    before the matrix or the generators are built."""
+    surface = canonical_surface(8)
+
+    def refuse(*args):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(theorems, "monomial_matrix", refuse)
+    monkeypatch.setattr(surface, "generator_positions", refuse)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        random_search(surface, 64, 1, 0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_falsification_machinery(s2):
