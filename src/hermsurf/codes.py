@@ -17,7 +17,7 @@ import numpy as np
 
 from hermsurf.finite_field import Field
 from hermsurf.forms import class_count, class_zero_blocks, monomial_count, monomial_matrix
-from hermsurf.forms import monomials, require_scan_degree, surface_form
+from hermsurf.forms import monomials, require_scan_degree, row_counts, surface_form
 from hermsurf.hermitian import HermitianError, HermitianSurface
 from hermsurf.theorems import BudgetExceededError, sorensen_bound
 
@@ -79,7 +79,7 @@ def min_distance_enumerate(code: EvaluationCode, *, budget: int = 10_000_000):
         )
     dist = np.zeros(code.n + 1, dtype=np.int64)
     for _, _, zero in class_zero_blocks(code.field, code.basis, 0, class_count(order, code.k)):
-        dist += np.bincount(code.n - np.count_nonzero(zero, axis=1), minlength=code.n + 1)
+        dist += np.bincount(code.n - row_counts(zero), minlength=code.n + 1)
     if dist[0]:
         raise RuntimeError("independent basis rows produced a zero codeword")
     weights = Counter({0: 1})

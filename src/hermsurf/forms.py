@@ -483,8 +483,13 @@ def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, 
 # ----------------------------------------------------------------------
 # batch evaluation helpers: every product is formed by the log rule of
 # _logs.  Exhaustive scans and weight enumeration run on
-# class_zero_blocks; combination_values serves random search.
+# class_zero_blocks and row_counts; combination_values serves random search.
 # ----------------------------------------------------------------------
+
+def row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries per row as int64, summed exactly in the narrowest type holding the width."""
+    return mask.sum(axis=1, dtype=np.min_scalar_type(mask.shape[1])).astype(np.int64)
+
 
 def _logs(values: np.ndarray, top: int) -> np.ndarray:
     """L(x) = x-1 for element indices x >= 1 and -1-top for 0, as float64.
@@ -615,8 +620,8 @@ def class_vectors(field: Field, m: int, indices) -> np.ndarray:
 
 
 SCAN_BLOCK = 4096  # scalar classes per block of a scan
-# The table of class_zero_blocks holds at most this many int16 elements (8 MB).
-_TABLE_ELEMENTS = 1 << 22
+# The table of class_zero_blocks holds at most this many int16 elements (16 MB).
+_TABLE_ELEMENTS = 1 << 23
 
 
 def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):

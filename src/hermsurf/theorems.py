@@ -63,6 +63,7 @@ from hermsurf.forms import (
     monomial_count,
     monomial_matrix,
     require_scan_degree,
+    row_counts,
     vector_to_json,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
@@ -365,8 +366,23 @@ _ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
 _MATRIX_ELEMENTS = 1 << 21  # cap on a search's M N: random search's tables take 2 q^2 M N bytes
 
 
+def _incidence_floor(q: int, d: int) -> tuple[np.ndarray, int]:
+    """(rhs, floor): the incidence check is (q+1)|X| <= rhs[|J_F|]; the floor is proved below."""
+    top = d * (q + 1)
+    rhs = np.array([int((q + 1) * incidence_bound(q, d, top - j)) for j in range(top + 1)])
+    j, n = top + 1, q * q + 1  # one generator more than J_F may hold, and its points
+    cover = max(j * n - j * (j - 1) // 2, (j * n + q) // (q + 1))
+    return rhs, min(int(rhs.min()) // (q + 1) + 1, cover)
+
+
 class _SearchContext:
-    """Precomputed per-(q, d) state for vectorized block scanning."""
+    """Precomputed per-(q, d) state for vectorized block scanning.
+
+    ``scan`` finds J_F only where |X| >= floor = min(A, B); J_F = 0 elsewhere changes no verdict.
+    A = min(incidence_rhs) // (q+1) + 1, d(q^3+1)+1 as the rhs rises with J_F for d <= q^2: below
+    A, (q+1)|X| <= incidence_rhs[J_F] for every J_F <= d(q+1).  B = max(jn - C(j,2), ceil(jn/(q+1)))
+    for j = d(q+1)+1, n = q^2+1: two generators share at most one point and each point lies on q+1
+    of them, so j generators cover at least B points, and below B, J_F <= d(q+1) (no ``over``)."""
 
     def __init__(self, surface: HermitianSurface, d: int):
         self.surface = surface
@@ -380,23 +396,22 @@ class _SearchContext:
         # by the zero count in the forms module docstring (at most d zeros
         # on a line), d+1 points of each generator decide its containment
         self.gen_pos = surface.generator_positions()[:, : d + 1]
-        q = self.q
-        # cross-multiplied incidence bound: (q+1)|X| <= rhs[jf_count]
-        top = d * (q + 1)
-        self.incidence_rhs = np.array(
-            [int((q + 1) * incidence_bound(q, d, top - jf)) for jf in range(top + 1)],
-            dtype=np.int64,
-        )
-        self.sorensen = sorensen_bound(q, d) if d <= q + 1 else None
+        self.incidence_rhs, self.floor = _incidence_floor(self.q, d)
+        self.sorensen = sorensen_bound(self.q, d) if d <= self.q + 1 else None
 
     def __reduce__(self):
         # a worker process rebuilds the context once, from (q, matrix, d)
         return _worker_context, (self.q, self.surface.matrix, self.d)
 
     def scan(self, zero: np.ndarray):
-        """Return (x_counts, jf_counts) for a block's (B, N) zero mask."""
-        x_counts = np.count_nonzero(zero, axis=1)
-        jf_counts = np.count_nonzero(zero[:, self.gen_pos].all(axis=2), axis=1)
+        """(x_counts, jf_counts) of a block's (B, N) zero mask, jf_counts 0 below the floor."""
+        x_counts = row_counts(zero)
+        above = np.flatnonzero(x_counts >= self.floor)
+        sub, jf_counts = zero[above], np.zeros_like(x_counts)
+        hit = sub[:, self.gen_pos[:, 0]]
+        for col in self.gen_pos.T[1:]:
+            hit &= sub[:, col]
+        jf_counts[above] = row_counts(hit)
         return x_counts, jf_counts
 
     def check_block(self, x_counts, jf_counts, keep: np.ndarray, vector):

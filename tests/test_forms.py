@@ -37,6 +37,7 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
     plane_contained,
+    row_counts,
     surface_form,
     vanishing_tangent_planes,
     vector_to_json,
@@ -1060,6 +1061,19 @@ def test_class_zero_blocks_match_combination_values(case):
     zero = np.concatenate([z for _, _, z in blocks])
     want = combination_values(field, rows, class_vectors(field, rows.shape[0], np.arange(start, stop))) == 0
     assert zero.shape == want.shape and (zero == want).all()
+
+
+@pytest.mark.parametrize("width", [1, 255, 256, 65_535, 65_536, 70_000])
+def test_row_counts_match_count_nonzero(width):
+    """Summed in the narrowest unsigned type that holds the width, yet exact
+    at the width (an all-true row) and returned as int64."""
+    rng = np.random.default_rng(width)
+    for mask in (rng.random((3, width)) < 0.5, np.ones((3, width), dtype=bool),
+                 np.zeros((3, width), dtype=bool)):
+        counts = row_counts(mask)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.count_nonzero(mask, axis=1).tolist()
+    assert row_counts(np.ones((2, width), dtype=bool)).tolist() == [width, width]
 
 
 def test_form_to_json_is_the_vector_serializer(s2):

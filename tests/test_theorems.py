@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import os
 import pickle
@@ -5,9 +6,12 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermsurf import theorems
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
@@ -479,13 +483,17 @@ def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 def test_jf_from_d_plus_1_points_matches_full_generators(q):
     """The scan decides generator containment from d+1 points per
-    generator; pinned to all q^2+1 points on blocks that mix random forms
-    with products of tangent planes, which contain generators."""
+    generator, and only on rows with |X| at or above its floor.  There it
+    is pinned to all q^2+1 points, on blocks that mix random forms with
+    products of tangent planes, which contain generators (and, at
+    d = q+1, the surface equation, which contains all of them).  Below the
+    floor the full J_F is at most d(q+1), and the row passes the incidence
+    check at it."""
     surface = canonical_surface(q)
     f = surface.field
     rng = random.Random(q)
     planes = sorted(surface.tangent_planes())
-    for d in (1, 2, 3):
+    for d in sorted({1, 2, 3, q + 1, min(q * q, 4)}):
         ctx = _SearchContext(surface, d)
         rows = []
         for i in range(200):
@@ -496,12 +504,173 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
                 rows.append(form.coefficient_vector())
             else:
                 rows.append([rng.randrange(f.order) for _ in range(ctx.m)])
+        if d == q + 1:
+            rows.append(surface_form(surface).coefficient_vector())
         coeffs = np.array(rows, dtype=np.int16)
         zero = combination_values(f, ctx.rows, coeffs) == 0
-        _, jf_counts = ctx.scan(zero)
+        x_counts, jf_counts = ctx.scan(zero)
         full = zero[:, surface.generator_positions()].all(axis=2).sum(axis=1)
-        assert full.any()
-        assert jf_counts.tolist() == full.tolist()
+        above = x_counts >= ctx.floor
+        assert full[above].any() and (~above).any()
+        assert jf_counts[above].tolist() == full[above].tolist()
+        assert not jf_counts[~above].any()
+        assert (full[~above] <= d * (q + 1)).all()
+        assert ((q + 1) * x_counts[~above] <= ctx.incidence_rhs[full[~above]]).all()
+        if d == q + 1:
+            assert jf_counts[-1] == len(surface.generator_positions())
+
+
+@lru_cache(maxsize=None)
+def _floor_context(q, d):
+    surface = canonical_surface(q)
+    return surface, _SearchContext(surface, d), sorted(surface.tangent_planes())
+
+
+def _verdicts(ctx, x_counts, jf_counts, coeffs):
+    """check_block's verdict on each row alone: True where it raises."""
+    out = []
+    for i in range(len(x_counts)):
+        keep = np.arange(len(x_counts)) == i
+        try:
+            ctx.check_block(x_counts, jf_counts, keep, coeffs.__getitem__)
+        except FalsificationError:
+            out.append(True)
+        else:
+            out.append(False)
+    return out
+
+
+@st.composite
+def floor_blocks(draw):
+    """A block at one of the scan scales that mixes random coefficient
+    vectors, products of d tangent planes, and products of d-1 tangent
+    planes with a random linear form (rows near the floor)."""
+    q, d = draw(st.sampled_from([(2, 2), (3, 2), (4, 1), (5, 1), (2, 3)]))
+    surface, ctx, planes = _floor_context(q, d)
+    f = surface.field
+    rows = []
+    for kind, seed in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)),
+                                    min_size=1, max_size=24)):
+        rng = random.Random(seed)
+        if kind == 0:
+            rows.append([rng.randrange(f.order) for _ in range(ctx.m)])
+            continue
+        factors = [linear_form(f, rng.choice(planes)) for _ in range(d - (kind == 2))]
+        if kind == 2:
+            factors.append(linear_form(f, [rng.randrange(1, f.order) for _ in range(4)]))
+        form = factors[0]
+        for g in factors[1:]:
+            form = form * g
+        rows.append(form.coefficient_vector())
+    return surface, ctx, np.array(rows, dtype=np.int16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(floor_blocks())
+def test_jf_floor_changes_no_count_or_verdict(case):
+    """With and without the floor, the scan gives the same x_counts and
+    the same J_F at or above the floor, and check_block the same verdict
+    on every row."""
+    surface, ctx, coeffs = case
+    unfloored = copy.copy(ctx)
+    unfloored.floor = 0
+    zero = combination_values(surface.field, ctx.rows, coeffs) == 0
+    x_counts, jf_counts = ctx.scan(zero)
+    x_all, jf_all = unfloored.scan(zero)
+    assert x_counts.tolist() == x_all.tolist()
+    above = x_counts >= ctx.floor
+    assert jf_counts[above].tolist() == jf_all[above].tolist()
+    assert _verdicts(ctx, x_counts, jf_counts, coeffs) == _verdicts(ctx, x_all, jf_all, coeffs)
+
+
+def test_rows_just_below_the_floor_pass_both_checks(monkeypatch):
+    """For every prime power q <= 8 and 1 <= d <= q^2, a row with
+    |X| = floor-1 passes the incidence check at every J_F <= d(q+1), and
+    d(q+1)+1 generators cannot fit in floor-1 points, so ``over`` cannot
+    trip either.  Pure arithmetic: no monomial matrix is built."""
+
+    def refuse(*args):
+        raise AssertionError("a monomial matrix was built")
+
+    def witness(i):
+        raise AssertionError(f"row {i} failed a check")
+
+    monkeypatch.setattr(theorems, "monomial_matrix", refuse)
+    for q in (2, 3, 4, 5, 7, 8):
+        n = q * q + 1
+        for d in range(1, q * q + 1):
+            top = d * (q + 1)
+            rhs, floor = theorems._incidence_floor(q, d)
+            assert rhs.tolist() == [(q + 1) * incidence_bound(q, d, top - jf) for jf in range(top + 1)]
+            assert rhs.min() // (q + 1) + 1 == d * (q**3 + 1) + 1
+            assert 0 < floor <= d * (q**3 + 1) + 1
+            sorensen = sorensen_bound(q, d) if d <= q + 1 else None
+            plain = SimpleNamespace(q=q, incidence_rhs=rhs, sorensen=sorensen)
+            _SearchContext.check_block(plain, np.full(top + 1, floor - 1), np.arange(top + 1),
+                                       np.ones(top + 1, dtype=bool), witness)
+            # the i-th of j lines meets the earlier ones in at most i points,
+            # and each point lies on q+1 generators
+            j = top + 1
+            cover = max(sum(max(0, n - i) for i in range(j)), -(-j * n // (q + 1)))
+            assert floor - 1 < cover
+
+
+def _first_violation(surface, d, bound):
+    """(class index, |X|, full |J_F|) of the first class in scan order that
+    fails the incidence or Sorensen check with incidence bound ``bound``,
+    from combination_values, count_nonzero and all q^2+1 points of every
+    generator."""
+    f, q = surface.field, surface.q
+    top = d * (q + 1)
+    rhs = np.array([int((q + 1) * bound(q, d, top - jf)) for jf in range(top + 1)])
+    rows = _SearchContext(surface, d).rows
+    gens = surface.generator_positions()
+    total = class_count(f.order, len(rows))
+    for lo in range(0, total, 1 << 14):
+        vecs = class_vectors(f, len(rows), np.arange(lo, min(total, lo + (1 << 14))))
+        zero = combination_values(f, rows, vecs) == 0
+        x = np.count_nonzero(zero, axis=1)
+        jf = np.count_nonzero(zero[:, gens].all(axis=2), axis=1)
+        bad = (jf > top) | ((q + 1) * x > rhs[np.minimum(jf, top)]) | (x > sorensen_bound(q, d))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            return lo + i, int(x[i]), int(jf[i])
+    return None
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched bound only through fork")
+@pytest.mark.parametrize("shift, at_jf", [(6, None), (7, 1)])
+def test_lowered_incidence_bound_is_caught_at_the_first_violating_class(s2, monkeypatch,
+                                                                        shift, at_jf):
+    """An incidence bound lowered (everywhere, or only at |J_F| = 1) until
+    its term A of the floor falls below the generator term B: the floor
+    follows the table, and the serial and the parallel scan raise at the
+    first violating class of a brute-force reference.  With the dip at
+    |J_F| = 1 that class has |X| = 13, below the unpatched floor of 14, so
+    a floor that ignored the table would hide it."""
+    q, d = 2, 2
+    top = d * (q + 1)
+    real_floor = _SearchContext(s2, d).floor
+
+    def lowered(q, d, delta):
+        return incidence_bound(q, d, delta) - (shift if at_jf in (None, top - delta) else 0)
+
+    monkeypatch.setattr(theorems, "incidence_bound", lowered)
+    theorems._worker_context.cache_clear()
+    assert _SearchContext(s2, d).floor < real_floor
+    index, x, jf = _first_violation(s2, d, lowered)
+    if at_jf is not None:
+        assert x < real_floor
+    want = form_to_json(form_from_vector(s2.field, d, class_vectors(s2.field, 10, [index])[0]), q)
+    for workers in (1, 2):
+        with pytest.raises(FalsificationError) as err:
+            exhaustive_search(s2, d, workers=workers)
+        assert err.value.witness["form"] == want
+        report = err.value.witness["report"]
+        assert (report["x_count"], report["delta"]) == (x, top - jf)
+        assert report["checks"]["incidence_bound"]["satisfied"] is False
+    theorems._worker_context.cache_clear()
 
 
 def test_random_search_deterministic(s3):
