@@ -5,10 +5,11 @@ run writes one JSON document, either to --out or to stdout, of the shape
 
     {"report": {...}, "meta": {...}}
 
-The report body is byte-reproducible for identical configuration; wall
-times and other run metadata live only under "meta".  Exit status: 0 on
-success, 1 on usage or input errors, 2 when a proved bound fails on some
-examined form (the offending form is serialized in the report).
+The report body is byte-reproducible for identical configuration; wall times
+and other run metadata live only under "meta".  ``_dumps`` writes every
+document, a search report's argmax forms as one ``_Fragment`` of term texts.
+Exit status: 0 on success, 1 on usage or input errors, 2 when a proved bound
+fails on some examined form (the offending form is serialized in the report).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import json
 import os
 import sys
 import time
-from functools import cache
+from dataclasses import replace
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from random import Random
 
@@ -31,6 +33,7 @@ from hermsurf.forms import (
     form_json_q,
     form_to_json,
     intersection_stats,
+    monomials,
     require_scan_degree,
 )
 from hermsurf.hermitian import HermitianSurface, canonical_surface
@@ -67,11 +70,15 @@ def _surface(q: int) -> HermitianSurface:
     return canonical_surface(q)
 
 
+class _Fragment(partial):
+    """A value's JSON text: fragment(indent) is what _dumps writes for it there."""
+
+
 def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from
-    joined strings; indent is the newline and indentation of value's
-    own line.  Dict keys must be str (encode_basestring_ascii raises
-    TypeError on any other)."""
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from joined
+    strings; indent is the newline and indentation of value's own line.  Dict
+    keys must be str (encode_basestring_ascii raises TypeError on any other).
+    A _Fragment, refused by json.dumps, is written as fragment(indent)."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -96,7 +103,21 @@ def _dumps(value, indent: str = "\n") -> str:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, _Fragment):
+        return value(indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _forms_text(q: int, d: int, vectors, indent: str) -> str:
+    """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for nonzero
+    vectors.  The forms share one depth: one frame, split at two placeholder
+    terms, is joined around the text of each (monomial index, coefficient)."""
+    inner = indent + "  "
+    head, sep, tail = _dumps({"d": d, "q": q, "terms": ["\0", "\0"]}, inner).split('"\\u0000"')
+    mons, used = monomials(d), {t for vec in vectors for t in enumerate(vec) if t[1]}
+    table = {t: _dumps([list(mons[t[0]]), t[1]], inner + "    ") for t in used}
+    forms = [head + sep.join([table[t] for t in enumerate(vec) if t[1]]) + tail for vec in vectors]
+    return "[" + inner + ("," + inner).join(forms) + indent + "]" if forms else "[]"
 
 
 def _emit(report: dict, meta: dict, out: str | None) -> None:
@@ -207,7 +228,8 @@ def _cmd_search(args) -> int:
         result = exhaustive_search(surface, args.d, budget=args.budget, workers=args.workers)
     else:
         result = random_search(surface, args.d, args.samples, args.seed)
-    report = result.to_json()
+    report = replace(result, argmax_vectors=[]).to_json()
+    report["argmax_forms"] = _Fragment(_forms_text, args.q, args.d, result.argmax_vectors)
     report["sorensen_bound"] = sorensen_bound(args.q, args.d) if args.d <= args.q + 1 else None
     _emit(report, _meta(args, t0, wall_time=result.wall_time), args.out)
     return 0

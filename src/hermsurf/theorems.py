@@ -348,6 +348,7 @@ class SearchResult:
         return [form_from_vector(self.field, self.d, vec) for vec in self.argmax_vectors]
 
     def to_json(self) -> dict:
+        """The report dicts; the CLI writes their bytes from argmax_vectors."""
         return {
             "q": self.q,
             "d": self.d,
@@ -513,9 +514,11 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     d <= q+1) the Sorensen bound; a violation aborts the scan.  At
     d >= q+1, multiples of the surface equation are skipped and counted
     separately.  A parallel scan uses at most min(workers, CPU count)
-    processes.  Each scanning process writes a line to stderr for every
-    million classes of its range.
+    processes; workers < 1 is refused with a ValueError.  Each scanning
+    process writes a line to stderr for every million classes of its range.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     require_scan_degree(surface.q, d)
     total = class_count(surface.field.order, monomial_count(d))
     if total > budget:

@@ -1,15 +1,17 @@
 import argparse
 import json
 import time
+from functools import partial
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermsurf import cli, theorems
-from hermsurf.cli import MAX_SURFACE_Q, _dumps, main
+from hermsurf.cli import MAX_SURFACE_Q, _dumps, _forms_text, _Fragment, main
 from hermsurf.finite_field import build_field
+from hermsurf.forms import class_count, class_vectors, monomial_count, vector_to_json
 from hermsurf.hermitian import HermitianSurface, canonical_surface
 
 
@@ -136,6 +138,14 @@ def test_search_random_reproducible(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert json.loads(out1.read_text())["report"] == json.loads(out2.read_text())["report"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_refuses_fewer_than_one_worker(capsys, workers):
+    code, out, err = run(capsys, "search", "--q", "2", "--d", "1", "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert f"workers must be at least 1, got {workers}" in err
 
 
 def test_search_budget_error(capsys):
@@ -387,7 +397,7 @@ def test_dumps_matches_json_dumps(doc):
 
 @pytest.mark.parametrize("value", [
     np.int64(3), [1, np.int16(2)], {"a": {"b": np.int32(0)}}, (np.bool_(True),),
-    {"x": {1, 2}}, b"bytes", object(),
+    {"x": {1, 2}}, b"bytes", object(), len, [lambda indent: "0"], {"f": partial(str, 0)},
 ])
 def test_dumps_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
@@ -414,3 +424,91 @@ def test_reports_are_indent_2_json_with_sorted_keys(tmp_path, capsys, monkeypatc
     assert code == 2
     assert err == indent2(json.loads(err)) + "\n"
     assert json.loads(err)["witness"]["form"]["terms"] == [[[1, 0, 0, 0], 1], [[0, 0, 0, 1], 1]]
+
+
+# ----------------------------------------------------------------------
+# search reports: argmax forms written from a table of term texts
+# ----------------------------------------------------------------------
+
+def search_report_text(tmp_path, *argv) -> str:
+    """The CLI search document without its meta: {"report": ...} as text."""
+    out = tmp_path / "search.json"
+    assert main(["search", *argv, "--out", str(out)]) == 0
+    text = out.read_text()
+    return "{" + text[text.index('\n  "report": '):]
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """text == expected, failing with the text around the first difference
+    (pytest's own diff of two megabyte strings takes minutes)."""
+    if text != expected:
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", expected + "\1")) if a != b)
+        lo = max(0, at - 200)
+        pytest.fail(f"texts differ at {at}:\n{text[lo:at + 200]!r}\n{expected[lo:at + 200]!r}")
+
+
+def expected_report_text(result) -> str:
+    report = result.to_json()
+    report["sorensen_bound"] = (theorems.sorensen_bound(result.q, result.d)
+                                if result.d <= result.q + 1 else None)
+    return indent2({"report": report}) + "\n"
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_exhaustive_search_document_matches_json_dumps(tmp_path, q, d):
+    text = search_report_text(tmp_path, "--q", str(q), "--d", str(d), "--workers", "1")
+    result = theorems.exhaustive_search(canonical_surface(q), d)
+    assert result.argmax_vectors
+    assert_same_text(text, expected_report_text(result))
+
+
+@pytest.mark.parametrize("q, d, samples, seed", [(2, 2, 500, 0), (2, 2, 500, 7), (3, 2, 300, 1)])
+def test_random_search_document_matches_json_dumps(tmp_path, q, d, samples, seed):
+    text = search_report_text(tmp_path, "--q", str(q), "--d", str(d), "--mode", "random",
+                              "--samples", str(samples), "--seed", str(seed))
+    result = theorems.random_search(canonical_surface(q), d, samples, seed)
+    assert result.argmax_vectors
+    assert_same_text(text, expected_report_text(result))
+
+
+def test_capped_argmax_list_matches_json_dumps(tmp_path, monkeypatch):
+    """A full (3,2) run keeps _ARGMAX_CAP argmax classes, a report of about 5 MB;
+    it is written as json.dumps writes its dicts."""
+    surface = canonical_surface(3)
+    m = monomial_count(2)
+    cap = theorems._ARGMAX_CAP
+    indices = np.linspace(0, class_count(surface.field.order, m) - 1, cap).astype(np.int64)
+    result = theorems.SearchResult(
+        q=3, d=2, mode="exhaustive", examined=1, skipped_hermitian_multiples=0, max_count=0,
+        argmax_vectors=class_vectors(surface.field, m, indices).tolist(), argmax_total=cap,
+        seed=None, samples=None, wall_time=0.0, field=surface.field,
+    )
+    monkeypatch.setattr(cli, "exhaustive_search", lambda *args, **kwargs: result)
+    text = search_report_text(tmp_path, "--q", "3", "--d", "2", "--workers", "1")
+    assert len(result.argmax_vectors) == 4096
+    assert_same_text(text, expected_report_text(result))
+
+
+@st.composite
+def _vector_lists(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    d = draw(st.integers(1, 3))
+    coefficient = st.integers(0, q * q - 1)
+    vector = st.lists(coefficient, min_size=monomial_count(d), max_size=monomial_count(d))
+    vectors = draw(st.lists(vector.filter(any), max_size=6))
+    return q, d, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_lists(), st.integers(0, 4))
+@example((2, 1, []), 0)
+@example((5, 3, [[24] * 20]), 3)
+def test_forms_text_matches_dumps_of_the_form_dicts(drawn, depth):
+    q, d, vectors = drawn
+    indent = "\n" + "  " * depth
+    dicts = [vector_to_json(q, d, vec) for vec in vectors]
+    assert _forms_text(q, d, vectors, indent) == _dumps(dicts, indent)
+    assert _dumps({"forms": _Fragment(_forms_text, q, d, vectors)}, indent) == _dumps(
+        {"forms": dicts}, indent)
+    if len(vectors) == 1:
+        assert _dumps([_Fragment(_forms_text, q, d, vectors)]) == indent2([dicts])

@@ -357,6 +357,12 @@ def test_exhaustive_budget_guard(s2):
         exhaustive_search(s2, 3, budget=1000)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_exhaustive_refuses_fewer_than_one_worker(s2, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        exhaustive_search(s2, 1, workers=workers)
+
+
 def test_exhaustive_workers_match_serial(s2):
     serial = exhaustive_search(s2, 1)
     parallel = exhaustive_search(s2, 1, workers=2)
