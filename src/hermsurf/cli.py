@@ -37,7 +37,7 @@ from hermsurf.forms import (
     require_scan_degree,
 )
 from hermsurf.hermitian import HermitianSurface, canonical_surface
-from hermsurf.proj_geometry import span_ids
+from hermsurf.proj_geometry import join_basis, span_ids
 from hermsurf.codes import code_report
 from hermsurf.theorems import (
     BudgetExceededError,
@@ -169,37 +169,34 @@ def census_report(q: int, seed: int = 0) -> dict:
                int((counts == 1).sum()))
         mode = "full"
     else:
-        pairs = [rng.sample(range(geom.n_points), 2) for _ in range(500)]
-        surface.line_counts(span_ids(f, geom.arr[pairs]))
+        pairs = np.array([rng.sample(range(geom.n_points), 2) for _ in range(500)])
+        surface.line_counts(span_ids(f, join_basis(f, *geom.arr[pairs.T])))
         mode = "sampled"
     _check(checks, "line_trichotomy_mode", mode, mode)
 
-    # books by the surface count of their line, which is also the number of
-    # tangent planes in the book
+    # books by their line's surface count, which is also their number of tangent
+    # planes; a round draws as many pairs as still needed, as one draw fills one class
     gens = surface.generators()
     picked = rng.sample(range(len(gens)), min(_BOOK_SAMPLES, len(gens)))
-    books = {1: [], q + 1: [], q**2 + 1: [gens[i] for i in picked]}
+    books = {1: [], q + 1: [], q**2 + 1: [gens[i].key for i in picked]}
     attempts = 0
-    while min(len(books[1]), len(books[q + 1])) < _BOOK_SAMPLES and attempts < 100_000:
-        attempts += 1
-        i, j = rng.sample(range(geom.n_points), 2)
-        line = geom.line_between_ids(i, j)
-        count = int(surface.line_counts(np.array(line.point_ids)))
-        if count != q**2 + 1 and len(books[count]) < _BOOK_SAMPLES:
-            books[count].append(line)
-    books_ok = all(surface.classify_book(line).tangent_plane_count == count
-                   for count, lines in books.items() for line in lines)
-    _check(checks, "book_tangent_counts", True, books_ok)
+    while (need := 2 * _BOOK_SAMPLES - len(books[1]) - len(books[q + 1])) and attempts < 100_000:
+        pairs = [rng.sample(range(geom.n_points), 2) for _ in range(min(need, 100_000 - attempts))]
+        attempts += len(pairs)
+        bases = join_basis(f, *geom.arr[np.array(pairs).T])
+        for pair, count in zip(pairs, surface.line_counts(span_ids(f, bases)).tolist()):
+            if count != q**2 + 1 and len(books[count]) < _BOOK_SAMPLES:
+                books[count].append(pair)
+    counts, pairs = zip(*[(count, pair) for count, lines in books.items() for pair in lines])
+    tangency = surface.book_tangency(*geom.arr[np.array(pairs).T])
+    _check(checks, "book_tangent_counts", True, bool(((tangency >= 0).sum(1) == counts).all()))
 
     # tangent-plane line census at sampled surface points
-    census_ok = True
-    ids = [int(i) for i in surface.point_ids]
-    for pid in rng.sample(ids, min(10, len(ids))):
-        census = surface.tangent_plane_line_census(geom.arr[pid].tolist())
-        if census.generators != q + 1 or census.tangents_through_point != q**2 - q:
-            census_ok = False
-        if census.secants != census.total_lines - (q**2 + 1):
-            census_ok = False
+    ids = surface.point_ids.tolist()
+    censuses = [surface.tangent_plane_line_census(geom.arr[pid].tolist())
+                for pid in rng.sample(ids, min(10, len(ids)))]
+    census_ok = all((c.generators, c.tangents_through_point, c.secants)
+                    == (q + 1, q**2 - q, c.total_lines - (q**2 + 1)) for c in censuses)
     _check(checks, "tangent_plane_line_census", True, census_ok)
 
     return {
@@ -222,6 +219,8 @@ def _cmd_verify_counts(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.workers < 1:  # refused in random mode too, where no worker runs
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     surface = _surface(args.q)
     t0 = time.monotonic()
     if args.mode == "exhaustive":

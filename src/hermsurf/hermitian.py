@@ -25,8 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field, matrix_rank, nullspace
-from hermsurf.proj_geometry import Line, dual_basis, geometry_for, span_ids
+from hermsurf.finite_field import Field, matrix_rank
+from hermsurf.proj_geometry import (Line, dual_basis, dual_line_basis, geometry_for,
+                                    join_basis, span_ids)
 
 
 class HermitianError(ValueError):
@@ -338,13 +339,12 @@ class HermitianSurface:
             off_surface = geom.arr[np.flatnonzero(self.position_of < 0)[:1]]
             rs = self.arr[self._pair_np(self.arr, self._polar(off_surface)) == 0]
             axes = np.eye(4, dtype=np.int16)[(rs != 0).argmax(axis=1)]
-            planes = np.stack([self._polar(rs), axes], axis=1)  # meeting in the chords
-            chords = span_ids(f, [nullspace(f, pair) for pair in planes.tolist()])
+            chords = span_ids(f, dual_line_basis(f, join_basis(f, self._polar(rs), axes)))
             on = self.position_of[chords] >= 0
             if (on.sum(axis=1) != q + 1).any():
                 raise InternalConsistencyError(f"a chord holds other than {q+1} surface points")
             feet = geom.arr[chords[on]]
-            ids = np.sort(span_ids(f, np.stack([np.repeat(rs, q + 1, axis=0), feet], axis=1)))
+            ids = np.sort(span_ids(f, join_basis(f, np.repeat(rs, q + 1, axis=0), feet)))
             ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
             positions = self.position_of[ids]
             if (positions < 0).any():
@@ -384,16 +384,18 @@ class HermitianSurface:
             sizes += np.bincount(ids.ravel(), minlength=len(sizes))
         return sizes
 
+    def book_tangency(self, a, b) -> np.ndarray:
+        """(B, q^2+1): for each plane through the line joining rows a[i] and
+        b[i], the id of the surface point it is tangent at, or -1."""
+        f, tangency = self.field, np.full(self.geometry.n_points, -1, dtype=np.int64)
+        tangency[self.tangent_plane_ids()] = self.point_ids  # plane id -> tangency point id
+        return tangency[span_ids(f, dual_line_basis(f, join_basis(f, a, b)))]
+
     def classify_book(self, line: Line) -> BookClassification:
         """Count tangent planes among the q^2+1 planes through the line."""
-        self._require_nondegenerate()
-        tangent = self.tangent_planes()
-        touch = []
-        for plane in self.geometry.book_of_planes(line):
-            pid = tangent.get(plane)
-            if pid is not None:
-                touch.append(pid)
-        return BookClassification(len(touch), tuple(sorted(touch)))
+        touch = self.book_tangency(*self.geometry.arr[list(line.key), None])[0]
+        touch = np.sort(touch[touch >= 0])
+        return BookClassification(len(touch), tuple(touch.tolist()))
 
     def tangent_plane_line_census(self, point) -> TangentPlaneCensus:
         """Classify every line inside the tangent plane at a surface point."""

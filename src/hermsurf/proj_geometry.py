@@ -12,8 +12,10 @@ base-Q value of the coordinates after the first nonzero one, with
 offsets 0, 1, 1+Q and 1+Q+Q^2 for leads 3, 2, 1, 0.  Planes get ids the
 same way.  ``span_ids`` lists the ids in the span of some rows, which
 gives the points of a line or plane, the planes through a point or line,
-and the lines of a plane.  The two smallest ids on a line are its two
-lexicographically smallest points, which form the line's canonical key.
+and the lines of a plane.  Closed forms give their bases in RREF; only
+``plane_through`` and unreduced multi-row bases to ``span_ids`` reach
+``rref``.  The two smallest ids on a line are its two lexicographically
+smallest points, which form the line's canonical key.
 """
 
 from __future__ import annotations
@@ -67,6 +69,40 @@ def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
     return [tuple(p) for p in _rref_matrices(field.order, 1, dim + 1)[:, 0].tolist()]
 
 
+def _normalized(field: Field, x: np.ndarray, col=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x[i] / x[i, col[i]] by the log rule (col: first nonzero by default), and col."""
+    col = (x != 0).argmax(axis=1) if col is None else col
+    pivot = x[np.arange(len(x)), col, None]
+    return np.where(x > 0, 1 + (x - pivot) % (field.order - 1), 0).astype(np.int16), col
+
+
+def join_basis(field: Field, a, b) -> np.ndarray:
+    """(B, 2, 4) RREF bases of the lines through distinct points a[i], b[i], else GeometryError:
+    normalized rows, b - a for equal leads, the upper row cleared at the lower's pivot."""
+    (a, lead_a), (b, lead_b) = (_normalized(field, np.array(r, np.int16)) for r in (a, b))
+    same = (lead_a == lead_b)[:, None]
+    b, lead_b = _normalized(field, np.where(same, field.add_np[b, field.neg_np[a]], b))
+    first = (lead_a < lead_b)[:, None]
+    top, low = np.where(first, a, b), np.where(first, b, a)
+    scale = top[np.arange(len(top)), np.maximum(lead_a, lead_b), None]
+    basis = np.stack([field.add_np[top, field.neg_np[field.mul_np[scale, low]]], low], axis=1)
+    if not basis.any(axis=2).all():  # from a zero row, or from b - a = 0
+        raise GeometryError("join_basis needs two independent nonzero rows")
+    return basis
+
+
+def dual_line_basis(field: Field, lines) -> np.ndarray:
+    """(B, 2, 4) RREF bases of the null spaces of RREF line bases (books of planes, or
+    where two planes meet): e_f - r0[f] e_i - r1[f] e_j, free columns f, pivots i < j."""
+    lines = np.asarray(lines, dtype=np.int16)
+    pivots = (lines != 0).argmax(axis=2)
+    free = np.nonzero((np.arange(4) != pivots[..., None]).all(axis=1))[1].reshape(-1, 2)
+    null, b = np.eye(4, dtype=np.int16)[free], np.arange(len(lines))[:, None]
+    for r in range(2):
+        null[b, [0, 1], pivots[:, r, None]] = field.neg_np[lines[b, r, free]]
+    return join_basis(field, null[:, 0], null[:, 1])
+
+
 def span_ids(field: Field, rows) -> np.ndarray:
     """Ids of every point in the projective span of independent rows.
 
@@ -77,12 +113,15 @@ def span_ids(field: Field, rows) -> np.ndarray:
     is 0 before row j's pivot, 1 there and a_i at each later row's pivot.
     So its id is offset(pivot_j) + sum_(i>j) a_i Q^(3-pivot_i) plus each
     non-pivot entry times its place value; only those entries need field
-    arithmetic.  The span is b_j + <b_(j+1), ..., b_(k-1)> over j.
+    arithmetic.  The span is b_j + <b_(j+1), ..., b_(k-1)> over j.  One-row
+    bases are scaled by the log rule; only unreduced multi-row ones reach ``rref``.
     """
     bases = np.array(rows, dtype=np.int16)
     if bases.ndim == 2:
         return span_ids(field, bases[None])[0]
     count, k = bases.shape[:2]
+    if k == 1:  # a zero row fails the test below
+        bases[:, 0] = _normalized(field, bases[:, 0])[0]
     pivots = (bases != 0).argmax(axis=2)  # bases in RREF skip rref: p_j ascend, column p_j = e_j
     ok = (np.take_along_axis(bases, pivots[:, None], axis=2) == np.eye(k)).all(axis=(1, 2))
     for b in np.flatnonzero(~ok | (pivots[:, 1:] <= pivots[:, :-1]).any(axis=1)):
@@ -116,10 +155,9 @@ def dual_basis(field: Field, rows) -> np.ndarray:
     point or the points on a plane: with x_l the last nonzero entry of x, the rows
     e_c - (x_c / x_l) e_l, c != l, are orthogonal to x, and in RREF as x_c = 0 for c > l."""
     x = np.asarray(rows, dtype=np.int16)
-    b, last = np.arange(len(x)), 3 - (x[:, ::-1] != 0).argmax(axis=1)
-    ratios = np.where(x > 0, 1 + (x - x[b, last, None]) % (field.order - 1), 0)  # the log rule
+    last = 3 - (x[:, ::-1] != 0).argmax(axis=1)
     basis = np.tile(np.eye(4, dtype=np.int16), (len(x), 1, 1))
-    basis[b, :, last] = field.neg_np[ratios]
+    basis[np.arange(len(x)), :, last] = field.neg_np[_normalized(field, x, last)[0]]
     return basis[np.arange(4) != last[:, None]].reshape(-1, 3, 4)
 
 
@@ -178,10 +216,9 @@ class Geometry:
     # -- lines ----------------------------------------------------------
 
     def line_through(self, P, Q) -> Line:
-        P, Q = self.normalize(P), self.normalize(Q)
-        if P == Q:
-            raise GeometryError("line_through needs two distinct points")
-        return Line(tuple(np.sort(span_ids(self.field, [P, Q])).tolist()))
+        P, Q = self.normalize(P), self.normalize(Q)  # join_basis refuses P = Q
+        ids = span_ids(self.field, join_basis(self.field, [P], [Q]))[0]
+        return Line(tuple(np.sort(ids).tolist()))
 
     def line_between_ids(self, pid: int, qid: int) -> Line:
         return self.line_through(self.arr[pid].tolist(), self.arr[qid].tolist())
@@ -242,8 +279,8 @@ class Geometry:
 
     def book_of_planes(self, line: Line) -> list[tuple[int, ...]]:
         """The q^2+1 planes containing the line, in ascending tuple order."""
-        basis = nullspace(self.field, self.arr[list(line.key)].tolist())
-        return self._tuples(span_ids(self.field, basis))
+        f, (a, b) = self.field, self.arr[list(line.key)]
+        return self._tuples(span_ids(f, dual_line_basis(f, join_basis(f, [a], [b])))[0])
 
     # -- serialization ---------------------------------------------------
 

@@ -554,15 +554,15 @@ def _random_linear(field: Field, rng: Random) -> Form:
             return linear_form(field, vec)
 
 
-def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int):
-    geom = surface.geometry
-    ids = [int(i) for i in surface.point_ids]
+def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int, sections):
+    """d tangent planes through a random secant: surface points a, b span one iff b is off
+    T_a, and its tangent planes touch at T_a n T_b (sections: tangent_section_positions())."""
     while True:
-        a, b = rng.sample(ids, 2)
-        line = geom.line_between_ids(a, b)
-        if surface.classify_line(line).kind is LineKind.SECANT:
+        a, b = rng.sample(range(len(sections)), 2)
+        if not np.isin(b, sections[a]):
             break
-    planes = tangent_planes_through(surface, line)
+    touch = np.intersect1d(sections[a], sections[b], assume_unique=True)
+    planes = sorted(map(tuple, surface.geometry.arr[surface.tangent_plane_ids()[touch]].tolist()))
     return [linear_form(surface.field, rng.choice(planes)) for _ in range(d)]
 
 
@@ -582,7 +582,7 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
 
     seen: set[tuple[int, ...]] = set()
     vectors: list[tuple[int, ...]] = []
-    skipped = 0
+    skipped, sections = 0, None
     for i in range(samples):
         if i % 2 == 0:
             vec = [0] * ctx.m
@@ -591,7 +591,8 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
             form = form_from_vector(surface.field, d, vec)
         else:
             if i % 4 == 1 and d <= surface.q + 1:
-                factors = _random_secant_pencil_factors(surface, rng, d)
+                sections = sections or surface.tangent_section_positions()
+                factors = _random_secant_pencil_factors(surface, rng, d, sections)
             else:
                 factors = [_random_linear(surface.field, rng) for _ in range(d)]
             form = factors[0]

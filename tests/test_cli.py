@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hermsurf import cli, theorems
+from hermsurf import cli, finite_field, proj_geometry, theorems
 from hermsurf.cli import MAX_SURFACE_Q, _dumps, _forms_text, _Fragment, main
 from hermsurf.finite_field import build_field
 from hermsurf.forms import class_count, class_vectors, monomial_count, vector_to_json
@@ -146,6 +146,28 @@ def test_search_refuses_fewer_than_one_worker(capsys, workers):
     assert code == 1
     assert out == ""
     assert f"workers must be at least 1, got {workers}" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_random_search_refuses_fewer_than_one_worker(capsys, workers):
+    code, out, err = run(capsys, "search", "--q", "2", "--d", "1", "--mode", "random",
+                         "--samples", "10", "--workers", workers)
+    assert (code, out) == (1, "")
+    assert err == f"error: workers must be at least 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_census_reaches_no_row_reduction(monkeypatch, q):
+    """A fresh surface's census joins, meets and spans in closed form."""
+    def refuse(*args):
+        raise AssertionError("a basis was row-reduced")
+
+    fresh = HermitianSurface.canonical(build_field(q))
+    monkeypatch.setattr(cli, "canonical_surface", lambda q: fresh)
+    for module, name in ((proj_geometry, "rref"), (proj_geometry, "nullspace"),
+                         (finite_field, "nullspace")):
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.census_report(q, seed=0)["pass"] is True
 
 
 def test_search_budget_error(capsys):

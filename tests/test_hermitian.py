@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from hermsurf.finite_field import build_field, matrix_rank
+from hermsurf import proj_geometry
+from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.hermitian import (
     BookClassification,
     HermitianError,
@@ -18,7 +19,7 @@ from hermsurf.hermitian import (
     is_hermitian,
     random_hermitian,
 )
-from hermsurf.proj_geometry import Geometry
+from hermsurf.proj_geometry import Geometry, normalize
 
 
 def brute_force_points(field, matrix, geometry):
@@ -477,3 +478,45 @@ def test_tangent_plane_line_census_matches_brute_force(q, seed):
         assert gens + tangents + secants == len(lines)
         assert (census.generators, census.tangents_through_point, census.secants,
                 census.total_lines) == (gens, tangents, secants, len(lines))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["canonical", "random"])
+def test_books_match_a_nullspace_oracle(q, kind):
+    """Each book is the q^2+1 planes u + c v and v, for a nullspace basis u, v
+    of two points of the line; book_tangency and classify_book read their
+    tangent planes off it."""
+    s = canonical_surface(q) if kind == "canonical" else random_surface(q, q)
+    f, g, tangent = s.field, s.geometry, s.tangent_planes()
+    rng = random.Random(q)
+    pairs = [rng.sample(range(g.n_points), 2) for _ in range(30)]
+    pairs += [gen.key for gen in rng.sample(s.generators(), 10)]
+    tangency = s.book_tangency(*g.arr[np.array(pairs).T])
+    assert tangency.shape == (len(pairs), q * q + 1)
+    for (i, j), row in zip(pairs, tangency.tolist()):
+        u, v = nullspace(f, g.arr[[i, j]].tolist())
+        book = {normalize(f, v)} | {normalize(f, [f.add(x, f.mul(c, y)) for x, y in zip(u, v)])
+                                    for c in range(f.order)}
+        line = g.line_between_ids(i, j)
+        assert g.book_of_planes(line) == sorted(book)
+        touched = sorted(tangent[p] for p in book if p in tangent)
+        assert sorted(t for t in row if t >= 0) == touched
+        assert s.classify_book(line) == BookClassification(len(touched), tuple(touched))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_tangent_plane_ids_skip_rref(monkeypatch, q):
+    """Polar rows are scaled by the log rule, not row-reduced one by one."""
+    def refuse(*args):
+        raise AssertionError("a polar row was row-reduced")
+
+    s = random_surface(q, 5)
+    f, g, a = s.field, s.geometry, s.matrix
+    monkeypatch.setattr(proj_geometry, "rref", refuse)
+    got = s.tangent_plane_ids()
+    for pos, point in enumerate(s.points()):
+        polar = [0] * 4
+        for i in range(4):
+            for j in range(4):
+                polar[i] = f.add(polar[i], f.mul(a[i][j], f.conj(point[j])))
+        assert got[pos] == g.point_id(polar)

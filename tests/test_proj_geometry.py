@@ -14,6 +14,7 @@ from hermsurf.proj_geometry import (
     Line,
     dual_basis,
     geometry_for,
+    join_basis,
     normalize,
     projective_points,
     span_ids,
@@ -314,3 +315,34 @@ def test_coordinates_are_checked(g2, coords):
         s2.tangent_plane(coords)
     with pytest.raises(GeometryError):
         g2.line_through(coords, (0, 1, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data())
+def test_join_basis_matches_rref(q, data):
+    """Independent rows, scaled by nonzero constants, sharing their leads or
+    not, in either order, give rref's basis of their span."""
+    f = build_field(q)
+    element = st.integers(0, f.order - 1)
+    a, b = (data.draw(st.lists(element, min_size=4, max_size=4)) for _ in range(2))
+    assume(any(a))
+    if data.draw(st.booleans(), label="equal leads"):
+        lead = next(c for c, x in enumerate(a) if x)
+        b[:lead], b[lead] = [0] * lead, data.draw(st.integers(1, f.order - 1))
+    assume(matrix_rank(f, [a, b]) == 2)
+    want = rref(f, [a, b])[0]
+    for x, y in ((a, b), (b, a)):
+        scale = data.draw(st.integers(1, f.order - 1))
+        assert join_basis(f, [[f.mul(scale, c) for c in x]], [y]).tolist() == [want]
+
+
+def test_join_basis_refuses_zero_and_dependent_rows():
+    f = build_field(3)
+    w = f.gen_index
+    zero, row = (0, 0, 0, 0), (0, 1, w, 0)
+    for a, b in ((zero, row), (row, zero), (zero, zero), (row, row),
+                 (row, [f.mul(w, c) for c in row]), ((1, 0, 0, 0), (w, 0, 0, 0))):
+        with pytest.raises(GeometryError):
+            join_basis(f, [a], [b])
+    with pytest.raises(GeometryError):  # one bad pair fails the batch
+        join_basis(f, [(1, 0, 0, 0), row], [(0, 1, 0, 0), row])

@@ -763,3 +763,28 @@ def test_property_sampling_q4():
         br = evaluate_bounds(rep)
         assert br.ok, (vec, br.violations())
         assert rep.x_count <= sorensen_bound(4, 2)
+
+
+@pytest.mark.parametrize("q, seed", [(2, 1), (3, 0), (4, 3)])
+def test_secant_pencil_factors_match_a_line_oracle(q, seed):
+    """Drawing from tangent sections gives the factors, and leaves the rng
+    state, of drawing secants by line_between_ids and their books."""
+    f = build_field(q)
+    rng = random.Random(seed)
+    while True:
+        a = random_hermitian(f, rng)
+        if matrix_rank(f, [list(r) for r in a]) == 4:
+            break
+    for s in (canonical_surface(q), HermitianSurface(f, a)):
+        sections = s.tangent_section_positions()
+        ids = s.point_ids.tolist()
+        for draw in range(20):
+            fast, slow = random.Random(draw), random.Random(draw)
+            got = theorems._random_secant_pencil_factors(s, fast, 3, sections)
+            while True:
+                line = s.geometry.line_between_ids(*slow.sample(ids, 2))
+                if s.classify_line(line).kind is LineKind.SECANT:
+                    break
+            planes = tangent_planes_through(s, line)
+            assert got == [linear_form(f, slow.choice(planes)) for _ in range(3)]
+            assert fast.getstate() == slow.getstate()
