@@ -34,7 +34,6 @@ from hermsurf.forms import (
     form_to_json,
     intersection_stats,
     monomials,
-    require_scan_degree,
 )
 from hermsurf.hermitian import HermitianSurface, canonical_surface
 from hermsurf.proj_geometry import join_basis, span_ids
@@ -290,7 +289,6 @@ def _cmd_check(args) -> int:
         raise FormError(f"form file is for q={q}, got --q {args.q}")
     surface = _surface(q)
     form = form_from_json(surface.field, data)
-    require_scan_degree(q, form.degree)
     t0 = time.monotonic()
     stats = intersection_stats(form, surface)
     bounds = check_theorems(stats, surface)
@@ -311,10 +309,18 @@ def _meta(args, t0: float, **extra) -> dict:
     return meta
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as exit 2 means a failed proved bound."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermsurf",
         description="Hermitian surface geometry over GF(q^2): counts, searches, codes.",
     )
@@ -327,7 +333,6 @@ def _parser() -> argparse.ArgumentParser:
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")
-        p.add_argument("--verbose", action="store_true", help="include point lists in reports")
 
     p = sub.add_parser("verify-counts", help="run the census suite for one q")
     p.set_defaults(run=_cmd_verify_counts)
@@ -352,10 +357,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="build the d-plane pencil attaining the bound")
     p.set_defaults(run=_cmd_extremal)
     common(p, d_required=True)
+    p.add_argument("--verbose", action="store_true", help="include point lists in reports")
 
     p = sub.add_parser("grid", help="build the degree-(q+1) two-ruling example (q > 2)")
     p.set_defaults(run=_cmd_grid)
     common(p)
+    p.add_argument("--verbose", action="store_true", help="include point lists in reports")
     p.add_argument("--alpha", type=int, default=None,
                    help="subfield element index, not 0 or 1 (default: smallest valid)")
 
@@ -370,7 +377,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("form_file", help="JSON file: {q, d, terms: [[[e0,e1,e2,e3], c], ...]}")
     p.add_argument("--q", type=int, default=None, help="cross-check the form file's q")
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true", help="include point lists in reports")
     return parser
 
 

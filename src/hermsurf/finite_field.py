@@ -269,8 +269,8 @@ def matrix_rank(field: Field, rows) -> int:
 
 
 def nullspace(field: Field, rows) -> list[tuple[int, ...]]:
-    """Basis of {v : M v = 0}, one vector per free column, by ``rref``; of
-    hermsurf only ``Geometry.plane_through`` calls it (lines and books don't)."""
+    """Basis of {v : M v = 0}, one vector per free column, by ``rref``: the
+    reference for the closed forms of ``proj_geometry``, which never call it."""
     m, pivots = rref(field, rows)
     ncols = len(rows[0])
     free = [c for c in range(ncols) if c not in pivots]

@@ -20,6 +20,7 @@ Hermitian curve with q^3 + 1 points.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from hermsurf.finite_field import Field, matrix_rank
 from hermsurf.proj_geometry import (Line, dual_basis, dual_line_basis, geometry_for,
-                                    join_basis, span_ids)
+                                    incidence, join_basis, span_ids)
 
 
 class HermitianError(ValueError):
@@ -72,15 +73,14 @@ def random_hermitian(field: Field, rng) -> Matrix:
             return tuple(tuple(row) for row in a)
 
 
-def _pair(field: Field, a: Matrix, u, v) -> int:
-    """The sesquilinear pairing u^T A v^(q)."""
-    s = 0
-    for i in range(4):
-        if u[i] == 0:
-            continue
-        for j in range(4):
-            s = field.add(s, field.mul(field.mul(u[i], a[i][j]), field.conj(v[j])))
-    return s
+def _polar(field: Field, a, pts) -> np.ndarray:
+    """Rows A P^(q): dual coordinates of the polar planes of point rows (the
+    last axis), so that the pairing u^T A v^(q) is incidence(u, _polar(v))."""
+    conj = field.conj_np[np.asarray(pts)]
+    polar = np.zeros(conj.shape, dtype=np.int16)
+    for i, j in zip(*np.nonzero(a)):
+        polar[..., i] = field.add_np[polar[..., i], field.mul_np[a[i][j], conj[..., j]]]
+    return polar
 
 
 def canonicalize(field: Field, a) -> tuple[Matrix, int]:
@@ -103,20 +103,13 @@ def canonicalize(field: Field, a) -> tuple[Matrix, int]:
     ortho: list[tuple[int, ...]] = []
 
     def h(u, v):
-        return _pair(f, a, u, v)
+        return int(incidence(f, u, _polar(f, a, v)))
 
     while vectors:
         v = next((w for w in vectors if h(w, w) != 0), None)
         if v is None:
-            hyp = None
-            for i in range(len(vectors)):
-                for j in range(i + 1, len(vectors)):
-                    beta = h(vectors[i], vectors[j])
-                    if beta != 0:
-                        hyp = (vectors[i], vectors[j], beta)
-                        break
-                if hyp:
-                    break
+            pairs = ((u, w, h(u, w)) for u, w in itertools.combinations(vectors, 2))
+            hyp = next((pair for pair in pairs if pair[2] != 0), None)
             if hyp is None:
                 break  # pairing vanishes on the remaining span
             u, w, beta = hyp
@@ -146,17 +139,9 @@ def canonicalize(field: Field, a) -> tuple[Matrix, int]:
 
 
 def congruence(field: Field, a: Matrix, t: Matrix) -> Matrix:
-    """T^T A T^(q)."""
-    f = field
-    out = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            s = 0
-            for r in range(4):
-                for c in range(4):
-                    s = f.add(s, f.mul(f.mul(t[r][i], a[r][c]), f.conj(t[c][j])))
-            out[i][j] = s
-    return tuple(tuple(row) for row in out)
+    """T^T A T^(q): entry (i, j) is the pairing of the columns t_i and t_j of T."""
+    cols = np.array(t).T
+    return tuple(map(tuple, incidence(field, cols[:, None], _polar(field, a, cols)).tolist()))
 
 
 class LineKind(enum.Enum):
@@ -198,7 +183,8 @@ class HermitianSurface:
 
         # x^T A x^(q) pairs each point with the coordinates of its polar plane
         arr, n = self.geometry.arr, self.geometry.n_points
-        self.point_ids = np.flatnonzero(self._pair_np(arr, self._polar(arr)) == 0).astype(np.int64)
+        polar = _polar(field, self.matrix, arr)
+        self.point_ids = np.flatnonzero(incidence(field, arr, polar) == 0).astype(np.int64)
         self.arr = arr[self.point_ids]  # (n_surface_points, 4) coordinates
         # position of a geometry point id inside the surface point list
         self.position_of = np.full(n, -1, dtype=np.int64)
@@ -230,8 +216,7 @@ class HermitianSurface:
         return len(self.point_ids)
 
     def contains(self, point) -> bool:
-        p = self.geometry.normalize(point)
-        return _pair(self.field, self.matrix, p, p) == 0
+        return bool(self.position_of[self.geometry.point_id(point)] >= 0)
 
     def points(self) -> list[tuple[int, ...]]:
         return [tuple(p) for p in self.arr.tolist()]
@@ -250,28 +235,9 @@ class HermitianSurface:
             raise HermitianError(f"{p} is not on the surface")
         return tuple(self.geometry.arr[self._polar_ids(np.array([p]))[0]].tolist())
 
-    def _polar(self, pts: np.ndarray) -> np.ndarray:
-        """Rows A P^(q): dual coordinates of the polar planes of the rows of
-        a point array."""
-        f = self.field
-        conj = f.conj_np[pts]
-        polar = np.zeros(pts.shape, dtype=np.int16)
-        for i in range(4):
-            for j in range(4):
-                if self.matrix[i][j]:
-                    polar[:, i] = f.add_np[polar[:, i], f.mul_np[self.matrix[i][j], conj[:, j]]]
-        return polar
-
     def _polar_ids(self, pts: np.ndarray) -> np.ndarray:
         """Plane ids of the polar planes of the rows of a point array."""
-        return span_ids(self.field, self._polar(pts)[:, None])[:, 0]
-
-    def _pair_np(self, pts: np.ndarray, planes: np.ndarray) -> np.ndarray:
-        """sum_k P_k c_k for rows P of pts and c of planes: 0 iff P is on c."""
-        acc = np.zeros(len(pts), dtype=np.int16)
-        for column, coeffs in zip(pts.T, planes.T):
-            acc = self.field.add_np[acc, self.field.mul_np[column, coeffs]]
-        return acc
+        return span_ids(self.field, _polar(self.field, self.matrix, pts)[:, None])[:, 0]
 
     def tangent_plane_ids(self) -> np.ndarray:
         """Plane id (dual coordinates ranked like points) of the tangent
@@ -335,11 +301,11 @@ class HermitianSurface:
         """
         if self._generators is None:
             self._require_nondegenerate()
-            f, geom, q = self.field, self.geometry, self.q
+            f, geom, q, a = self.field, self.geometry, self.q, self.matrix
             off_surface = geom.arr[np.flatnonzero(self.position_of < 0)[:1]]
-            rs = self.arr[self._pair_np(self.arr, self._polar(off_surface)) == 0]
+            rs = self.arr[incidence(f, self.arr, _polar(f, a, off_surface)) == 0]
             axes = np.eye(4, dtype=np.int16)[(rs != 0).argmax(axis=1)]
-            chords = span_ids(f, dual_line_basis(f, join_basis(f, self._polar(rs), axes)))
+            chords = span_ids(f, dual_line_basis(f, join_basis(f, _polar(f, a, rs), axes)))
             on = self.position_of[chords] >= 0
             if (on.sum(axis=1) != q + 1).any():
                 raise InternalConsistencyError(f"a chord holds other than {q+1} surface points")

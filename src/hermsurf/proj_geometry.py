@@ -10,11 +10,11 @@ Point ids follow the ascending lexicographic order of the normalized
 tuples and are computed in closed form (Q = q^2): offset(lead) plus the
 base-Q value of the coordinates after the first nonzero one, with
 offsets 0, 1, 1+Q and 1+Q+Q^2 for leads 3, 2, 1, 0.  Planes get ids the
-same way.  ``span_ids`` lists the ids in the span of some rows, which
-gives the points of a line or plane, the planes through a point or line,
-and the lines of a plane.  Closed forms give their bases in RREF; only
-``plane_through`` and unreduced multi-row bases to ``span_ids`` reach
-``rref``.  The two smallest ids on a line are its two lexicographically
+same way.  ``span_ids`` lists the ids in the span of a basis in reduced
+row echelon form (RREF): the points of a line or plane, the planes
+through a point or line, and the lines of a plane.  Closed forms give
+every such basis, and the plane through three points, with no row
+reduction.  The two smallest ids on a line are its two lexicographically
 smallest points, which form the line's canonical key.
 """
 
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from hermsurf.finite_field import Field, nullspace, rref
+from hermsurf.finite_field import Field
 
 
 class GeometryError(ValueError):
@@ -76,6 +76,16 @@ def _normalized(field: Field, x: np.ndarray, col=None) -> tuple[np.ndarray, np.n
     return np.where(x > 0, 1 + (x - pivot) % (field.order - 1), 0).astype(np.int16), col
 
 
+def incidence(field: Field, pts, planes) -> np.ndarray:
+    """sum_k P_k c_k over the last axis of point rows P and plane rows c,
+    broadcast against each other: 0 iff P is on c."""
+    terms = field.mul_np[np.asarray(pts), np.asarray(planes)]
+    acc = terms[..., 0]
+    for k in range(1, 4):
+        acc = field.add_np[acc, terms[..., k]]
+    return acc
+
+
 def join_basis(field: Field, a, b) -> np.ndarray:
     """(B, 2, 4) RREF bases of the lines through distinct points a[i], b[i], else GeometryError:
     normalized rows, b - a for equal leads, the upper row cleared at the lower's pivot."""
@@ -104,17 +114,17 @@ def dual_line_basis(field: Field, lines) -> np.ndarray:
 
 
 def span_ids(field: Field, rows) -> np.ndarray:
-    """Ids of every point in the projective span of independent rows.
+    """Ids of every point in the projective span of a basis in RREF, else GeometryError.
 
     ``rows`` is one (k, 4) basis, giving a ((Q^k-1)/(Q-1),) array, or a
     (B, k, 4) batch of bases with one k, giving a (B, (Q^k-1)/(Q-1)) array;
-    ids are in no particular order.  In reduced row echelon form, a
-    combination whose first nonzero coefficient a_j is 1 is normalized: it
-    is 0 before row j's pivot, 1 there and a_i at each later row's pivot.
+    ids are in no particular order.  In RREF, a combination whose first
+    nonzero coefficient a_j is 1 is normalized: it is 0 before row j's
+    pivot, 1 there and a_i at each later row's pivot.
     So its id is offset(pivot_j) + sum_(i>j) a_i Q^(3-pivot_i) plus each
     non-pivot entry times its place value; only those entries need field
     arithmetic.  The span is b_j + <b_(j+1), ..., b_(k-1)> over j.  One-row
-    bases are scaled by the log rule; only unreduced multi-row ones reach ``rref``.
+    bases are scaled by the log rule; zero, dependent and unreduced ones are refused.
     """
     bases = np.array(rows, dtype=np.int16)
     if bases.ndim == 2:
@@ -122,13 +132,10 @@ def span_ids(field: Field, rows) -> np.ndarray:
     count, k = bases.shape[:2]
     if k == 1:  # a zero row fails the test below
         bases[:, 0] = _normalized(field, bases[:, 0])[0]
-    pivots = (bases != 0).argmax(axis=2)  # bases in RREF skip rref: p_j ascend, column p_j = e_j
-    ok = (np.take_along_axis(bases, pivots[:, None], axis=2) == np.eye(k)).all(axis=(1, 2))
-    for b in np.flatnonzero(~ok | (pivots[:, 1:] <= pivots[:, :-1]).any(axis=1)):
-        matrix, found = rref(field, bases[b].tolist())
-        if len(found) != k:
-            raise GeometryError("span_ids needs independent rows")
-        bases[b], pivots[b] = matrix, found
+    pivots = (bases != 0).argmax(axis=2)  # in RREF: p_j ascend, column p_j = e_j
+    unit = (np.take_along_axis(bases, pivots[:, None], axis=2) == np.eye(k)).all(axis=(1, 2))
+    if not (unit & (pivots[:, 1:] > pivots[:, :-1]).all(axis=1)).all():
+        raise GeometryError("span_ids needs bases in reduced row echelon form")
     free = np.nonzero((np.arange(4) != pivots[..., None]).all(axis=1))[1].reshape(count, 4 - k)
     tails = bases[np.arange(count)[:, None, None], np.arange(k)[:, None], free[:, None]]
     order, add, mul = field.order, field.add_np, field.mul_np
@@ -227,8 +234,8 @@ class Geometry:
         return self._tuples(list(line.point_ids))
 
     def line_ids(self, basis) -> np.ndarray:
-        """(L, q^2+1) ids of every line inside the span of 3 or 4 independent
-        rows, each row ascending, the rows in key order: the spans of
+        """(L, q^2+1) ids of every line inside the span of a 3- or 4-row RREF
+        basis, each row ascending, the rows in key order: the spans of
         R·basis over the 2 x len(basis) RREF matrices R."""
         f = self.field
         basis = np.asarray(basis, dtype=np.int16)
@@ -247,18 +254,19 @@ class Geometry:
     # -- planes ---------------------------------------------------------
 
     def incident(self, plane, point) -> bool:
-        f = self.field
-        s = 0
-        for c, x in zip(plane, point):
-            s = f.add(s, f.mul(c, x))
-        return s == 0
+        return bool(incidence(self.field, self.normalize(point), self.normalize(plane)) == 0)
 
     def plane_through(self, P, Q, R) -> tuple[int, ...]:
-        rows = [self.normalize(P), self.normalize(Q), self.normalize(R)]
-        basis = nullspace(self.field, rows)
-        if len(basis) != 1:
+        """In the book u, v of the line PQ, the plane (v·R)u - (u·R)v holds R;
+        it is zero iff R is on every plane of the book, i.e. on the line."""
+        f = self.field
+        P, Q, R = (self.normalize(x) for x in (P, Q, R))  # join_basis refuses P = Q
+        u, v = dual_line_basis(f, join_basis(f, [P], [Q]))[0]
+        vr, ur = incidence(f, R, [v, u])
+        plane = f.add_np[f.mul_np[vr, u], f.neg_np[f.mul_np[ur, v]]]
+        if not plane.any():
             raise GeometryError("plane_through needs three non-collinear points")
-        return normalize(self.field, basis[0])
+        return normalize(f, plane.tolist())
 
     def plane_point_ids(self, plane) -> np.ndarray:
         """Ids of the points on a plane, ascending."""

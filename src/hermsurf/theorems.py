@@ -67,6 +67,7 @@ from hermsurf.forms import (
     vector_to_json,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
+from hermsurf.proj_geometry import incidence
 
 
 class BudgetExceededError(ValueError):
@@ -269,19 +270,16 @@ def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> Bou
 
 def canonical_secant(surface: HermitianSurface):
     """The line {x2 = x3 = 0} when it is secant (true for the canonical
-    surface); otherwise the first secant joining the first surface point
-    to a later one (a line through two surface points is a secant or a
-    generator, and only q+1 generators pass through the first point)."""
+    surface); otherwise the line joining the first surface point P to the
+    first later one off its tangent plane T_P.  A line through two surface
+    points is a generator if it lies in T_P and a secant otherwise."""
     geom = surface.geometry
     line = geom.line_through((1, 0, 0, 0), (0, 1, 0, 0))
     if surface.classify_line(line).kind is LineKind.SECANT:
         return line
-    first, *rest = surface.point_ids.tolist()
-    for pid in rest:
-        line = geom.line_between_ids(first, pid)
-        if surface.classify_line(line).kind is LineKind.SECANT:
-            return line
-    raise FormError("no secant line found")  # impossible for rank 4
+    first = surface.arr[0]  # on its own tangent plane, so never off it
+    off = np.flatnonzero(incidence(surface.field, surface.arr, surface.tangent_plane(first)))
+    return geom.line_between_ids(*surface.point_ids[[0, off[0]]].tolist())
 
 
 def tangent_planes_through(surface: HermitianSurface, line) -> list[tuple[int, ...]]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hermsurf import cli, finite_field, proj_geometry, theorems
+from hermsurf import cli, finite_field, theorems
 from hermsurf.cli import MAX_SURFACE_Q, _dumps, _forms_text, _Fragment, main
 from hermsurf.finite_field import build_field
 from hermsurf.forms import class_count, class_vectors, monomial_count, vector_to_json
@@ -156,18 +156,58 @@ def test_random_search_refuses_fewer_than_one_worker(capsys, workers):
     assert err == f"error: workers must be at least 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "2"],
+    ["search", "--q", "2", "--d", "1", "--mode", "bogus"],
+    ["search", "--q", "x", "--d", "1"],
+    ["search", "--q", "2", "--d", "1", "--verbose"],
+    ["verify-counts", "--q", "2", "--verbose"],
+    ["code", "--q", "2", "--d", "1", "--verbose"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    """Exit 2 is kept for a failed proved bound; a bad command line, an
+    unknown option such as --verbose where no report reads it among them,
+    prints the usage to stderr and exits 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage: hermsurf") and "error: " in out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hermsurf")
+
+
 @pytest.mark.parametrize("q", [3, 4])
-def test_census_reaches_no_row_reduction(monkeypatch, q):
-    """A fresh surface's census joins, meets and spans in closed form."""
+def test_census_reaches_no_row_reduction(tmp_path, capsys, monkeypatch, q):
+    """Once a fresh surface is built (its rank check row-reduces the matrix),
+    every command joins, meets and spans in closed form."""
     def refuse(*args):
         raise AssertionError("a basis was row-reduced")
 
     fresh = HermitianSurface.canonical(build_field(q))
     monkeypatch.setattr(cli, "canonical_surface", lambda q: fresh)
-    for module, name in ((proj_geometry, "rref"), (proj_geometry, "nullspace"),
-                         (finite_field, "nullspace")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("rref", "nullspace"):
+        monkeypatch.setattr(finite_field, name, refuse)
     assert cli.census_report(q, seed=0)["pass"] is True
+    form = tmp_path / "form.json"
+    for argv in (["verify-counts", "--q", str(q)],
+                 ["search", "--q", str(q), "--d", "1", "--workers", "1"],
+                 ["search", "--q", str(q), "--d", "2", "--mode", "random", "--samples", "50"],
+                 ["code", "--q", str(q), "--d", "1"],
+                 ["grid", "--q", str(q)],
+                 ["extremal", "--q", str(q), "--d", "2", "--out", str(form)]):
+        assert run(capsys, *argv)[0] == 0, argv
+    form.write_text(json.dumps(load_report(form.read_text())["form"]))
+    assert run(capsys, "check", str(form))[0] == 0
 
 
 def test_search_budget_error(capsys):

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermsurf import proj_geometry
+from hermsurf import finite_field
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
+from hermsurf.forms import surface_form
 from hermsurf.hermitian import (
     BookClassification,
     HermitianError,
@@ -66,6 +68,24 @@ def test_membership_examples(s2):
     assert s2.contains((1, 1, 0, 0))
     assert not s2.contains((1, 0, 0, 0))
     assert s2.contains((1, w, w, w2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), seed=st.sampled_from([None, 0, 1, 2]), data=st.data())
+def test_contains_is_the_surface_equation(q, seed, data):
+    """Oracle: x^T A x^(q) evaluated term by term, at any nonzero multiple
+    of a random point and of a surface point, on canonical and random
+    rank-4 surfaces."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
+    f, h = s.field, surface_form(s)
+    scale = data.draw(st.integers(1, f.order - 1))
+    point = data.draw(st.lists(st.integers(0, f.order - 1), min_size=4, max_size=4)
+                      .filter(any))
+    on = s.points()[data.draw(st.integers(0, s.n_surface_points() - 1))]
+    for p in (point, on):
+        p = [f.mul(scale, x) for x in p]
+        assert s.contains(p) == (h.evaluate(p) == 0)
+    assert s.contains(on)
 
 
 def test_points_match_brute_force(s2):
@@ -137,6 +157,22 @@ def test_rank_invariant_under_congruence():
         trials += 1
         b = congruence(f, base, t)
         assert matrix_rank(f, [list(r) for r in b]) == base_rank
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_congruence_matches_the_scalar_sum(q):
+    """Oracle: entry (i, j) of T^T A T^(q) is sum_(r,c) t_ri a_rc t_cj^q,
+    added one term at a time, for random Hermitian A of any rank and any T."""
+    f = build_field(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        a = random_hermitian(f, rng)
+        t = [[rng.randrange(f.order) for _ in range(4)] for _ in range(4)]
+        want = [[0] * 4 for _ in range(4)]
+        for i, j, r, c in itertools.product(range(4), repeat=4):
+            term = f.mul(f.mul(t[r][i], a[r][c]), f.conj(t[c][j]))
+            want[i][j] = f.add(want[i][j], term)
+        assert congruence(f, a, t) == tuple(map(tuple, want))
 
 
 def test_non_tangent_sections_have_no_generator(s2):
@@ -512,7 +548,7 @@ def test_tangent_plane_ids_skip_rref(monkeypatch, q):
 
     s = random_surface(q, 5)
     f, g, a = s.field, s.geometry, s.matrix
-    monkeypatch.setattr(proj_geometry, "rref", refuse)
+    monkeypatch.setattr(finite_field, "rref", refuse)
     got = s.tangent_plane_ids()
     for pos, point in enumerate(s.points()):
         polar = [0] * 4

@@ -123,6 +123,30 @@ def test_plane_through_and_incidence(g2):
         g2.plane_through((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data())
+def test_plane_through_matches_nullspace(q, data):
+    """Oracle: the normalized nullspace of three points, any nonzero multiples
+    of them, when they span a plane; GeometryError when they are collinear,
+    R drawn on the line PQ (or P = Q) or at random."""
+    f = build_field(q)
+    g = geometry_for(f)
+    point, scalar = st.integers(0, g.n_points - 1), st.integers(0, f.order - 1)
+    P, Q, R = (list(g.points[data.draw(point)]) for _ in range(3))
+    if data.draw(st.booleans(), label="R on the line PQ"):
+        a, b = data.draw(scalar), data.draw(scalar)
+        R = [f.add(f.mul(a, x), f.mul(b, y)) for x, y in zip(P, Q)]
+        assume(any(R))
+    rows = [[f.mul(data.draw(scalar.filter(bool)), x) for x in row] for row in (P, Q, R)]
+    if matrix_rank(f, rows) < 3:
+        with pytest.raises(GeometryError):
+            g.plane_through(*rows)
+        return
+    plane = g.plane_through(*rows)
+    assert plane == normalize(f, nullspace(f, rows)[0])
+    assert all(g.incident(plane, row) for row in rows)
+
+
 def test_plane_point_and_line_counts(g2):
     for plane in [(0, 0, 0, 1), (1, 2, 3, 1)]:
         assert len(g2.points_on_plane(plane)) == 21
@@ -228,17 +252,22 @@ def test_span_ids_match_rank_filter(q, k, data):
     entry = st.integers(0, f.order - 1)
     rows = data.draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=k, max_size=k))
     assume(matrix_rank(f, rows) == k)
-    ids = span_ids(f, rows)
+    reduced = rref(f, rows)[0]
+    ids = span_ids(f, reduced)
     oracle = [i for i, pt in enumerate(g.points) if matrix_rank(f, rows + [list(pt)]) == k]
     assert sorted(ids.tolist()) == oracle
     assert len(ids) == (f.order**k - 1) // (f.order - 1)
-    # one batch mixing the paths: bases in RREF skip the row reduction,
-    # the others (a permuted RREF basis among them) take it
-    reduced = rref(f, rows)[0]
-    batch = span_ids(f, np.array([rows, rows[::-1], reduced, reduced[::-1]]))
-    assert batch.shape == (4, len(ids))
-    for row in batch:
-        assert np.array_equal(np.sort(row), np.sort(ids))
+    batch = span_ids(f, np.array([reduced, reduced]))
+    assert batch.shape == (2, len(ids)) and (batch == ids).all()
+    # one-row bases are scaled; unreduced and permuted ones are refused, alone or in a batch
+    if k == 1:
+        assert np.array_equal(span_ids(f, rows), ids)
+        return
+    for basis in ([rows] if rows != reduced else []) + [reduced[::-1]]:
+        with pytest.raises(GeometryError):
+            span_ids(f, basis)
+        with pytest.raises(GeometryError):
+            span_ids(f, np.array([reduced, basis]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,7 +286,7 @@ def test_dual_basis_is_an_rref_nullspace(q, data):
     for row, basis in zip(rows, bases.tolist()):
         reduced, pivots = rref(f, basis)
         assert reduced == basis and len(pivots) == 3
-        oracle = span_ids(f, nullspace(f, [row]))
+        oracle = span_ids(f, rref(f, nullspace(f, [row]))[0])
         assert np.array_equal(np.sort(span_ids(f, basis)), np.sort(oracle))
 
 
@@ -315,6 +344,9 @@ def test_coordinates_are_checked(g2, coords):
         s2.tangent_plane(coords)
     with pytest.raises(GeometryError):
         g2.line_through(coords, (0, 1, 0, 0))
+    for plane, point in ((coords, (0, 1, 0, 0)), ((0, 1, 0, 0), coords)):
+        with pytest.raises(GeometryError):
+            g2.incident(plane, point)
 
 
 @settings(max_examples=300, deadline=None)
