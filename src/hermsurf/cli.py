@@ -31,7 +31,6 @@ from hermsurf.forms import (
     FormError,
     form_from_json,
     form_json_q,
-    form_to_json,
     intersection_stats,
     monomials,
 )
@@ -53,7 +52,7 @@ from hermsurf.theorems import (
 # The largest q at which every command that builds the surface is timed.
 # The slowest is verify-counts, whose plane census spans the q^4+q^2+1
 # planes through each surface point and so grows as q^9: on one 2.0 GHz
-# x86-64 core, 4-6 s at q = 8 (extremal, grid and check take 0.8-1.3 s,
+# x86-64 core, 4-6 s at q = 8 (extremal, grid and check at d = 9 take 0.4-0.6 s,
 # the surface and its generators 0.4 s); the census alone takes 11 s at q = 9.
 MAX_SURFACE_Q = 8
 _BOOK_SAMPLES = 50  # lines of each class whose book the census checks
@@ -107,14 +106,31 @@ def _dumps(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _form_frame(q: int, d: int, indent: str):
+    """(head, sep, tail, term) of a degree-d form written at indent, with no
+    nested lists: _dumps(form_to_json(form, q), indent) is
+    head + sep.join([term(*m, c) for m, c in form.terms()]) + tail."""
+    inner, deep = indent + "  ", indent + "    "
+    i1, i2 = deep + "  ", deep + "    "
+    term = f"[{i1}[{i2}{{}},{i2}{{}},{i2}{{}},{i2}{{}}{i1}],{i1}{{}}{deep}]".format
+    head = f'{{{inner}"d": {d},{inner}"q": {q},{inner}"terms": [{deep}'
+    return head, "," + deep, inner + "]" + indent + "}", term
+
+
+def _form_text(form, indent: str) -> str:
+    """_dumps(form_to_json(form, form.field.q), indent), from _form_frame."""
+    head, sep, tail, term = _form_frame(form.field.q, form.degree, indent)
+    return head + sep.join([term(*m, c) for m, c in form.terms()]) + tail
+
+
 def _forms_text(q: int, d: int, vectors, indent: str) -> str:
     """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for nonzero
-    vectors.  The forms share one depth: one frame, split at two placeholder
-    terms, is joined around the text of each (monomial index, coefficient)."""
-    inner = indent + "  "
-    head, sep, tail = _dumps({"d": d, "q": q, "terms": ["\0", "\0"]}, inner).split('"\\u0000"')
-    mons, used = monomials(d), {t for vec in vectors for t in enumerate(vec) if t[1]}
-    table = {t: _dumps([list(mons[t[0]]), t[1]], inner + "    ") for t in used}
+    vectors.  The forms share one _form_frame, joined around the term text
+    of each (monomial index, coefficient), written once."""
+    inner, mons = indent + "  ", monomials(d)
+    head, sep, tail, term = _form_frame(q, d, inner)
+    used = {t for vec in vectors for t in enumerate(vec) if t[1]}
+    table = {t: term(*mons[t[0]], t[1]) for t in used}
     forms = [head + sep.join([table[t] for t in enumerate(vec) if t[1]]) + tail for vec in vectors]
     return "[" + inner + ("," + inner).join(forms) + indent + "]" if forms else "[]"
 
@@ -259,12 +275,17 @@ def _example_report(args, surface: HermitianSurface, form, t0: float, **extra) -
     stats = intersection_stats(form, surface)
     report = {
         **extra,
-        "form": form_to_json(form, args.q),
-        "stats": stats.to_json(surface, verbose=args.verbose),
+        "form": _Fragment(_form_text, form),
+        "stats": _stats_json(stats, surface, args.verbose),
         "expected_x_count": sorensen_bound(args.q, form.degree),
     }
     _emit(report, _meta(args, t0), args.out)
     return 0 if stats.x_count == report["expected_x_count"] else 2
+
+
+def _stats_json(stats, surface: HermitianSurface, verbose: bool) -> dict:
+    """stats.to_json, with the form written by _form_text."""
+    return {**stats.to_json(surface, verbose=verbose), "form": _Fragment(_form_text, stats.form)}
 
 
 def _cmd_code(args) -> int:
@@ -293,7 +314,7 @@ def _cmd_check(args) -> int:
     stats = intersection_stats(form, surface)
     bounds = check_theorems(stats, surface)
     report = {
-        "stats": stats.to_json(surface, verbose=args.verbose),
+        "stats": _stats_json(stats, surface, args.verbose),
         "bounds": bounds.to_json(),
     }
     _emit(report, _meta(args, t0), args.out)

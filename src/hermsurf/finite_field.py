@@ -213,18 +213,6 @@ class Field:
     def nonzero_trace_element(self) -> int:
         return int(np.flatnonzero(self._trace)[0])  # the trace is onto the subfield
 
-    # -- encodings ------------------------------------------------------
-
-    def vector_of(self, index: int) -> tuple[int, ...]:
-        return tuple(self.digits[index].tolist())
-
-    def index_of_vector(self, vec) -> int:
-        code = np.mod(vec, self.p) @ self.p ** np.arange(2 * self.k)  # a wrong length raises
-        return int(self.index_of_code[code])
-
-    def describe(self) -> dict:
-        return {"p": self.p, "k": self.k, "q": self.q, "modulus": list(self.modulus)}
-
     def __repr__(self):
         return f"Field(q={self.q}, order={self.order})"
 

@@ -33,6 +33,19 @@ has at most d < q^2+1 zeros; restricted to a plane it is a ternary form,
 and a nonzero one has at most d q^2 + 1 < q^4+q^2+1 rational zeros
 (Serre, "Lettre a M. Tsfasman", Asterisque 198-200, 1991).  So J_F is
 the set of generators whose q^2+1 rational points all lie in V(F).
+
+Three consequences let ``intersection_stats`` and ``tangent_plane_factors``
+decide from the zero set, for 1 <= d <= q^2:
+
+(a) The surface equation H divides F exactly when X is every surface
+    point: a multiple vanishes on V(H), and ``codes.build_code`` proves
+    the converse (Bezout).  So no form of degree d <= q has X = S.
+(b) For d <= q, a tangent plane T_P whose q+1 generators lie in J_F lies
+    in V(F): those are q+1 lines of V(F) in T_P, and a nonzero ternary
+    form of degree d vanishes on at most d lines (each is a linear factor).
+(c) A plane in V(F) divides F (F restricted to it is zero), and distinct
+    planes are coprime, so at most d distinct planes lie in V(F); when
+    exactly d do, F is a scalar times their product.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from hermsurf.finite_field import Field
-from hermsurf.hermitian import HermitianError, HermitianSurface
+from hermsurf.hermitian import HermitianError, HermitianSurface, InternalConsistencyError
 from hermsurf.proj_geometry import Line, dual_basis, span_ids
 
 
@@ -380,49 +393,45 @@ class IntersectionReport:
 
 
 def _vanishing_generators(surface: HermitianSurface, zero_positions) -> np.ndarray:
-    """Mask of the generators whose rational points all lie in a zero set,
-    given by its positions in the surface point list."""
+    """Indices of the generators whose rational points all lie in a zero
+    set, given by its positions in the surface point list."""
     zero = np.zeros(len(surface.point_ids), dtype=bool)
     zero[zero_positions] = True
-    return zero[surface.generator_positions()].all(axis=1)
+    return np.flatnonzero(zero[surface.generator_positions()].all(axis=1))
 
 
 def _jf_multiplicities(surface: HermitianSurface, jf) -> np.ndarray:
     """r_P at every surface position: the number of J_F lines through P."""
-    in_jf = np.zeros(len(surface.generators()), dtype=bool)
-    in_jf[np.asarray(jf, dtype=np.intp)] = True
-    return in_jf[surface.generators_through()].sum(axis=1)
-
-
-def vanishing_tangent_planes(surface: HermitianSurface, zero_positions) -> list[tuple[int, ...]]:
-    """The tangent planes T_P, in surface point order, whose section lies
-    in a zero set given by its surface positions: the section of T_P is
-    the q+1 generators through P, so these are the P with rational
-    r_P = q+1.  Every tangent plane inside V(F) passes for F's zero set."""
-    lines = _vanishing_generators(surface, zero_positions)
-    planes = list(surface.tangent_planes())
-    return [planes[i] for i in np.flatnonzero(lines[surface.generators_through()].all(axis=1))]
+    points = surface.generator_positions()[np.asarray(jf, dtype=np.intp)]
+    return np.bincount(points.ravel(), minlength=len(surface.point_ids))
 
 
 def contains_tangent_plane(form: Form, surface: HermitianSurface,
-                           zero_positions: np.ndarray | None = None) -> tuple[tuple[int, ...], ...]:
+                           multiplicities: np.ndarray | None = None) -> tuple[tuple[int, ...], ...]:
     """The tangent planes of the surface inside V(F), ascending: empty,
-    and so false, when V(F) contains none.
+    and so false, when V(F) contains none.  A caller that has F's r_P
+    (``_jf_multiplicities``) passes them as multiplicities.
 
-    The candidates are the tangent planes whose surface section vanishes
-    (``vanishing_tangent_planes``).  F is evaluated at all of their
-    points in one batch, and a candidate lies in V(F) when F vanishes at
-    every one of them.
+    The section of T_P is the q+1 generators through P, so the candidates
+    are the T_P with r_P = q+1, and every tangent plane inside V(F) is
+    one.  For d <= q every candidate lies in V(F), by (b) of the module
+    docstring.  Above q, F is evaluated at all of their points in one
+    batch, and a candidate lies in V(F) when F vanishes at every one of
+    them.  More than d of them contradicts (c).
     """
     require_scan_degree(surface.q, form.degree)
-    if zero_positions is None:
+    if multiplicities is None:
         zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
-    candidates = sorted(vanishing_tangent_planes(surface, zero_positions))
-    if not candidates:
-        return ()
-    ids = span_ids(surface.field, dual_basis(surface.field, candidates))
-    zero = form.values_at(surface.geometry.arr[ids.ravel()]).reshape(ids.shape) == 0
-    return tuple(plane for plane, inside in zip(candidates, zero.all(axis=1)) if inside)
+        multiplicities = _jf_multiplicities(surface, _vanishing_generators(surface, zero_positions))
+    ids = surface.tangent_plane_ids()[multiplicities == surface.q + 1]
+    planes = sorted(map(tuple, surface.geometry.arr[ids].tolist()))
+    if planes and form.degree > surface.q:
+        ids = span_ids(surface.field, dual_basis(surface.field, planes))
+        zero = form.values_at(surface.geometry.arr[ids.ravel()]).reshape(ids.shape) == 0
+        planes = [plane for plane, inside in zip(planes, zero.all(axis=1)) if inside]
+    if len(planes) > form.degree:
+        raise InternalConsistencyError(f"{len(planes)} tangent planes lie in V(F), d={form.degree}")
+    return tuple(planes)
 
 
 def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionReport:
@@ -436,11 +445,14 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
     x_ids = tuple(surface.point_ids[zero_positions].tolist())
 
-    quo, rem = divide(form, surface_form(surface))
-    if not rem:
+    if len(x_ids) == len(surface.point_ids):  # H divides F, by (a) of the module docstring
+        if d <= q:
+            raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
         # V(H) contains no plane and the ring is a domain, so a plane lies
         # in V(F) = V(H) u V(F/H) exactly when it lies in V(F/H)
-        rest = Form(form.field, d - q - 1, quo) if d > q + 1 else None
+        rest = exact_quotient(form, surface_form(surface)) if d > q + 1 else None
+        if d > q + 1 and rest is None:
+            raise InternalConsistencyError("F vanishes on the surface, but H does not divide it")
         return IntersectionReport(
             form=form, q=q, d=d,
             x_count=len(x_ids), x_point_ids=x_ids,
@@ -450,7 +462,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
             meeting_sizes=None, x_min=None, multiplicities=None,
         )
 
-    jf = np.flatnonzero(_vanishing_generators(surface, zero_positions))
+    jf = _vanishing_generators(surface, zero_positions)
 
     # r_P, and T(l): the lines of T(l) through a point P of l are the
     # other r_P - 1 lines of J_F through P, and no two of them meet l twice
@@ -462,7 +474,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
         form=form, q=q, d=d,
         x_count=len(x_ids), x_point_ids=x_ids,
         hermitian_multiple=False,
-        contained_tangent_planes=contains_tangent_plane(form, surface, zero_positions),
+        contained_tangent_planes=contains_tangent_plane(form, surface, r),
         jf_indices=tuple(jf.tolist()), delta=d * (q + 1) - len(jf),
         residual_ids=tuple(surface.point_ids[zero_positions[r[zero_positions] == 0]].tolist()),
         meeting_sizes=tuple(meeting),

@@ -44,10 +44,6 @@ Matrix = tuple[tuple[int, ...], ...]
 _SECTION_BATCH = 256  # surface points whose planes are spanned at once
 
 
-def conj_transpose(field: Field, a: Matrix) -> Matrix:
-    return tuple(tuple(field.conj(a[j][i]) for j in range(4)) for i in range(4))
-
-
 def is_hermitian(field: Field, a) -> bool:
     a = tuple(tuple(row) for row in a)
     if len(a) != 4 or any(len(row) != 4 for row in a):
@@ -57,20 +53,6 @@ def is_hermitian(field: Field, a) -> bool:
     if all(x == 0 for row in a for x in row):
         return False
     return all(a[i][j] == field.conj(a[j][i]) for i in range(4) for j in range(4))
-
-
-def random_hermitian(field: Field, rng) -> Matrix:
-    """A uniformly random nonzero Hermitian matrix (any rank)."""
-    sub = field.subfield_indices()
-    while True:
-        a = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            a[i][i] = rng.choice(sub)
-            for j in range(i + 1, 4):
-                a[i][j] = rng.randrange(field.order)
-                a[j][i] = field.conj(a[i][j])
-        if any(x for row in a for x in row):
-            return tuple(tuple(row) for row in a)
 
 
 def _polar(field: Field, a, pts) -> np.ndarray:
@@ -217,9 +199,6 @@ class HermitianSurface:
 
     def contains(self, point) -> bool:
         return bool(self.position_of[self.geometry.point_id(point)] >= 0)
-
-    def points(self) -> list[tuple[int, ...]]:
-        return [tuple(p) for p in self.arr.tolist()]
 
     def _require_nondegenerate(self):
         if not self.is_nondegenerate:
@@ -372,10 +351,6 @@ class HermitianSurface:
             raise InternalConsistencyError("a tangent-plane line is secant iff it misses the point")
         gens, tangents, secants = (int((counts == c).sum()) for c in (q * q + 1, 1, q + 1))
         return TangentPlaneCensus(gens, tangents, secants, len(ids))
-
-    def describe(self) -> dict:
-        """Serialized form: q plus the 16 matrix element indices, row major."""
-        return {"q": self.q, "matrix": [c for row in self.matrix for c in row]}
 
     def __repr__(self):
         return f"HermitianSurface(q={self.q}, rank={self.rank}, points={len(self.point_ids)})"

@@ -230,9 +230,6 @@ class Geometry:
     def line_between_ids(self, pid: int, qid: int) -> Line:
         return self.line_through(self.arr[pid].tolist(), self.arr[qid].tolist())
 
-    def points_on_line(self, line: Line) -> list[tuple[int, ...]]:
-        return self._tuples(list(line.point_ids))
-
     def line_ids(self, basis) -> np.ndarray:
         """(L, q^2+1) ids of every line inside the span of a 3- or 4-row RREF
         basis, each row ascending, the rows in key order: the spans of
@@ -246,15 +243,7 @@ class Geometry:
         ids = np.sort(span_ids(f, rows), axis=1)
         return ids[np.lexsort((ids[:, 1], ids[:, 0]))]
 
-    def enumerate_lines(self) -> list[Line]:
-        """All lines in ascending key order, which is the order in which a
-        walk over ascending point pairs first meets them."""
-        return [Line(tuple(row)) for row in self.line_ids(np.eye(4)).tolist()]
-
     # -- planes ---------------------------------------------------------
-
-    def incident(self, plane, point) -> bool:
-        return bool(incidence(self.field, self.normalize(point), self.normalize(plane)) == 0)
 
     def plane_through(self, P, Q, R) -> tuple[int, ...]:
         """In the book u, v of the line PQ, the plane (v·R)u - (u·R)v holds R;
@@ -271,19 +260,6 @@ class Geometry:
     def plane_point_ids(self, plane) -> np.ndarray:
         """Ids of the points on a plane, ascending."""
         return np.sort(span_ids(self.field, dual_basis(self.field, [self.normalize(plane)]))[0])
-
-    def points_on_plane(self, plane) -> list[tuple[int, ...]]:
-        return self._tuples(self.plane_point_ids(plane))
-
-    def lines_in_plane(self, plane) -> list[Line]:
-        """The q^4+q^2+1 lines of a plane, by key."""
-        ids = self.line_ids(dual_basis(self.field, [self.normalize(plane)])[0])
-        return [Line(tuple(row)) for row in ids.tolist()]
-
-    def planes_through_point(self, P) -> list[tuple[int, ...]]:
-        """The q^4+q^2+1 planes through P, in ascending tuple order (dual
-        coordinates enumerate like points)."""
-        return self._tuples(span_ids(self.field, dual_basis(self.field, [self.normalize(P)]))[0])
 
     def book_of_planes(self, line: Line) -> list[tuple[int, ...]]:
         """The q^2+1 planes containing the line, in ascending tuple order."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -145,9 +144,6 @@ class BoundReport:
     def ok(self) -> bool:
         return all(c.satisfied is not False for c in self.checks.values())
 
-    def violations(self) -> list[str]:
-        return [name for name, c in self.checks.items() if c.satisfied is False]
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -215,13 +211,26 @@ def tangent_plane_factors(report: IntersectionReport,
     return the planes (with multiplicity, smallest dual tuples first);
     else None.
 
-    Every factor plane lies in V(F), so only the report's tangent planes
-    can divide.  Each is divided out while it divides and the rest is not
-    linear; the order does not matter since the polynomial ring is a UFD.
-    A product is left with one of them, whose linear form is normalized.
+    Every factor plane lies in V(F), so only the report's k tangent planes
+    can divide.  Each of them divides F: F restricted to a plane inside
+    V(F) is zero.  Distinct planes are coprime in the UFD, so their
+    product divides F, and k <= d (``contains_tangent_plane`` raises
+    otherwise).  When k = d, F is a scalar times that product, so the
+    planes are the factors, with no arithmetic.  When k < d, a product of
+    them meets the surface in their sections, the q+1 generators through
+    each tangency point, so a larger X refutes it with no division.
+    Otherwise each is divided out while it divides and the rest is not
+    linear; the order does not matter.  A product is left with one of
+    them, whose linear form is normalized.
     """
     planes = report.contained_tangent_planes
     if not planes:
+        return None
+    if len(planes) == report.d:
+        return list(planes)
+    points = surface.position_of[[surface.tangent_planes()[plane] for plane in planes]]
+    sections = surface.generator_positions()[surface.generators_through()[points]]
+    if len(np.unique(sections)) < report.x_count:
         return None
     f = surface.field
     rest, factors = report.form, []
@@ -532,6 +541,8 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     if workers <= 1:
         tally = _scan_range(ctx, 0, total)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every run ~20 ms
+
         chunk = max(SCAN_BLOCK, (total + workers * 4 - 1) // (workers * 4))
         starts = range(0, total, chunk)
         stops = [min(lo + chunk, total) for lo in starts]

@@ -1,15 +1,26 @@
-"""Symbolic restriction, the test-side oracle for containment.
+"""Symbolic restriction, the test-side oracle for containment, and the
+slow paths that ``check`` replaced.
 
 hermsurf decides whether a line or a plane lies in V(F) from F's values
 at its rational points, which is exact for degrees d <= q^2.  The tests
 check that rule against the definition: F restricted to a
 parametrization of the line or plane vanishes identically, over the
 algebraic closure.
+
+``intersection_stats`` and ``tangent_plane_factors`` decide from the zero
+set by criteria (a)-(c) of the ``hermsurf.forms`` docstring.  The
+references below are what they did before: divide by the surface
+equation, evaluate F on every candidate tangent plane, and divide out
+each contained plane.
 """
 
 import operator
 
+import numpy as np
+
 from hermsurf.finite_field import nullspace
+from hermsurf.forms import divides, exact_quotient, linear_form, surface_form
+from hermsurf.proj_geometry import dual_basis, span_ids
 
 
 def convolve(field, a: dict, b: dict) -> dict:
@@ -66,3 +77,56 @@ def planes_inside(form, geometry) -> list:
     zero = form.values_at(geometry.arr) == 0
     return [plane for plane in geometry.points  # dual coordinates enumerate like points
             if zero[geometry.plane_point_ids(plane)].all() and plane_inside(form, plane)]
+
+
+def hermitian_multiple_by_division(form, surface) -> bool:
+    """Does the surface equation H divide F?  By division."""
+    return divides(surface_form(surface), form)
+
+
+def vanishing_tangent_planes(surface, zero_positions) -> list:
+    """The tangent planes T_P, in surface point order, whose section, the
+    q+1 generators through P, lies in a zero set given by its surface
+    positions.  Every tangent plane inside V(F) passes for F's zero set."""
+    zero = np.zeros(len(surface.point_ids), dtype=bool)
+    zero[zero_positions] = True
+    lines = zero[surface.generator_positions()].all(axis=1)
+    planes = list(surface.tangent_planes())
+    return [planes[i] for i in np.flatnonzero(lines[surface.generators_through()].all(axis=1))]
+
+
+def tangent_planes_by_evaluation(form, surface) -> tuple:
+    """The tangent planes inside V(F), ascending: F is evaluated at every
+    point of each plane whose surface section vanishes.  For a multiple of
+    H these are the planes inside V(F/H), V(H) holding no plane."""
+    if hermitian_multiple_by_division(form, surface):
+        if form.degree == surface.q + 1:
+            return ()
+        form = exact_quotient(form, surface_form(surface))
+    f = surface.field
+    zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
+    candidates = sorted(vanishing_tangent_planes(surface, zero_positions))
+    if not candidates:
+        return ()
+    ids = span_ids(f, dual_basis(f, candidates))
+    inside = (form.values_at(surface.geometry.arr[ids.ravel()]).reshape(ids.shape) == 0).all(axis=1)
+    return tuple(plane for plane, zero in zip(candidates, inside) if zero)
+
+
+def factors_by_division(form, planes):
+    """The planes, with multiplicity and ascending, whose linear forms
+    multiply to F up to a scalar, or None: each of the given planes is
+    divided out while it divides and the rest is not linear, and the
+    linear rest must be one of them."""
+    if not planes:
+        return None
+    f = form.field
+    rest, factors = form, []
+    for plane in planes:
+        divisor = linear_form(f, plane)
+        while rest.degree > 1 and (quo := exact_quotient(rest, divisor)) is not None:
+            factors.append(plane)
+            rest = quo
+    last = rest.normalized()
+    factors += [plane for plane in planes if linear_form(f, plane) == last]
+    return sorted(factors) if len(factors) == form.degree else None

@@ -26,7 +26,6 @@ from hermsurf.hermitian import (
     canonical_surface,
     canonicalize,
     congruence,
-    random_hermitian,
 )
 from hermsurf.codes import build_code, min_distance_enumerate, min_distance_geometric
 from hermsurf.theorems import (
@@ -38,6 +37,7 @@ from hermsurf.theorems import (
     tangent_plane_factors,
     tangent_planes_through,
 )
+from helpers import enumerate_lines, random_hermitian, violations
 from symbolic import planes_inside
 
 
@@ -85,7 +85,7 @@ def test_criterion_02_planar_sections():
 def test_criterion_03_line_trichotomy():
     with criterion(3, "all 357 lines of PG(3,4) classify 1/3/5 with 27 generators", 5.0):
         surface = canonical_surface(2)
-        lines = surface.geometry.enumerate_lines()
+        lines = enumerate_lines(surface.geometry)
         assert len(lines) == 357
         generators = 0
         for line in lines:
@@ -200,7 +200,7 @@ def test_criterion_09_falsification_harness():
                     checked += 1
                     rep = intersection_stats(form, surface)
                     bounds = evaluate_bounds(rep)
-                    assert bounds.ok, (q, d, vec, bounds.violations())
+                    assert bounds.ok, (q, d, vec, violations(bounds))
                     assert 0 <= rep.jf_count <= d * (q + 1)  # delta >= 0
                     if d <= q:
                         assert rep.x_count <= sorensen_bound(q, d)

@@ -9,9 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hermsurf import cli, finite_field, theorems
-from hermsurf.cli import MAX_SURFACE_Q, _dumps, _forms_text, _Fragment, main
+from hermsurf.cli import MAX_SURFACE_Q, _dumps, _form_text, _forms_text, _Fragment, main
 from hermsurf.finite_field import build_field
-from hermsurf.forms import class_count, class_vectors, monomial_count, vector_to_json
+from hermsurf.forms import (
+    class_count,
+    class_vectors,
+    form_from_vector,
+    form_to_json,
+    monomial_count,
+    vector_to_json,
+)
 from hermsurf.hermitian import HermitianSurface, canonical_surface
 
 
@@ -574,3 +581,24 @@ def test_forms_text_matches_dumps_of_the_form_dicts(drawn, depth):
         {"forms": dicts}, indent)
     if len(vectors) == 1:
         assert _dumps([_Fragment(_forms_text, q, d, vectors)]) == indent2([dicts])
+
+
+@st.composite
+def _sparse_forms(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.integers(1, 6))
+    coefficient = st.one_of(st.just(0), st.integers(1, q * q - 1))
+    vector = st.lists(coefficient, min_size=monomial_count(d), max_size=monomial_count(d))
+    return q, form_from_vector(build_field(q), d, draw(vector.filter(any)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_forms(), st.integers(0, 4))
+def test_form_text_matches_dumps_of_form_to_json(drawn, depth):
+    """check, extremal and grid write their forms with _form_text: byte for
+    byte what _dumps writes for form_to_json, at q = 2, 3, 4."""
+    q, form = drawn
+    indent = "\n" + "  " * depth
+    assert _form_text(form, indent) == _dumps(form_to_json(form, q), indent)
+    assert _dumps({"form": _Fragment(_form_text, form)}, indent) == _dumps(
+        {"form": form_to_json(form, q)}, indent)

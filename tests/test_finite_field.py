@@ -15,6 +15,7 @@ from hermsurf.finite_field import (
     _poly_rem,
     _prime_power,
 )
+from helpers import field_describe, index_of_vector, vector_of
 
 # Beyond q = 5 the definitions are checked on these q, sampled where the
 # field is large.
@@ -32,13 +33,13 @@ def sample(field, n, seed):
 def poly_mul_mod(field, a, b):
     """Independent product: multiply vector representations mod modulus."""
     p = field.p
-    va, vb = field.vector_of(a), field.vector_of(b)
+    va, vb = vector_of(field, a), vector_of(field, b)
     prod = [0] * (len(va) + len(vb) - 1)
     for i, x in enumerate(va):
         for j, y in enumerate(vb):
             prod[i + j] = (prod[i + j] + x * y) % p
     rem = _poly_rem(prod, list(field.modulus), p)
-    return field.index_of_vector(tuple(rem))
+    return index_of_vector(field, tuple(rem))
 
 
 # (q, gen_index, modulus, sha256 of the bytes of add_np, mul_np, neg_np,
@@ -93,11 +94,11 @@ def test_add_neg_match_digit_sums(q):
     f = build_field(q)
     elems = sample(f, 150, q)
     for a in elems:
-        va = f.vector_of(a)
-        assert f.vector_of(f.neg(a)) == tuple(-x % f.p for x in va)
+        va = vector_of(f, a)
+        assert vector_of(f, f.neg(a)) == tuple(-x % f.p for x in va)
         for b in elems:
-            digit_sum = tuple((x + y) % f.p for x, y in zip(va, f.vector_of(b)))
-            assert f.vector_of(f.add(a, b)) == digit_sum
+            digit_sum = tuple((x + y) % f.p for x, y in zip(va, vector_of(f, b)))
+            assert vector_of(f, f.add(a, b)) == digit_sum
 
 
 def test_moduli_are_deterministic_and_minimal():
@@ -255,14 +256,14 @@ def test_division_errors():
 
 def test_describe_serialization():
     f = build_field(3)
-    assert f.describe() == {"p": 3, "k": 1, "q": 3, "modulus": [1, 0, 1]}
+    assert field_describe(f) == {"p": 3, "k": 1, "q": 3, "modulus": [1, 0, 1]}
 
 
 def test_vector_index_roundtrip():
     for q in (2, 3, 4, *LARGE_QS):
         f = build_field(q)
         for a in range(f.order):
-            assert f.index_of_vector(f.vector_of(a)) == a
+            assert index_of_vector(f, vector_of(f, a)) == a
 
 
 def test_numpy_tables_match_scalar_ops():

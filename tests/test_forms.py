@@ -39,12 +39,11 @@ from hermsurf.forms import (
     plane_contained,
     row_counts,
     surface_form,
-    vanishing_tangent_planes,
     vector_to_json,
 )
-from hermsurf.hermitian import canonical_surface
+from hermsurf.hermitian import InternalConsistencyError, canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
-from symbolic import line_inside, plane_inside, restrict
+from symbolic import line_inside, plane_inside, restrict, vanishing_tangent_planes
 
 
 @pytest.fixture(scope="module")
@@ -765,6 +764,34 @@ def test_contains_tangent_plane_prefilter_and_confirm(s2):
     assert contains_tangent_plane(pencil_form(s2), s2) == ((0, 0, 1, 1), (0, 0, 1, f.gen_index))
     assert contains_tangent_plane(linear_form(f, (1, 0, 0, 0)), s2) == ()
     assert contains_tangent_plane(linear_form(f, (0, 0, 1, 1)), s2) == ((0, 0, 1, 1),)
+
+
+def test_consistency_guards_refuse_a_doctored_zero_set(s2, monkeypatch):
+    """Zero sets that (a) and (c) of the forms docstring rule out raise,
+    never return: more than d tangent planes whose sections vanish at
+    d <= q, a form of degree d <= q that vanishes on the surface, and one
+    above q+1 that vanishes there but that H does not divide."""
+    f = s2.field
+    sections = s2.tangent_section_positions()
+
+    def doctor(positions):  # F vanishes at these surface positions only
+        def values_at(self, pts):
+            values = np.ones(len(pts), dtype=np.int16)
+            values[positions] = 0
+            return values
+        monkeypatch.setattr(Form, "values_at", values_at)
+
+    doctor(np.unique(np.concatenate(sections[:2])))
+    assert len(contains_tangent_plane(pencil_form(s2), s2)) == 2
+    doctor(np.unique(np.concatenate(sections[:3])))
+    with pytest.raises(InternalConsistencyError, match=r"tangent planes lie in V\(F\), d=2"):
+        contains_tangent_plane(pencil_form(s2), s2)
+    doctor(np.arange(45))
+    with pytest.raises(InternalConsistencyError, match=r"45 tangent planes lie in V\(F\), d=1"):
+        contains_tangent_plane(linear_form(f, (1, 0, 0, 0)), s2)
+    for form in (linear_form(f, (1, 0, 0, 0)), pencil_form(s2), Form(f, 4, {(4, 0, 0, 0): 1})):
+        with pytest.raises(InternalConsistencyError, match="vanishes on the surface"):
+            intersection_stats(form, s2)
 
 
 def refuted_candidate_form(surface):

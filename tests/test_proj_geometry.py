@@ -19,6 +19,14 @@ from hermsurf.proj_geometry import (
     projective_points,
     span_ids,
 )
+from helpers import (
+    enumerate_lines,
+    incident,
+    lines_in_plane,
+    planes_through_point,
+    points_on_line,
+    points_on_plane,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +79,7 @@ def test_enumeration_is_sorted_and_normalized(g2):
 
 def test_coordinate_line(g2):
     line = g2.line_through((1, 0, 0, 0), (0, 1, 0, 0))
-    pts = g2.points_on_line(line)
+    pts = points_on_line(g2, line)
     assert len(pts) == 5
     assert all(p[2] == 0 and p[3] == 0 for p in pts)
 
@@ -91,7 +99,7 @@ def test_line_symmetry_and_well_definedness(g2):
 
 
 def test_line_census_partitions_pairs(g2):
-    lines = g2.enumerate_lines()
+    lines = enumerate_lines(g2)
     assert len(lines) == 357  # (s^2+1)(s^2+s+1), s = 4
     seen_pairs = set()
     for line in lines:
@@ -106,7 +114,7 @@ def test_line_census_partitions_pairs(g2):
 def test_line_points_have_rank_two(g2):
     f = g2.field
     rng = random.Random(7)
-    lines = g2.enumerate_lines()
+    lines = enumerate_lines(g2)
     for line in rng.sample(lines, 30):
         base = [list(g2.points[line.key[0]]), list(g2.points[line.key[1]])]
         for pid in line.point_ids:
@@ -117,8 +125,8 @@ def test_line_points_have_rank_two(g2):
 def test_plane_through_and_incidence(g2):
     plane = g2.plane_through((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert plane == (0, 0, 0, 1)
-    assert g2.incident(plane, (1, 1, 1, 0))
-    assert not g2.incident(plane, (0, 0, 0, 1))
+    assert incident(g2, plane, (1, 1, 1, 0))
+    assert not incident(g2, plane, (0, 0, 0, 1))
     with pytest.raises(GeometryError):
         g2.plane_through((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))
 
@@ -144,18 +152,18 @@ def test_plane_through_matches_nullspace(q, data):
         return
     plane = g.plane_through(*rows)
     assert plane == normalize(f, nullspace(f, rows)[0])
-    assert all(g.incident(plane, row) for row in rows)
+    assert all(incident(g, plane, row) for row in rows)
 
 
 def test_plane_point_and_line_counts(g2):
     for plane in [(0, 0, 0, 1), (1, 2, 3, 1)]:
-        assert len(g2.points_on_plane(plane)) == 21
-        assert len(g2.lines_in_plane(plane)) == 21
+        assert len(points_on_plane(g2, plane)) == 21
+        assert len(lines_in_plane(g2, plane)) == 21
 
 
 def test_planes_through_point_count(g2):
-    assert len(g2.planes_through_point((1, 0, 0, 0))) == 21
-    assert len(g2.planes_through_point((1, 2, 3, 1))) == 21
+    assert len(planes_through_point(g2, (1, 0, 0, 0))) == 21
+    assert len(planes_through_point(g2, (1, 2, 3, 1))) == 21
 
 
 def test_book_of_coordinate_line(g2):
@@ -175,11 +183,11 @@ def test_book_size_q3(g3):
 
 def test_book_matches_plane_intersection_exhaustive(g2):
     """Every plane through two points of the line appears exactly once."""
-    for line in g2.enumerate_lines():
+    for line in enumerate_lines(g2):
         book = g2.book_of_planes(line)
         p0, p1 = line.key
-        via_points = set(g2.planes_through_point(g2.points[p0])) & set(
-            g2.planes_through_point(g2.points[p1])
+        via_points = set(planes_through_point(g2, g2.points[p0])) & set(
+            planes_through_point(g2, g2.points[p1])
         )
         assert set(book) == via_points
         assert len(book) == len(set(book)) == 5
@@ -200,7 +208,7 @@ def test_books_cover_space_and_meet_in_line(g2, g3):
             for s1, s2 in itertools.combinations(id_sets, 2):
                 assert s1 & s2 == set(line.point_ids)
 
-    check(g2, g2.enumerate_lines())  # exhaustive at q = 2
+    check(g2, enumerate_lines(g2))  # exhaustive at q = 2
     rng = random.Random(9)
     sampled = [
         g3.line_between_ids(*rng.sample(range(g3.n_points), 2)) for _ in range(10)
@@ -311,16 +319,16 @@ def test_enumerate_lines_matches_pair_walk(g2):
         ids = tuple(n for n, pt in enumerate(g2.points) if matrix_rank(f, base + [list(pt)]) == 2)
         lines.append(Line(ids))
         covered.update(itertools.combinations(ids, 2))
-    assert g2.enumerate_lines() == lines
+    assert enumerate_lines(g2) == lines
 
 
 def test_lines_in_plane_are_the_lines_inside_it(g3):
     rng = random.Random(11)
-    lines = g3.enumerate_lines()
+    lines = enumerate_lines(g3)
     for plane in rng.sample(g3.points, 3):
         on = set(g3.plane_point_ids(plane).tolist())
         inside = [line for line in lines if set(line.point_ids) <= on]
-        assert g3.lines_in_plane(plane) == inside
+        assert lines_in_plane(g3, plane) == inside
         assert len(inside) == 91
 
 
@@ -346,7 +354,7 @@ def test_coordinates_are_checked(g2, coords):
         g2.line_through(coords, (0, 1, 0, 0))
     for plane, point in ((coords, (0, 1, 0, 0)), ((0, 1, 0, 0), coords)):
         with pytest.raises(GeometryError):
-            g2.incident(plane, point)
+            incident(g2, plane, point)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import multiprocessing
 import os
@@ -28,7 +29,7 @@ from hermsurf.forms import (
     monomial_count,
     surface_form,
 )
-from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface, random_hermitian
+from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
 from hermsurf.theorems import (
     BudgetExceededError,
     FalsificationError,
@@ -49,6 +50,12 @@ from hermsurf.theorems import (
     sorensen_bound,
     tangent_plane_factors,
     tangent_planes_through,
+)
+from helpers import random_hermitian, violations
+from symbolic import (
+    factors_by_division,
+    hermitian_multiple_by_division,
+    tangent_planes_by_evaluation,
 )
 
 
@@ -219,6 +226,63 @@ def test_tangent_plane_factors(s2):
     assert tangent_plane_factors(intersection_stats(surface_form(s2), s2), s2) is None
 
 
+def _uniform(field, d, rng):
+    vec = [0] * monomial_count(d)
+    while not any(vec):
+        vec = [rng.randrange(field.order) for _ in vec]
+    return form_from_vector(field, d, vec)
+
+
+def _product(field, planes):
+    form = linear_form(field, planes[0])
+    for plane in planes[1:]:
+        form = form * linear_form(field, plane)
+    return form
+
+
+def _check_path_form(surface, kind, rng):
+    """A form of one kind at degree d <= q+1, or q+1 < d <= q^2 for a multiple of H."""
+    q, f = surface.q, surface.field
+    tangent = sorted(surface.tangent_planes())
+    d = rng.randint(1 if kind in ("uniform", "pencil") else 2, q + 1)
+    if kind == "uniform":
+        return _uniform(f, d, rng)
+    if kind == "pencil":  # d tangent planes through a random secant
+        while True:
+            a, b = rng.sample(range(surface.n_surface_points()), 2)
+            line = surface.geometry.line_between_ids(*surface.point_ids[[a, b]].tolist())
+            if surface.classify_line(line).kind is LineKind.SECANT:
+                return _product(f, rng.sample(tangent_planes_through(surface, line), d))
+    if kind == "repeated":  # tangent planes from a pool of two, so that most repeat
+        pool = rng.sample(tangent, 2)
+        return _product(f, [rng.choice(pool) for _ in range(d)])
+    if kind == "tangent_times_form":
+        return linear_form(f, rng.choice(tangent)) * _uniform(f, d - 1, rng)
+    rest = rng.randint(0, min(2, q * q - q - 1))  # H G, deg G <= 2 and d <= q^2
+    h = surface_form(surface)
+    return h.scale(rng.randrange(1, f.order)) if rest == 0 else h * _uniform(f, rest, rng)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["uniform", "pencil", "repeated", "tangent_times_form", "H*G"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_check_path_matches_division_and_plane_evaluation(q, kind, seed):
+    """intersection_stats and tangent_plane_factors decide from the zero set
+    by (a)-(c) of the forms docstring; the slow paths they replace (division
+    by H, evaluation of every candidate plane, the division loop) agree."""
+    surface = canonical_surface(q)
+    form = _check_path_form(surface, kind, random.Random(seed))
+    rep = intersection_stats(form, surface)
+    assert rep.hermitian_multiple == hermitian_multiple_by_division(form, surface)
+    assert rep.hermitian_multiple == (kind == "H*G")
+    planes = rep.contained_tangent_planes
+    assert planes == tangent_planes_by_evaluation(form, surface)
+    assert tangent_plane_factors(rep, surface) == factors_by_division(form, planes)
+    if kind in ("pencil", "repeated"):
+        assert tangent_plane_factors(rep, surface) is not None
+
+
 # ----------------------------------------------------------------------
 # extremal constructions
 # ----------------------------------------------------------------------
@@ -387,7 +451,7 @@ def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # imported lazily
     serial = exhaustive_search(s2, 2)
     assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
     assert all(n <= (os.cpu_count() or 1) for n in sizes)
@@ -761,7 +825,7 @@ def test_property_sampling_q4():
         form = form_from_vector(f, 2, vec)
         rep = intersection_stats(form, surface)
         br = evaluate_bounds(rep)
-        assert br.ok, (vec, br.violations())
+        assert br.ok, (vec, violations(br))
         assert rep.x_count <= sorensen_bound(4, 2)
 
 
