@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache, partial, reduce
 from json.encoder import encode_basestring_ascii
 from random import Random
 
@@ -52,8 +52,8 @@ from hermsurf.theorems import (
 # The largest q at which every command that builds the surface is timed.
 # The slowest is verify-counts, whose plane census spans the q^4+q^2+1
 # planes through each surface point and so grows as q^9: on one 2.0 GHz
-# x86-64 core, 4-6 s at q = 8 (extremal, grid and check at d = 9 take 0.4-0.6 s,
-# the surface and its generators 0.4 s); the census alone takes 11 s at q = 9.
+# x86-64 core, 2-4 s at q = 8 (extremal, grid and check at d = 9 take 0.4-0.6 s,
+# the surface and its generators 0.4 s); the census alone takes 9.5 s at q = 9.
 MAX_SURFACE_Q = 8
 _BOOK_SAMPLES = 50  # lines of each class whose book the census checks
 
@@ -165,9 +165,7 @@ def census_report(q: int, seed: int = 0) -> dict:
     tangent = np.zeros(geom.n_points, dtype=bool)
     tangent[surface.tangent_plane_ids()] = True
     sizes = surface.plane_section_sizes()
-    dual_sum = np.zeros(geom.n_points, dtype=np.int16)
-    for column in geom.arr.T:  # dual coordinates enumerate like points
-        dual_sum = f.add_np[dual_sum, f.norm_np[column]]
+    dual_sum = reduce(f.vadd, f.norm_np[geom.arr.T])  # dual coordinates enumerate like points
     sizes_ok = bool((sizes == np.where(tangent, big, small)).all())
     _check(checks, "planar_section_sizes", True, sizes_ok)
     _check(checks, "dual_tangency_criterion", True, bool(((dual_sum == 0) == tangent).all()))
@@ -207,9 +205,8 @@ def census_report(q: int, seed: int = 0) -> dict:
     _check(checks, "book_tangent_counts", True, bool(((tangency >= 0).sum(1) == counts).all()))
 
     # tangent-plane line census at sampled surface points
-    ids = surface.point_ids.tolist()
-    censuses = [surface.tangent_plane_line_census(geom.arr[pid].tolist())
-                for pid in rng.sample(ids, min(10, len(ids)))]
+    n = surface.n_surface_points()
+    censuses = surface.tangent_plane_line_census(surface.arr[rng.sample(range(n), min(10, n))])
     census_ok = all((c.generators, c.tangents_through_point, c.secants)
                     == (q + 1, q**2 - q, c.total_lines - (q**2 + 1)) for c in censuses)
     _check(checks, "tangent_plane_line_census", True, census_ok)
@@ -350,7 +347,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, d_required=False):
         p.add_argument("--q", type=int, required=True,
                        help=f"prime power, at most {MAX_SURFACE_Q} (verify-counts takes about"
-                            f" 5 s at q={MAX_SURFACE_Q})")
+                            f" 3 s at q={MAX_SURFACE_Q})")
         if d_required:
             p.add_argument("--d", type=int, required=True, help="form degree")
         p.add_argument("--out", help="write the JSON report to this path")

@@ -15,6 +15,9 @@ encodings derive every table, and no other module rebuilds them:
 
 Addition and negation are digit-wise mod p; multiplication, inversion,
 powers, conjugation and norm are log arithmetic; the trace is x + x^q.
+The (q^2, q^2) tables ``add_np`` and ``mul_np`` hold every sum and product;
+arrays add and multiply by ``vadd`` and ``vmul``, which ``np.take`` from a
+table, read flat, at a q^2 + b.
 
 Determinism: the modulus is the lexicographically smallest monic
 irreducible polynomial of degree 2k over GF(p) (coefficients compared
@@ -33,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 1024  # largest supported q^2
+_TAKE_CHUNK = 1 << 16  # index elements per np.take of vadd/vmul; take copies each to intp
 
 
 class FieldError(ValueError):
@@ -153,12 +157,13 @@ class Field:
             np.where(idx > 0, 1 + (idx - 1) * e % cycle, 0).astype(np.int16) for e in (q, q + 1)
         )
         trace = self.add_np[idx, self.conj_np]
+        self._index = np.int16 if order * order <= 1 << 15 else np.int32  # holds a q^2 + b
         # scalar mirrors: list lookups beat numpy indexing one element at a time
         self._add, self._neg, self._conj, self._norm, self._trace = (
             t.tolist() for t in (self.add_np, self.neg_np, self.conj_np, self.norm_np, trace)
         )
 
-    # -- scalar arithmetic on indices ----------------------------------
+    # -- arithmetic on indices: scalars, then broadcast arrays ----------
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -196,6 +201,25 @@ class Field:
 
     def trace(self, a: int) -> int:
         return self._trace[a]
+
+    def vadd(self, a, b) -> np.ndarray:
+        """Elementwise sums of index arrays (or ints), broadcast against each other."""
+        return self._lookup(self.add_np, a, b)
+
+    def vmul(self, a, b) -> np.ndarray:
+        """Elementwise products of index arrays (or ints), broadcast against each other."""
+        return self._lookup(self.mul_np, a, b)
+
+    def _lookup(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table[a, b], broadcast; a q^2 + b is in range, so mode="clip" checks nothing."""
+        at = np.asarray(a, self._index) * self.order + np.asarray(b, self._index)
+        if at.size <= _TAKE_CHUNK:
+            return table.take(at, mode="clip")
+        out = np.empty_like(at, dtype=table.dtype)  # at's memory order, so ravel("K") are views
+        at, flat = at.ravel("K"), out.ravel("K")
+        for lo in range(0, len(at), _TAKE_CHUNK):
+            table.take(at[lo : lo + _TAKE_CHUNK], out=flat[lo : lo + _TAKE_CHUNK], mode="clip")
+        return out
 
     # -- structure ------------------------------------------------------
 

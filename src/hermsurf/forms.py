@@ -97,8 +97,8 @@ class Form:
                 raise FormError(f"coefficient {c} is not an element index 0..{field.order - 1}")
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 4 or any(e < 0 for e in exps) or sum(exps) != degree:
+            exps = tuple(map(int, exps))
+            if len(exps) != 4 or min(exps) < 0 or sum(exps) != degree:
                 raise FormError(f"bad exponent tuple {exps} for degree {degree}")
             clean[exps] = int(c)
         if not clean:
@@ -204,7 +204,7 @@ class Form:
                 s = exps[g : g + group] @ logs + coeffs[g : g + group]
                 packed = np.take(lanes, s.astype(np.intp), mode="clip")
                 vals = np.take(unpack, packed.sum(axis=0, dtype=np.uint16))
-                res[...] = vals if g == 0 else f.add_np[res, vals]
+                res[...] = vals if g == 0 else f.vadd(res, vals)
         return out
 
 
@@ -548,11 +548,14 @@ def _digit_lanes(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
     return group, pack, np.take(field.index_of_code, codes)
 
 
+@lru_cache(maxsize=None)
 def _lanes(field: Field, top: int) -> np.ndarray:
-    """The packed element at each log sum s in 0..top; s = 0, where a
-    lookup with mode="clip" puts every s < 1, holds the packed 0."""
+    """The packed element at each log sum s in 0..top, read-only; s = 0, where
+    a lookup with mode="clip" puts every s < 1, holds the packed 0."""
     s = np.arange(top + 1)
-    return _digit_lanes(field)[1][np.where(s >= 1, 1 + (s - 1) % (field.order - 1), 0)]
+    lanes = _digit_lanes(field)[1][np.where(s >= 1, 1 + (s - 1) % (field.order - 1), 0)]
+    lanes.flags.writeable = False
+    return lanes
 
 
 # A slice of rows has about this many elements, which bounds the
@@ -591,7 +594,7 @@ def combination_values(field: Field, rows: np.ndarray, coeffs: np.ndarray) -> np
             for j in range(g + 1, min(g + group, len(used))):
                 acc += np.take(tables[j], part[:, used[j]], axis=0)
             vals = np.take(unpack, acc)
-            res[...] = vals if g == 0 else field.add_np[res, vals]
+            res[...] = vals if g == 0 else field.vadd(res, vals)
     return out
 
 
@@ -638,8 +641,9 @@ _TABLE_ELEMENTS = 1 << 23
 
 def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     """Yield (lo, hi, zero) over the scalar classes [start, stop) in
-    ``class_vectors`` order: zero is the (hi-lo, N) mask of the
-    combinations of the (M, N) rows that vanish, for classes lo..hi-1.
+    ``class_vectors`` order: zero is the point-major (hi-lo, N) mask of the
+    combinations of the (M, N) rows that vanish, for classes lo..hi-1
+    (strides (1, hi-lo), so that ``row_counts`` sums narrow rows fast).
 
     One table T holds the values of every combination of the last L rows,
     the last row as the least significant digit, for the largest L with
@@ -654,9 +658,11 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     low = 0
     while low < m - 1 and order ** (low + 1) <= min(SCAN_BLOCK, _TABLE_ELEMENTS // n):
         low += 1
-    table = np.zeros((1, n), dtype=np.int16)
-    for row in rows[m - low :][::-1]:
-        table = field.add_np[field.mul_np[:, row][:, None], table].reshape(-1, n)
+    table, size = np.zeros((order**low, n), dtype=np.int16, order="F"), 1
+    for row in rows[m - low :][::-1]:  # the next digit up: slice c is c row + the table so far
+        for c in range(1, order):
+            table[c * size : (c + 1) * size] = field.vadd(field.vmul(c, row), table[:size])
+        size *= order
     offset = 0
     for j in range(m):
         size = order ** (m - 1 - j)
@@ -669,7 +675,7 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
             prefix, high = rows[j], (first - offset) // span
             for i in range(m - 1 - digits, j, -1):
                 high, c = divmod(high, order)
-                prefix = field.add_np[field.mul_np[c, rows[i]], prefix]
+                prefix = field.vadd(field.vmul(c, rows[i]), prefix)
             yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
             lo = hi
         offset += size
@@ -720,10 +726,11 @@ def form_from_json(field: Field, data) -> Form:
         isinstance(t, list) and len(t) == 2 and isinstance(t[0], list) for t in terms
     ):
         raise FormError("terms must be a list of [[e0, e1, e2, e3], coefficient] pairs")
-    coeffs: dict = {}
-    for m, c in terms:
-        exps = tuple(_json_int(e, "an exponent") for e in m)
-        if exps in coeffs:
-            raise FormError(f"monomial {list(exps)} appears more than once")
-        coeffs[exps] = _json_int(c, "a coefficient")
+    ints, coeffs = [int] * 4, {}
+    for m, c in terms:  # the types are checked here, once; the values by Form
+        if list(map(type, m)) != ints:  # a bool, a non-int, or not four exponents
+            m = [_json_int(e, "an exponent") for e in m]
+        if tuple(m) in coeffs:
+            raise FormError(f"monomial {m} appears more than once")
+        coeffs[tuple(m)] = c if type(c) is int else _json_int(c, "a coefficient")
     return Form(field, degree, coeffs)

@@ -42,6 +42,7 @@ class InternalConsistencyError(RuntimeError):
 Matrix = tuple[tuple[int, ...], ...]
 
 _SECTION_BATCH = 256  # surface points whose planes are spanned at once
+_CENSUS_IDS = 1 << 18  # line point ids that one tangent-plane census call spans at most
 
 
 def is_hermitian(field: Field, a) -> bool:
@@ -61,7 +62,7 @@ def _polar(field: Field, a, pts) -> np.ndarray:
     conj = field.conj_np[np.asarray(pts)]
     polar = np.zeros(conj.shape, dtype=np.int16)
     for i, j in zip(*np.nonzero(a)):
-        polar[..., i] = field.add_np[polar[..., i], field.mul_np[a[i][j], conj[..., j]]]
+        polar[..., i] = field.vadd(polar[..., i], field.vmul(a[i][j], conj[..., j]))
     return polar
 
 
@@ -208,22 +209,23 @@ class HermitianSurface:
 
     def tangent_plane(self, point) -> tuple[int, ...]:
         """Dual coordinates A P^(q), normalized.  P must be on the surface."""
-        self._require_nondegenerate()
-        p = self.geometry.normalize(point)
-        if not self.contains(p):
-            raise HermitianError(f"{p} is not on the surface")
-        return tuple(self.geometry.arr[self._polar_ids(np.array([p]))[0]].tolist())
+        plane_ids = self.tangent_plane_ids()  # refuses a degenerate surface first
+        return tuple(self.geometry.arr[plane_ids[self._positions([point])[0]]].tolist())
 
-    def _polar_ids(self, pts: np.ndarray) -> np.ndarray:
-        """Plane ids of the polar planes of the rows of a point array."""
-        return span_ids(self.field, _polar(self.field, self.matrix, pts)[:, None])[:, 0]
+    def _positions(self, points) -> np.ndarray:
+        """Positions in the surface point list of points, else HermitianError."""
+        positions = self.position_of[[self.geometry.point_id(p) for p in points]]
+        if (positions < 0).any():
+            raise HermitianError(f"{points[positions.argmin()]} is not on the surface")
+        return positions
 
     def tangent_plane_ids(self) -> np.ndarray:
         """Plane id (dual coordinates ranked like points) of the tangent
         plane at each surface point, by surface position."""
         if self._tangent_plane_ids is None:
             self._require_nondegenerate()
-            self._tangent_plane_ids = self._polar_ids(self.arr)
+            polars = _polar(self.field, self.matrix, self.arr)[:, None]
+            self._tangent_plane_ids = span_ids(self.field, polars)[:, 0]
         return self._tangent_plane_ids
 
     def tangent_planes(self) -> dict[tuple[int, ...], int]:
@@ -342,15 +344,24 @@ class HermitianSurface:
         touch = np.sort(touch[touch >= 0])
         return BookClassification(len(touch), tuple(touch.tolist()))
 
-    def tangent_plane_line_census(self, point) -> TangentPlaneCensus:
-        """Classify every line inside the tangent plane at a surface point."""
-        q = self.q
-        ids = self.geometry.line_ids(dual_basis(self.field, [self.tangent_plane(point)])[0])
-        counts = self.line_counts(ids)
-        if ((ids == self.geometry.point_id(point)).any(axis=1) == (counts == q + 1)).any():
-            raise InternalConsistencyError("a tangent-plane line is secant iff it misses the point")
-        gens, tangents, secants = (int((counts == c).sum()) for c in (q * q + 1, 1, q + 1))
-        return TangentPlaneCensus(gens, tangents, secants, len(ids))
+    def tangent_plane_line_census(self, points):
+        """Classify every line inside the tangent plane at a surface point, or
+        at each row of a (B, 4) array of them, giving a list of B censuses."""
+        if np.ndim(points) == 1:
+            return self.tangent_plane_line_census([points])[0]
+        q, plane_ids, positions = self.q, self.tangent_plane_ids(), self._positions(points)
+        bases = dual_basis(self.field, self.geometry.arr[plane_ids[positions]])
+        pids = self.point_ids[positions, None, None]
+        step = max(1, _CENSUS_IDS // ((q**4 + q**2 + 1) * (q**2 + 1)))  # planes per line_ids call
+        censuses = []
+        for lo in range(0, len(positions), step):
+            ids = self.geometry.line_ids(bases[lo : lo + step])  # (step, L, q^2+1)
+            counts = self.line_counts(ids)
+            if ((ids == pids[lo : lo + step]).any(axis=2) == (counts == q + 1)).any():
+                raise InternalConsistencyError("a tangent-plane line is secant iff it misses the point")
+            censuses += [TangentPlaneCensus(*(int((row == c).sum()) for c in (q * q + 1, 1, q + 1)),
+                                            len(row)) for row in counts]
+        return censuses
 
     def __repr__(self):
         return f"HermitianSurface(q={self.q}, rank={self.rank}, points={len(self.point_ids)})"

@@ -45,10 +45,11 @@ def normalize(field: Field, coords) -> tuple[int, ...]:
     raise GeometryError("cannot normalize the zero tuple")
 
 
+@lru_cache(maxsize=None)
 def _rref_matrices(order: int, k: int, n: int) -> np.ndarray:
     """Every k x n matrix of rank k in reduced row echelon form over a
-    field of the given order, as a (count, k, n) array.  For k = 1 these
-    are the normalized points of PG(n-1), in ascending lexicographic order."""
+    field of the given order, as a read-only (count, k, n) array.  For k = 1
+    these are the normalized points of PG(n-1), in ascending lexicographic order."""
     blocks = []
     for pivots in itertools.combinations(range(n - 1, -1, -1), k):
         pivots = pivots[::-1]
@@ -59,7 +60,9 @@ def _rref_matrices(order: int, k: int, n: int) -> np.ndarray:
         for (r, c), values in zip(free, grid):
             block[:, r, c] = values
         blocks.append(block)
-    return np.concatenate(blocks)
+    matrices = np.concatenate(blocks)
+    matrices.flags.writeable = False
+    return matrices
 
 
 def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
@@ -77,12 +80,12 @@ def _normalized(field: Field, x: np.ndarray, col=None) -> tuple[np.ndarray, np.n
 
 
 def incidence(field: Field, pts, planes) -> np.ndarray:
-    """sum_k P_k c_k over the last axis of point rows P and plane rows c,
-    broadcast against each other: 0 iff P is on c."""
-    terms = field.mul_np[np.asarray(pts), np.asarray(planes)]
+    """sum_k P_k c_k over the last axis of point rows P and plane rows c (or any
+    two index arrays), broadcast against each other: 0 iff P is on c."""
+    terms = field.vmul(pts, planes)
     acc = terms[..., 0]
-    for k in range(1, 4):
-        acc = field.add_np[acc, terms[..., k]]
+    for k in range(1, terms.shape[-1]):
+        acc = field.vadd(acc, terms[..., k])
     return acc
 
 
@@ -91,11 +94,11 @@ def join_basis(field: Field, a, b) -> np.ndarray:
     normalized rows, b - a for equal leads, the upper row cleared at the lower's pivot."""
     (a, lead_a), (b, lead_b) = (_normalized(field, np.array(r, np.int16)) for r in (a, b))
     same = (lead_a == lead_b)[:, None]
-    b, lead_b = _normalized(field, np.where(same, field.add_np[b, field.neg_np[a]], b))
+    b, lead_b = _normalized(field, np.where(same, field.vadd(b, field.neg_np[a]), b))
     first = (lead_a < lead_b)[:, None]
     top, low = np.where(first, a, b), np.where(first, b, a)
     scale = top[np.arange(len(top)), np.maximum(lead_a, lead_b), None]
-    basis = np.stack([field.add_np[top, field.neg_np[field.mul_np[scale, low]]], low], axis=1)
+    basis = np.stack([field.vadd(top, field.neg_np[field.vmul(scale, low)]), low], axis=1)
     if not basis.any(axis=2).all():  # from a zero row, or from b - a = 0
         raise GeometryError("join_basis needs two independent nonzero rows")
     return basis
@@ -138,7 +141,7 @@ def span_ids(field: Field, rows) -> np.ndarray:
         raise GeometryError("span_ids needs bases in reduced row echelon form")
     free = np.nonzero((np.arange(4) != pivots[..., None]).all(axis=1))[1].reshape(count, 4 - k)
     tails = bases[np.arange(count)[:, None, None], np.arange(k)[:, None], free[:, None]]
-    order, add, mul = field.order, field.add_np, field.mul_np
+    order = field.order
     place = order ** np.arange(3, -1, -1, dtype=np.int32)  # of each coordinate in an id
     offset = np.array([1 + order + order**2, 1 + order, 1, 0], dtype=np.int32)
     scalars = np.arange(order, dtype=np.int32)
@@ -146,10 +149,10 @@ def span_ids(field: Field, rows) -> np.ndarray:
     value = np.zeros((count, 1), dtype=np.int32)  # and the place values of its pivot entries
     parts = [(offset[pivots[:, -1]] + (tails[:, -1] * place[free]).sum(axis=1))[:, None]]
     for j in range(k - 2, -1, -1):
-        multiples = mul[scalars[:, None], tails[:, None, j + 1]]
-        combos = add[combos[:, :, None], multiples[:, None]].reshape(count, -1, 4 - k)
+        multiples = field.vmul(scalars[:, None], tails[:, None, j + 1])
+        combos = field.vadd(combos[:, :, None], multiples[:, None]).reshape(count, -1, 4 - k)
         value = (value[:, :, None] + scalars * place[pivots[:, j + 1, None, None]]).reshape(count, -1)
-        entries = add[combos, tails[:, None, j]]
+        entries = field.vadd(combos, tails[:, None, j])
         ids = offset[pivots[:, j, None]] + value
         for c in range(4 - k):
             ids = ids + entries[:, :, c] * place[free[:, c, None]]
@@ -233,15 +236,16 @@ class Geometry:
     def line_ids(self, basis) -> np.ndarray:
         """(L, q^2+1) ids of every line inside the span of a 3- or 4-row RREF
         basis, each row ascending, the rows in key order: the spans of
-        R·basis over the 2 x len(basis) RREF matrices R."""
+        R·basis over the 2 x k RREF matrices R.  A (B, k, 4) batch of bases
+        gives a (B, L, q^2+1) array."""
         f = self.field
-        basis = np.asarray(basis, dtype=np.int16)
-        coeffs = _rref_matrices(f.order, 2, len(basis))
-        rows = np.zeros(coeffs.shape[:2] + (4,), dtype=np.int16)
-        for i, row in enumerate(basis):
-            rows = f.add_np[rows, f.mul_np[coeffs[:, :, i, None], row]]
-        ids = np.sort(span_ids(f, rows), axis=1)
-        return ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+        bases = np.asarray(basis, dtype=np.int16)
+        if bases.ndim == 2:
+            return self.line_ids(bases[None])[0]
+        coeffs = _rref_matrices(f.order, 2, bases.shape[1])
+        rows = incidence(f, coeffs[:, :, None], bases.transpose(0, 2, 1)[:, None, None])  # R·basis
+        ids = np.sort(span_ids(f, rows.reshape(-1, 2, 4)), axis=1).reshape(*rows.shape[:2], -1)
+        return np.take_along_axis(ids, np.lexsort((ids[..., 1], ids[..., 0]))[..., None], axis=1)
 
     # -- planes ---------------------------------------------------------
 
@@ -252,7 +256,7 @@ class Geometry:
         P, Q, R = (self.normalize(x) for x in (P, Q, R))  # join_basis refuses P = Q
         u, v = dual_line_basis(f, join_basis(f, [P], [Q]))[0]
         vr, ur = incidence(f, R, [v, u])
-        plane = f.add_np[f.mul_np[vr, u], f.neg_np[f.mul_np[ur, v]]]
+        plane = f.vadd(f.vmul(vr, u), f.neg_np[f.vmul(ur, v)])
         if not plane.any():
             raise GeometryError("plane_through needs three non-collinear points")
         return normalize(f, plane.tolist())

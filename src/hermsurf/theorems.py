@@ -563,14 +563,16 @@ def _random_linear(field: Field, rng: Random) -> Form:
             return linear_form(field, vec)
 
 
-def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int, sections):
-    """d tangent planes through a random secant: surface points a, b span one iff b is off
-    T_a, and its tangent planes touch at T_a n T_b (sections: tangent_section_positions())."""
+def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int, sections=None):
+    """d tangent planes through a random secant: surface points a, b span one iff b is off T_a,
+    and its tangent planes touch where the generators through a and b, which T_a and T_b cut
+    from the surface, meet.  ``sections`` is not read."""
+    rows, through = surface.generator_positions(), surface.generators_through()
     while True:
-        a, b = rng.sample(range(len(sections)), 2)
-        if not np.isin(b, sections[a]):
+        a, b = rng.sample(range(len(through)), 2)
+        if not np.isin(b, rows[through[a]]):
             break
-    touch = np.intersect1d(sections[a], sections[b], assume_unique=True)
+    touch = np.intersect1d(rows[through[a]], rows[through[b]])
     planes = sorted(map(tuple, surface.geometry.arr[surface.tangent_plane_ids()[touch]].tolist()))
     return [linear_form(surface.field, rng.choice(planes)) for _ in range(d)]
 
@@ -591,7 +593,7 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
 
     seen: set[tuple[int, ...]] = set()
     vectors: list[tuple[int, ...]] = []
-    skipped, sections = 0, None
+    skipped = 0
     for i in range(samples):
         if i % 2 == 0:
             vec = [0] * ctx.m
@@ -600,8 +602,7 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
             form = form_from_vector(surface.field, d, vec)
         else:
             if i % 4 == 1 and d <= surface.q + 1:
-                sections = sections or surface.tangent_section_positions()
-                factors = _random_secant_pencil_factors(surface, rng, d, sections)
+                factors = _random_secant_pencil_factors(surface, rng, d)
             else:
                 factors = [_random_linear(surface.field, rng) for _ in range(d)]
             form = factors[0]

@@ -1,10 +1,15 @@
+import ast
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
+from hermsurf import finite_field
 from hermsurf.finite_field import (
     Field,
     FieldError,
@@ -275,6 +280,69 @@ def test_numpy_tables_match_scalar_ops():
         assert int(f.conj_np[a]) == f.conj(a)
         assert int(f.norm_np[a]) == f.norm(a)
         assert int(f.neg_np[a]) == f.neg(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 8, 16, 32]),
+       dtypes=st.tuples(*[st.sampled_from([np.int16, np.int32, np.int64])] * 2))
+def test_vadd_vmul_match_scalar_ops(data, q, dtypes):
+    """vadd and vmul equal the scalar add and mul elementwise on index
+    arrays broadcast against each other; at q = 16 and 32, q^4 > 2^15 and
+    the flat index a q^2 + b is int32."""
+    f = build_field(q)
+    shapes = data.draw(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=5))
+    a, b = (data.draw(arrays(dt, shape, elements=st.integers(0, f.order - 1)))
+            for dt, shape in zip(dtypes, shapes.input_shapes))
+    for got, op in ((f.vadd(a, b), f.add), (f.vmul(a, b), f.mul)):
+        assert got.shape == shapes.result_shape
+        want = [op(x, y) for x, y in zip(*(np.broadcast_to(v, got.shape).ravel().tolist()
+                                            for v in (a, b)))]
+        assert got.ravel().tolist() == want
+    x, y = (int(v.flat[0]) if v.size else 0 for v in (a, b))
+    assert (int(f.vadd(x, y)), int(f.vmul(x, y))) == (f.add(x, y), f.mul(x, y))
+
+
+@pytest.mark.parametrize("q", [4, 32])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chunked_vadd_vmul_match_the_tables(q, order):
+    """Lookups larger than one np.take chunk, on C- and Fortran-ordered
+    operands, give the tables' entries in the operands' shape."""
+    f = build_field(q)
+    rng = np.random.default_rng(q)
+    a = np.asarray(rng.integers(0, f.order, (300, 500)), dtype=np.int16, order=order)
+    b = rng.integers(0, f.order, 500).astype(np.int16)
+    assert a.size > finite_field._TAKE_CHUNK
+    assert (f.vadd(a, b) == f.add_np[a, b]).all()
+    assert (f.vmul(a, b) == f.mul_np[a, b]).all()
+    assert (f.vmul(b, a) == f.mul_np[b, a]).all()
+
+
+def test_array_arithmetic_has_one_idiom():
+    """Outside Field.__init__, no module of the package reads add_np or
+    mul_np at two index arguments, or binds either table to a name: array
+    sums and products go through vadd and vmul."""
+    tables = ("add_np", "mul_np")
+    found = []
+    for path in sorted(Path(finite_field.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Field":
+                allowed |= {id(n) for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                            and fn.name == "__init__" for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            lookup = (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                      and node.value.attr in tables and isinstance(node.slice, ast.Tuple)
+                      and len(node.slice.elts) >= 2)
+            value = getattr(node, "value", None) if isinstance(
+                node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) else None
+            alias = any(isinstance(n, ast.Attribute) and n.attr in tables
+                        for n in (value.elts if isinstance(value, ast.Tuple) else [value]))
+            if lookup or alias:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hermsurf.forms import (
     Form,
     FormError,
     _digit_lanes,
+    _lanes,
     class_count,
     class_vectors,
     class_zero_blocks,
@@ -1085,6 +1086,8 @@ def test_class_zero_blocks_match_combination_values(case):
     bounds = [start] + [hi for _, hi, _ in blocks]
     assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
     assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
+    # point-major masks, strides (1, hi - lo): row_counts sums narrow rows fastest so
+    assert all(z.flags.f_contiguous for _, _, z in blocks)
     zero = np.concatenate([z for _, _, z in blocks])
     want = combination_values(field, rows, class_vectors(field, rows.shape[0], np.arange(start, stop))) == 0
     assert zero.shape == want.shape and (zero == want).all()
@@ -1117,3 +1120,52 @@ def test_form_json_roundtrip(s2):
     assert back == form
     with pytest.raises(FormError):
         form_from_json(build_field(3), data)
+
+
+@pytest.mark.parametrize("d, terms", [
+    (1, [[[1.0, 0, 0, 0], 1]]),  # a non-int exponent
+    (1, [[[1, 0, 0, True], 1]]),  # a bool exponent
+    (1, [[[1, 0, 0, 0], 1.0]]),  # a non-int coefficient
+    (1, [[[1, 0, 0, 0], True]]),  # a bool coefficient
+    (1, [[[1, 0, 0], 1]]),  # three exponents
+    (1, [[[1, 0, 0, 0, 0], 1]]),  # five exponents
+    (1, [[[2, -1, 0, 0], 1]]),  # a negative exponent
+    (1, [[[2, 0, 0, 0], 1]]),  # exponents summing to 2, not d
+    (1, [[[1, 0, 0, 0], -1]]),  # coefficients outside 0..q^2-1
+    (1, [[[1, 0, 0, 0], 4]]),
+    (1, [[[1, 0, 0, 0], 1], [[1, 0, 0, 0], 0]]),  # a repeated monomial
+    (1, [[[1, 0, 0, 0], 0]]),  # the zero form
+    (1, []),
+    (0, [[[0, 0, 0, 0], 1]]),  # d < 1
+])
+def test_form_from_json_refusals(d, terms):
+    with pytest.raises(FormError):
+        form_from_json(build_field(2), {"q": 2, "d": d, "terms": terms})
+
+
+def test_form_from_json_checks_each_term_once(monkeypatch):
+    """Documents build the Form that Form(...) builds from the same terms,
+    zero coefficients dropped; a term of plain ints takes no _json_int call,
+    which only q and d then make."""
+    f = build_field(3)
+    rng = random.Random(3)
+    cases = []
+    for d in (1, 2, 4):
+        vec = [rng.choice([0, 0, rng.randrange(f.order)]) for _ in monomials(d)]
+        vec[rng.randrange(len(vec))] = 1
+        terms = [[list(m), c] for m, c in zip(monomials(d), vec)]
+        cases.append((d, terms, Form(f, d, {tuple(m): c for m, c in terms})))
+    calls = []
+    json_int = forms_module._json_int
+    monkeypatch.setattr(forms_module, "_json_int", lambda *a: calls.append(a) or json_int(*a))
+    for d, terms, want in cases:
+        calls.clear()
+        got = form_from_json(f, {"q": 3, "d": d, "terms": terms})
+        assert got == want and 0 not in got.coeffs.values()
+        assert calls == [(3, "q"), (d, "d")]
+
+
+def test_lanes_are_cached_and_read_only():
+    f = build_field(4)
+    lanes = _lanes(f, 100)
+    assert lanes is _lanes(f, 100) and not lanes.flags.writeable

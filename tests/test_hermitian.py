@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermsurf import finite_field
+from hermsurf import finite_field, hermitian
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import surface_form
 from hermsurf.hermitian import (
@@ -14,12 +14,13 @@ from hermsurf.hermitian import (
     HermitianSurface,
     InternalConsistencyError,
     LineKind,
+    TangentPlaneCensus,
     canonical_surface,
     canonicalize,
     congruence,
     is_hermitian,
 )
-from hermsurf.proj_geometry import Geometry, normalize
+from hermsurf.proj_geometry import Geometry, dual_basis, normalize
 from helpers import (
     conj_transpose,
     enumerate_lines,
@@ -521,6 +522,30 @@ def test_tangent_plane_line_census_matches_brute_force(q, seed):
         assert gens + tangents + secants == len(lines)
         assert (census.generators, census.tangents_through_point, census.secants,
                 census.total_lines) == (gens, tangents, secants, len(lines))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("seed", [None, 5], ids=["canonical", "random5"])
+def test_batched_tangent_plane_census_matches_one_point_calls(q, seed, monkeypatch):
+    """A batch of points gives, in its order, the census of each point alone,
+    whose lines come from the 3-row basis of its tangent plane; so does a
+    batch split over several line_ids calls."""
+    s = canonical_surface(q) if seed is None else random_surface(q, seed)
+    pts = s.arr[random.Random(q).sample(range(s.n_surface_points()), 7)]
+    alone = []
+    for p in pts.tolist():
+        ids = s.geometry.line_ids(dual_basis(s.field, [s.tangent_plane(p)])[0])
+        counts, pid = s.line_counts(ids), s.geometry.point_id(p)
+        assert (counts == q + 1).tolist() == (ids != pid).all(axis=1).tolist()
+        alone.append(TangentPlaneCensus(*((counts == c).sum() for c in (q * q + 1, 1, q + 1)),
+                                        len(ids)))
+        assert s.tangent_plane_line_census(p) == alone[-1]
+    assert s.tangent_plane_line_census(pts) == alone
+    monkeypatch.setattr(hermitian, "_CENSUS_IDS", 2 * (q**4 + q**2 + 1) * (q**2 + 1))
+    assert s.tangent_plane_line_census(pts) == alone
+    off = s.geometry.arr[np.flatnonzero(s.position_of < 0)[0]]
+    with pytest.raises(HermitianError):
+        s.tangent_plane_line_census(np.vstack([pts, off]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

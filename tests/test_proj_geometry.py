@@ -12,6 +12,7 @@ from hermsurf.proj_geometry import (
     Geometry,
     GeometryError,
     Line,
+    _rref_matrices,
     dual_basis,
     geometry_for,
     join_basis,
@@ -330,6 +331,25 @@ def test_lines_in_plane_are_the_lines_inside_it(g3):
         inside = [line for line in lines if set(line.point_ids) <= on]
         assert lines_in_plane(g3, plane) == inside
         assert len(inside) == 91
+
+
+def test_line_ids_of_a_batch_of_planes(g3):
+    """A (B, 3, 4) batch of plane bases gives each plane's lines, in key order,
+    as the lines of the full enumeration inside that plane."""
+    lines = enumerate_lines(g3)
+    planes = random.Random(12).sample(g3.points, 4)
+    batch = g3.line_ids(dual_basis(g3.field, planes))
+    assert batch.shape == (4, 91, 10)
+    for plane, ids in zip(planes, batch.tolist()):
+        on = set(g3.plane_point_ids(plane).tolist())
+        assert [Line(tuple(row)) for row in ids] == [l for l in lines if set(l.point_ids) <= on]
+
+
+def test_rref_matrices_are_cached_read_only_and_back_the_points():
+    m = _rref_matrices(9, 2, 3)
+    assert m is _rref_matrices(9, 2, 3) and not m.flags.writeable
+    g = Geometry(build_field(3))
+    assert np.shares_memory(g.arr, _rref_matrices(9, 1, 4)) and not g.arr.flags.writeable
 
 
 @pytest.mark.parametrize("coords", [

@@ -4,10 +4,13 @@ import multiprocessing
 import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -827,6 +830,20 @@ def test_property_sampling_q4():
         br = evaluate_bounds(rep)
         assert br.ok, (vec, violations(br))
         assert rep.x_count <= sorensen_bound(4, 2)
+
+
+def test_random_search_at_q8_reads_sections_from_generator_rows():
+    """search --q 8 --d 2 --mode random --samples 200 peaks below 200 MB in a
+    fresh interpreter (a table of every tangent section took 647 MB).  A
+    wrapper runs it, so RUSAGE_CHILDREN holds its peak alone."""
+    wrapper = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True,"
+               " stdout=subprocess.DEVNULL); print(resource.getrusage(resource.RUSAGE_CHILDREN)"
+               ".ru_maxrss)")
+    argv = ["search", "--q", "8", "--d", "2", "--mode", "random", "--samples", "200"]
+    env = dict(os.environ, PYTHONPATH=str(Path(theorems.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "hermsurf.cli",
+                          *argv], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.parametrize("q, seed", [(2, 1), (3, 0), (4, 3)])
