@@ -17,8 +17,8 @@ import numpy as np
 
 from hermsurf.finite_field import Field
 from hermsurf.forms import class_count, class_zero_blocks, monomial_count, monomial_matrix
-from hermsurf.forms import monomials, require_scan_degree, row_counts, surface_form
-from hermsurf.hermitian import HermitianError, HermitianSurface
+from hermsurf.forms import require_scan_degree, row_counts, standard_monomials
+from hermsurf.hermitian import HermitianError, HermitianSurface, InternalConsistencyError
 from hermsurf.theorems import BudgetExceededError, sorensen_bound
 
 
@@ -52,15 +52,13 @@ def build_code(surface: HermitianSurface, d: int) -> EvaluationCode:
     of F, V(F) n V(H) would be a curve of degree d(q+1) < (q+1)(q^3+1), the generators'
     total degree (Bezout).  So the rows span the code (division by H), and a vanishing
     combination of them is some Q H, of non-standard leading monomial LM(Q) LM(H), so 0."""
-    k = code_dimension(surface, d)
-    standard = (np.array(monomials(d)) < surface_form(surface).leading_monomial()).any(axis=1)
     return EvaluationCode(
         field=surface.field,
         q=surface.q,
         d=d,
         n=len(surface.point_ids),
-        k=k,
-        basis=monomial_matrix(surface.field, d, surface.arr)[standard],
+        k=code_dimension(surface, d),
+        basis=monomial_matrix(surface.field, d, surface.arr)[standard_monomials(surface, d)],
     )
 
 
@@ -81,7 +79,7 @@ def min_distance_enumerate(code: EvaluationCode, *, budget: int = 10_000_000):
     for _, _, zero in class_zero_blocks(code.field, code.basis, 0, class_count(order, code.k)):
         dist += np.bincount(code.n - row_counts(zero), minlength=code.n + 1)
     if dist[0]:
-        raise RuntimeError("independent basis rows produced a zero codeword")
+        raise InternalConsistencyError("independent basis rows produced a zero codeword")
     weights = Counter({0: 1})
     for w in np.flatnonzero(dist):
         weights[int(w)] += int(dist[w]) * (order - 1)

@@ -229,6 +229,11 @@ def surface_form(surface: HermitianSurface) -> Form:
     return Form(f, q + 1, coeffs)
 
 
+def standard_monomials(surface: HermitianSurface, degree: int) -> np.ndarray:
+    """Mask of the degree-d monomials not divisible by the surface equation's leading monomial."""
+    return (np.array(monomials(degree)) < surface_form(surface).leading_monomial()).any(axis=1)
+
+
 # ----------------------------------------------------------------------
 # containment
 # ----------------------------------------------------------------------

@@ -63,6 +63,7 @@ from hermsurf.forms import (
     monomial_matrix,
     require_scan_degree,
     row_counts,
+    standard_monomials,
     vector_to_json,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind
@@ -401,6 +402,8 @@ class _SearchContext:
         if self.m * self.n > _MATRIX_ELEMENTS:
             raise BudgetExceededError(f"{self.m} x {self.n} monomial values exceed {_MATRIX_ELEMENTS}")
         self.rows = monomial_matrix(self.field, d, surface.arr)
+        self.standard = np.flatnonzero(standard_monomials(surface, d))
+        self.k, self.basis = len(self.standard), self.rows[self.standard]  # the code basis
         # by the zero count in the forms module docstring (at most d zeros
         # on a line), d+1 points of each generator decide its containment
         self.gen_pos = surface.generator_positions()[:, : d + 1]
@@ -422,15 +425,21 @@ class _SearchContext:
         jf_counts[above] = row_counts(hit)
         return x_counts, jf_counts
 
-    def check_block(self, x_counts, jf_counts, keep: np.ndarray, vector):
-        """Raise FalsificationError if a kept row beats a proved bound;
+    def lift(self, vectors: np.ndarray) -> np.ndarray:
+        """M-long coefficient vectors of k-long code-class vectors, 0 off the standard monomials."""
+        out = np.zeros((len(vectors), self.m), dtype=vectors.dtype)
+        out[:, self.standard] = vectors
+        return out
+
+    def check_block(self, x_counts, jf_counts, vector):
+        """Raise FalsificationError if a row beats a proved bound;
         vector(i) decodes row i's coefficients for the witness."""
         lhs = x_counts * (self.q + 1)
         top = len(self.incidence_rhs) - 1
         over = jf_counts > top  # |J_F| > d(q+1) would itself refute deg X = d(q+1)
-        bad = keep & (over | (lhs > self.incidence_rhs[np.minimum(jf_counts, top)]))
+        bad = over | (lhs > self.incidence_rhs[np.minimum(jf_counts, top)])
         if self.sorensen is not None:
-            bad |= keep & (x_counts > self.sorensen)
+            bad |= x_counts > self.sorensen
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             form = form_from_vector(self.field, self.d, vector(i))
@@ -456,7 +465,6 @@ class _Tally:
 
     def merge(self, other: "_Tally"):
         self.examined += other.examined
-        self.skipped += other.skipped
         if other.max_count > self.max_count:
             self.max_count = other.max_count
             self.argmax = list(other.argmax)
@@ -467,32 +475,21 @@ class _Tally:
 
 
 def _scan_block(ctx: _SearchContext, zero: np.ndarray, keys, vector, tally: _Tally):
-    """Tally one block from its zero mask.  keys[i] stands for row i in the
-    argmax list; vector(i) decodes row i's coefficients, which only a
-    candidate multiple of the surface equation or a witness needs."""
+    """Tally one nonempty block of non-multiples of H from its zero mask.  keys[i] stands for
+    row i in the argmax list; vector(i) decodes row i's coefficients, which only a witness needs."""
     x_counts, jf_counts = ctx.scan(zero)
-    keep = np.ones(len(zero), dtype=bool)
-    if ctx.d >= ctx.q + 1:
-        for i in np.flatnonzero(x_counts == ctx.n).tolist():
-            if hermitian_divides(form_from_vector(ctx.field, ctx.d, vector(i)), ctx.surface):
-                keep[i] = False
-    ctx.check_block(x_counts, jf_counts, keep, vector)
-    kept = np.flatnonzero(keep)
-    block = _Tally(examined=len(kept), skipped=len(zero) - len(kept))
-    if len(kept):
-        counts = x_counts[kept]
-        block.max_count = int(counts.max())
-        hits = kept[counts == block.max_count]
-        block.total = len(hits)
-        block.argmax = [keys[int(i)] for i in hits[:_ARGMAX_CAP]]
-    tally.merge(block)
+    ctx.check_block(x_counts, jf_counts, vector)
+    top = int(x_counts.max())
+    hits = np.flatnonzero(x_counts == top)
+    argmax = [keys[int(i)] for i in hits[:_ARGMAX_CAP]]
+    tally.merge(_Tally(top, argmax, total=len(hits), examined=len(zero)))
 
 
 def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally = _Tally()
-    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.rows, start, stop):
+    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.basis, start, stop):
         _scan_block(ctx, zero, range(lo, hi),
-                    lambda i: class_vectors(ctx.field, ctx.m, [lo + i])[0], tally)
+                    lambda i: ctx.lift(class_vectors(ctx.field, ctx.k, [lo + i]))[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
     return tally
@@ -515,19 +512,20 @@ def _result(ctx: _SearchContext, mode: str, tally: _Tally, argmax_vectors, start
 
 def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000_000,
                       workers: int = 1) -> SearchResult:
-    """Scan every scalar class of degree-d forms, tracking max |X|.
-
-    Every scanned form is checked against the incidence bound and (for
-    d <= q+1) the Sorensen bound; a violation aborts the scan.  At
-    d >= q+1, multiples of the surface equation are skipped and counted
-    separately.  A parallel scan uses at most min(workers, CPU count)
-    processes; workers < 1 is refused with a ValueError.  Each scanning
-    process writes a line to stderr for every million classes of its range.
-    """
+    """Scan every scalar class of degree-d forms mod the surface equation H for the max |X|.
+    F and F + G H meet the surface alike, so the scan and the budget cover the classes of the
+    code basis (``standard_monomials``); at d >= q+1 argmax forms are standard-monomial
+    representatives.  As class_count(Q, M) = Q^(M-k) class_count(Q, k) + class_count(Q, M-k)
+    for Q = q^2, each scanned class stands for Q^(M-k) examined ones, and the last term counts
+    the skipped multiples of H.  Every scanned form is checked against the incidence bound and
+    (for d <= q+1) the Sorensen bound; a violation aborts the scan.  A parallel scan uses at
+    most min(workers, CPU count) processes (workers < 1 raises ValueError); each scanning
+    process writes a line to stderr for every million classes of its range."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     require_scan_degree(surface.q, d)
-    total = class_count(surface.field.order, monomial_count(d))
+    order, k = surface.field.order, int(standard_monomials(surface, d).sum())
+    total = class_count(order, k)
     if total > budget:
         raise BudgetExceededError(
             f"{total} scalar classes exceed the budget {budget}; use random_search"
@@ -552,7 +550,10 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
             for part in pool.map(_scan_range, repeat(ctx), starts, stops):
                 tally.merge(part)
 
-    argmax = class_vectors(surface.field, ctx.m, sorted(tally.argmax)).tolist()
+    tally.examined *= order ** (ctx.m - k)
+    tally.total *= order ** (ctx.m - k)
+    tally.skipped = class_count(order, ctx.m - k)
+    argmax = ctx.lift(class_vectors(surface.field, k, sorted(tally.argmax))).tolist()
     return _result(ctx, "exhaustive", tally, argmax, start_t)
 
 
@@ -563,10 +564,10 @@ def _random_linear(field: Field, rng: Random) -> Form:
             return linear_form(field, vec)
 
 
-def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int, sections=None):
+def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int):
     """d tangent planes through a random secant: surface points a, b span one iff b is off T_a,
     and its tangent planes touch where the generators through a and b, which T_a and T_b cut
-    from the surface, meet.  ``sections`` is not read."""
+    from the surface, meet."""
     rows, through = surface.generator_positions(), surface.generators_through()
     while True:
         a, b = rng.sample(range(len(through)), 2)

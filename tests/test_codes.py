@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,15 @@ from hermsurf.forms import (
     monomial_count,
     monomial_matrix,
     monomials,
+    standard_monomials,
 )
 from hermsurf.finite_field import build_field, matrix_rank, rref
-from hermsurf.hermitian import HermitianError, HermitianSurface, canonical_surface
+from hermsurf.hermitian import (
+    HermitianError,
+    HermitianSurface,
+    InternalConsistencyError,
+    canonical_surface,
+)
 from hermsurf.theorems import BudgetExceededError
 
 
@@ -106,6 +113,33 @@ def test_geometric_prediction():
         min_distance_geometric(2, 0)
     with pytest.raises(ValueError):
         min_distance_geometric(2, 4)
+
+
+def test_a_zero_codeword_is_an_internal_inconsistency(s2):
+    """A basis that repeats a row has the zero codeword row - row: the
+    enumeration raises rather than count it."""
+    code = build_code(s2, 1)
+    twice = replace(code, k=2, basis=code.basis[[0, 0]])
+    with pytest.raises(InternalConsistencyError):
+        min_distance_enumerate(twice)
+
+
+def test_class_count_identity():
+    """class_count(Q, M) = Q^(M-k) class_count(Q, k) + class_count(Q, M-k)
+    for Q = q^2, M = C(d+3,3) and k from code_dimension, at every prime
+    power q <= 8 and 1 <= d <= q^2: the code classes, each lifted to
+    Q^(M-k) form classes, and the multiples of H are every form class.
+    The standard-monomial mask counts k at q <= 4 (at q = 8 its monomial
+    tables would hold about 800,000 exponent tuples)."""
+    for q in (2, 3, 4, 5, 7, 8):
+        surface, order = canonical_surface(q), q * q
+        for d in range(1, q * q + 1):
+            m, k = monomial_count(d), code_dimension(surface, d)
+            assert 0 < k <= m and (k == m) == (d <= q)
+            lifted = order ** (m - k) * class_count(order, k)
+            assert class_count(order, m) == lifted + class_count(order, m - k)
+            if q <= 4:
+                assert int(standard_monomials(surface, d).sum()) == k
 
 
 def test_budget_guard(s3):

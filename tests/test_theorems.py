@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import copy
 import multiprocessing
@@ -25,11 +26,13 @@ from hermsurf.forms import (
     class_count,
     class_vectors,
     combination_values,
+    divide,
     form_from_vector,
     form_to_json,
     intersection_stats,
     linear_form,
     monomial_count,
+    monomials,
     surface_form,
 )
 from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
@@ -528,20 +531,120 @@ def test_scan_range_splits_merge_to_the_full_scan(s2, split):
 
 
 def test_scan_range_decodes_the_surface_equation_lazily(s2, capsys):
-    """At (2,3) the normalized surface equation is the one class that is
-    skipped; scanning 1,000,100 classes writes one progress line."""
+    """At (2,3) the scan runs over the 19 standard monomials: the surface
+    equation, whose leading monomial x0^3 is not one of them, is no class,
+    and no class is skipped; scanning 1,000,100 classes writes one progress
+    line."""
     ctx = _SearchContext(s2, 3)
     f = s2.field
-    vec = surface_form(s2).normalized().coefficient_vector()
-    lead = next(i for i, c in enumerate(vec) if c)
-    index = class_count(f.order, ctx.m) - class_count(f.order, ctx.m - lead)
-    index += sum(c * f.order**k for k, c in enumerate(reversed(vec[lead + 1 :])))
-    assert class_vectors(f, ctx.m, np.arange(index, index + 1))[0].tolist() == list(vec)
-    tally = _scan_range(ctx, index - 5000, index + 5000)
-    assert (tally.skipped, tally.examined) == (1, 9999)
+    herm = np.array(surface_form(s2).normalized().coefficient_vector())
+    assert (ctx.m, ctx.k) == (20, 19) and herm[np.setdiff1d(np.arange(ctx.m), ctx.standard)].any()
+    total = class_count(f.order, ctx.k)
+    for lo in (0, total // 2, total - 10_000):
+        tally = _scan_range(ctx, lo, lo + 10_000)
+        assert (tally.skipped, tally.examined) == (0, 10_000)
+        assert tally.max_count < ctx.n
     capsys.readouterr()
     _scan_range(ctx, 0, 1_000_100)
     assert capsys.readouterr().err.splitlines() == ["scanned 1000100 of 1000100 classes"]
+
+
+@pytest.mark.parametrize("q, d", [(2, 3), (2, 4), (3, 4)])
+def test_a_form_and_its_remainder_mod_h_meet_the_surface_alike(q, d):
+    """F and its remainder mod H have the same |X|, the same J_F over all
+    q^2+1 points of each generator and the same check_block verdict, and the
+    remainder uses only standard monomials.  Half the forms are uniform; half
+    are d tangent planes plus G H for a random G, so they contain generators."""
+    surface, ctx, planes = _floor_context(q, d)
+    f, herm = surface.field, surface_form(surface)
+    standard = {monomials(d)[i] for i in ctx.standard}
+    rng = random.Random(10 * q + d)
+    forms, remainders = [], []
+    while len(forms) < 24:
+        if len(forms) % 2:
+            form = linear_form(f, rng.choice(planes))
+            for _ in range(d - 1):
+                form = form * linear_form(f, rng.choice(planes))
+            g = [rng.randrange(f.order) for _ in range(monomial_count(d - q - 1))]
+            if any(g):
+                gh = herm.scale(g[0]) if d == q + 1 else form_from_vector(f, d - q - 1, g) * herm
+                coeffs = dict(gh.coeffs)
+                for mono, c in form.coeffs.items():
+                    coeffs[mono] = f.add(coeffs.get(mono, 0), c)
+                form = Form(f, d, coeffs)
+        else:
+            vec = [rng.randrange(f.order) for _ in range(ctx.m)]
+            if not any(vec):
+                continue
+            form = form_from_vector(f, d, vec)
+        rest = divide(form, herm)[1]
+        assert set(rest) <= standard
+        forms.append(form)
+        remainders.append(Form(f, d, rest))
+    gens = surface.generator_positions()
+    out = []
+    for group in (forms, remainders):
+        coeffs = np.array([g.coefficient_vector() for g in group], dtype=np.int16)
+        zero = np.array([g.values_at(surface.arr) == 0 for g in group])
+        x_counts, jf_counts = ctx.scan(zero)
+        full = zero[:, gens].all(axis=2).sum(axis=1)
+        out.append((x_counts.tolist(), full.tolist(), _verdicts(ctx, x_counts, jf_counts, coeffs)))
+    assert out[0] == out[1]
+    assert any(out[0][1])
+
+
+@pytest.mark.parametrize("q, d", [(2, 3), (3, 4)])
+def test_scan_range_over_code_classes_matches_lifted_brute_force(q, d):
+    """A window of code classes scans like a brute force over the lifted
+    vectors on the full monomial rows: same max, total and argmax; the
+    lifted vectors are normalized, and no row is a multiple of H (|X| = n)."""
+    surface, ctx, _ = _floor_context(q, d)
+    f = surface.field
+    top = min(class_count(f.order, ctx.k), 2**62)  # class_vectors decodes int64 indices
+    for lo in (0, top // 3, top - 6000):
+        hi = lo + 6000
+        vecs = ctx.lift(class_vectors(f, ctx.k, np.arange(lo, hi)))
+        assert not vecs[:, np.setdiff1d(np.arange(ctx.m), ctx.standard)].any()
+        assert (vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1).all()
+        x = (combination_values(f, ctx.rows, vecs) == 0).sum(axis=1)
+        assert x.max() < ctx.n
+        hits = np.flatnonzero(x == x.max())
+        tally = _scan_range(ctx, lo, hi)
+        assert (tally.max_count, tally.total, tally.examined) == (x.max(), len(hits), hi - lo)
+        assert tally.argmax == (lo + hits[: theorems._ARGMAX_CAP]).tolist()
+
+
+def test_exhaustive_counters_follow_the_class_count_identity(s2, monkeypatch):
+    """At (2,3), k = M - 1: the default budget refuses the 91,625,968,981 code
+    classes; a scan cut to its first 5,000 classes reports each as Q = 4
+    examined classes, the one multiple of H as skipped, and standard-monomial
+    argmax forms."""
+    with pytest.raises(BudgetExceededError, match="^91625968981 scalar classes exceed"):
+        exhaustive_search(s2, 3)
+    real = theorems._scan_range
+    monkeypatch.setattr(theorems, "_scan_range", lambda ctx, start, stop: real(ctx, 0, 5000))
+    res = exhaustive_search(s2, 3, budget=10**12)
+    tally = real(_SearchContext(s2, 3), 0, 5000)
+    assert (res.examined, res.skipped_hermitian_multiples) == (4 * 5000, 1)
+    assert (res.max_count, res.argmax_total) == (tally.max_count, 4 * tally.total)
+    assert all(vec[0] == 0 for vec in res.argmax_vectors)  # x0^3 = LM(H) is not standard
+    assert len(res.argmax_vectors) == min(tally.total, theorems._ARGMAX_CAP)
+
+
+def test_only_random_search_divides_by_the_surface_equation():
+    """In the theorems module only random_search names hermitian_divides
+    (besides its import): the exhaustive scan runs over the code classes,
+    so no per-row division comes back into it."""
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    sampler = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "random_search")
+
+    def uses(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Name) and node.id == "hermitian_divides"
+                or isinstance(node, ast.Attribute) and node.attr == "hermitian_divides"]
+
+    assert uses(tree) == uses(sampler) and len(uses(sampler)) == 1
 
 
 def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
@@ -603,9 +706,8 @@ def _verdicts(ctx, x_counts, jf_counts, coeffs):
     """check_block's verdict on each row alone: True where it raises."""
     out = []
     for i in range(len(x_counts)):
-        keep = np.arange(len(x_counts)) == i
         try:
-            ctx.check_block(x_counts, jf_counts, keep, coeffs.__getitem__)
+            ctx.check_block(x_counts[i : i + 1], jf_counts[i : i + 1], coeffs[i:].__getitem__)
         except FalsificationError:
             out.append(True)
         else:
@@ -680,7 +782,7 @@ def test_rows_just_below_the_floor_pass_both_checks(monkeypatch):
             sorensen = sorensen_bound(q, d) if d <= q + 1 else None
             plain = SimpleNamespace(q=q, incidence_rhs=rhs, sorensen=sorensen)
             _SearchContext.check_block(plain, np.full(top + 1, floor - 1), np.arange(top + 1),
-                                       np.ones(top + 1, dtype=bool), witness)
+                                       witness)
             # the i-th of j lines meets the earlier ones in at most i points,
             # and each point lies on q+1 generators
             j = top + 1
@@ -791,7 +893,7 @@ def test_falsification_machinery(s2):
     x_counts = np.array([44], dtype=np.int64)  # absurd for a plane
     jf_counts = np.array([0], dtype=np.int64)
     with pytest.raises(FalsificationError) as err:
-        ctx.check_block(x_counts, jf_counts, np.array([True]), coeffs.__getitem__)
+        ctx.check_block(x_counts, jf_counts, coeffs.__getitem__)
     assert "form" in err.value.witness
 
 
@@ -857,11 +959,10 @@ def test_secant_pencil_factors_match_a_line_oracle(q, seed):
         if matrix_rank(f, [list(r) for r in a]) == 4:
             break
     for s in (canonical_surface(q), HermitianSurface(f, a)):
-        sections = s.tangent_section_positions()
         ids = s.point_ids.tolist()
         for draw in range(20):
             fast, slow = random.Random(draw), random.Random(draw)
-            got = theorems._random_secant_pencil_factors(s, fast, 3, sections)
+            got = theorems._random_secant_pencil_factors(s, fast, 3)
             while True:
                 line = s.geometry.line_between_ids(*slow.sample(ids, 2))
                 if s.classify_line(line).kind is LineKind.SECANT:
