@@ -37,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from random import Random
 
@@ -56,7 +56,6 @@ from hermsurf.forms import (
     exact_quotient,
     form_from_vector,
     form_to_json,
-    hermitian_divides,
     intersection_stats,
     linear_form,
     monomial_count,
@@ -66,8 +65,8 @@ from hermsurf.forms import (
     standard_monomials,
     vector_to_json,
 )
-from hermsurf.hermitian import HermitianSurface, LineKind
-from hermsurf.proj_geometry import incidence
+from hermsurf.hermitian import HermitianSurface, InternalConsistencyError, LineKind
+from hermsurf.proj_geometry import _normalized, incidence
 
 
 class BudgetExceededError(ValueError):
@@ -402,13 +401,16 @@ class _SearchContext:
         if self.m * self.n > _MATRIX_ELEMENTS:
             raise BudgetExceededError(f"{self.m} x {self.n} monomial values exceed {_MATRIX_ELEMENTS}")
         self.rows = monomial_matrix(self.field, d, surface.arr)
-        self.standard = np.flatnonzero(standard_monomials(surface, d))
-        self.k, self.basis = len(self.standard), self.rows[self.standard]  # the code basis
         # by the zero count in the forms module docstring (at most d zeros
         # on a line), d+1 points of each generator decide its containment
         self.gen_pos = surface.generator_positions()[:, : d + 1]
         self.incidence_rhs, self.floor = _incidence_floor(self.q, d)
         self.sorensen = sorensen_bound(self.q, d) if d <= self.q + 1 else None
+
+    @cached_property
+    def standard(self) -> np.ndarray:
+        """Positions of the standard monomials, the rows of the code basis; built for scans only."""
+        return np.flatnonzero(standard_monomials(self.surface, self.d))
 
     def __reduce__(self):
         # a worker process rebuilds the context once, from (q, matrix, d)
@@ -486,10 +488,10 @@ def _scan_block(ctx: _SearchContext, zero: np.ndarray, keys, vector, tally: _Tal
 
 
 def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
-    tally = _Tally()
-    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.basis, start, stop):
+    tally, k = _Tally(), len(ctx.standard)
+    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.rows[ctx.standard], start, stop):
         _scan_block(ctx, zero, range(lo, hi),
-                    lambda i: ctx.lift(class_vectors(ctx.field, ctx.k, [lo + i]))[0], tally)
+                    lambda i: ctx.lift(class_vectors(ctx.field, k, [lo + i]))[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
     return tally
@@ -526,6 +528,7 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     require_scan_degree(surface.q, d)
     order, k = surface.field.order, int(standard_monomials(surface, d).sum())
     total = class_count(order, k)
+    budget = min(budget, 2**63 - 1)  # class_vectors decodes int64 class indices only
     if total > budget:
         raise BudgetExceededError(
             f"{total} scalar classes exceed the budget {budget}; use random_search"
@@ -557,11 +560,12 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     return _result(ctx, "exhaustive", tally, argmax, start_t)
 
 
-def _random_linear(field: Field, rng: Random) -> Form:
+def _nonzero(rng: Random, order: int, m: int) -> list[int]:
+    """m uniform element indices, drawn again while all are 0."""
     while True:
-        vec = [rng.randrange(field.order) for _ in range(4)]
+        vec = [rng.randrange(order) for _ in range(m)]
         if any(vec):
-            return linear_form(field, vec)
+            return vec
 
 
 def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int):
@@ -582,6 +586,8 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     """Reproducible random scan: half uniform coefficient vectors, half
     structured products of linear forms (every other structured draw uses
     tangent planes through a common secant, the conjectured extremals).
+    Draws are normalized and deduplicated in one batch; one that vanishes at
+    every surface point is a multiple of H, skipped and counted per draw.
 
     Output is fully determined by (seed, samples, q, d).
     """
@@ -592,36 +598,29 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     rng = Random(seed)
     start_t = time.monotonic()
 
-    seen: set[tuple[int, ...]] = set()
-    vectors: list[tuple[int, ...]] = []
-    skipped = 0
-    for i in range(samples):
+    drawn = np.empty((samples, ctx.m), dtype=np.int16)
+    for i, row in enumerate(drawn):
         if i % 2 == 0:
-            vec = [0] * ctx.m
-            while not any(vec):
-                vec = [rng.randrange(surface.field.order) for _ in range(ctx.m)]
-            form = form_from_vector(surface.field, d, vec)
-        else:
-            if i % 4 == 1 and d <= surface.q + 1:
-                factors = _random_secant_pencil_factors(surface, rng, d)
-            else:
-                factors = [_random_linear(surface.field, rng) for _ in range(d)]
-            form = factors[0]
-            for g in factors[1:]:
-                form = form * g
-        form = form.normalized()
-        if d >= surface.q + 1 and hermitian_divides(form, surface):
-            skipped += 1
+            row[:] = _nonzero(rng, ctx.field.order, ctx.m)
             continue
-        vec = form.coefficient_vector()
-        if vec not in seen:
-            seen.add(vec)
-            vectors.append(vec)
+        if i % 4 == 1 and d <= surface.q + 1:
+            factors = _random_secant_pencil_factors(surface, rng, d)
+        else:
+            factors = [linear_form(ctx.field, _nonzero(rng, ctx.field.order, 4)) for _ in range(d)]
+        row[:] = reduce(Form.__mul__, factors).coefficient_vector()
 
-    tally = _Tally(skipped=skipped)
-    for lo in range(0, len(vectors), SCAN_BLOCK):
-        chunk = vectors[lo : lo + SCAN_BLOCK]
-        zero = combination_values(ctx.field, ctx.rows, np.array(chunk, dtype=np.int16)) == 0
-        _scan_block(ctx, zero, chunk, chunk.__getitem__, tally)
-    argmax = [list(vec) for vec in sorted(tally.argmax)]
-    return _result(ctx, "random", tally, argmax, start_t, seed, samples)
+    # unique sorts the rows, so argmax keys sort as their vectors do
+    rows, first, counts = np.unique(_normalized(ctx.field, drawn)[0], axis=0,
+                                    return_index=True, return_counts=True)
+    tally = _Tally()
+    for keys in np.split(np.argsort(first), range(SCAN_BLOCK, len(first), SCAN_BLOCK)):
+        zero = combination_values(ctx.field, ctx.rows, rows[keys]) == 0
+        multiple = row_counts(zero) == ctx.n  # H divides F, by (a) of the forms docstring
+        if multiple.any():
+            if d <= surface.q:
+                raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
+            tally.skipped += int(counts[keys[multiple]].sum())
+            keys, zero = keys[~multiple], zero[~multiple]
+        if len(keys):
+            _scan_block(ctx, zero, keys, lambda i: rows[keys[i]], tally)
+    return _result(ctx, "random", tally, rows[sorted(tally.argmax)].tolist(), start_t, seed, samples)

@@ -35,7 +35,13 @@ from hermsurf.forms import (
     monomials,
     surface_form,
 )
-from hermsurf.hermitian import HermitianSurface, LineKind, canonical_surface
+from hermsurf.hermitian import (
+    HermitianSurface,
+    InternalConsistencyError,
+    LineKind,
+    canonical_surface,
+)
+from hermsurf.proj_geometry import _normalized
 from hermsurf.theorems import (
     BudgetExceededError,
     FalsificationError,
@@ -538,8 +544,8 @@ def test_scan_range_decodes_the_surface_equation_lazily(s2, capsys):
     ctx = _SearchContext(s2, 3)
     f = s2.field
     herm = np.array(surface_form(s2).normalized().coefficient_vector())
-    assert (ctx.m, ctx.k) == (20, 19) and herm[np.setdiff1d(np.arange(ctx.m), ctx.standard)].any()
-    total = class_count(f.order, ctx.k)
+    assert (ctx.m, len(ctx.standard)) == (20, 19) and herm[np.setdiff1d(np.arange(ctx.m), ctx.standard)].any()
+    total = class_count(f.order, len(ctx.standard))
     for lo in (0, total // 2, total - 10_000):
         tally = _scan_range(ctx, lo, lo + 10_000)
         assert (tally.skipped, tally.examined) == (0, 10_000)
@@ -600,10 +606,10 @@ def test_scan_range_over_code_classes_matches_lifted_brute_force(q, d):
     lifted vectors are normalized, and no row is a multiple of H (|X| = n)."""
     surface, ctx, _ = _floor_context(q, d)
     f = surface.field
-    top = min(class_count(f.order, ctx.k), 2**62)  # class_vectors decodes int64 indices
+    top = min(class_count(f.order, len(ctx.standard)), 2**62)  # class_vectors decodes int64 indices
     for lo in (0, top // 3, top - 6000):
         hi = lo + 6000
-        vecs = ctx.lift(class_vectors(f, ctx.k, np.arange(lo, hi)))
+        vecs = ctx.lift(class_vectors(f, len(ctx.standard), np.arange(lo, hi)))
         assert not vecs[:, np.setdiff1d(np.arange(ctx.m), ctx.standard)].any()
         assert (vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)] == 1).all()
         x = (combination_values(f, ctx.rows, vecs) == 0).sum(axis=1)
@@ -631,20 +637,27 @@ def test_exhaustive_counters_follow_the_class_count_identity(s2, monkeypatch):
     assert len(res.argmax_vectors) == min(tally.total, theorems._ARGMAX_CAP)
 
 
-def test_only_random_search_divides_by_the_surface_equation():
-    """In the theorems module only random_search names hermitian_divides
-    (besides its import): the exhaustive scan runs over the code classes,
-    so no per-row division comes back into it."""
+def test_no_search_divides_by_the_surface_equation():
+    """Nothing in the theorems module names hermitian_divides, not even an
+    import: the exhaustive scan runs over the code classes and random search
+    decides multiples of H from the zero set, so no per-form division comes
+    back into either."""
     tree = ast.parse(Path(theorems.__file__).read_text())
-    sampler = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "random_search")
+    named = [node.lineno for node in ast.walk(tree) if "hermitian_divides" in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+    assert named == []
 
-    def uses(root):
-        return [node.lineno for node in ast.walk(root)
-                if isinstance(node, ast.Name) and node.id == "hermitian_divides"
-                or isinstance(node, ast.Attribute) and node.attr == "hermitian_divides"]
 
-    assert uses(tree) == uses(sampler) and len(uses(sampler)) == 1
+def test_exhaustive_search_refuses_class_indices_past_int64(s3, monkeypatch):
+    """class_vectors decodes int64 class indices only, so a class range of
+    2^63 or more is refused before any scan, whatever the budget: (3,4) has
+    about 3.5e31 code classes."""
+    def unreachable(*args):
+        raise AssertionError("scanned a range past 2^63")
+
+    monkeypatch.setattr(theorems, "_scan_range", unreachable)
+    with pytest.raises(BudgetExceededError, match=f"exceed the budget {2**63 - 1};"):
+        exhaustive_search(s3, 4, budget=10**40)
 
 
 def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
@@ -868,6 +881,66 @@ def test_random_search_skips_hermitian_multiples(s2):
     assert res.max_count <= sorensen_bound(2, 3)
     herm_vec = surface_form(s2).normalized().coefficient_vector()
     assert all(f.coefficient_vector() != herm_vec for f in res.argmax_forms)
+
+
+class _ScriptedRandom(random.Random):
+    """A Random whose randrange calls return a script's values first."""
+
+    def __init__(self, seed, script=()):
+        self.script = list(script)
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_random_search_skips_what_division_by_h_accepts(s2, monkeypatch, d):
+    """Scripted uniform draws put multiples of H into a random search: at
+    (2,3) H, 2 H and H again (samples 0, 2 and 4; sample 1 is a secant
+    pencil, which calls no randrange, and sample 3 is x0^3), at (2,4) H x1.
+    The skip count is the number of draws that division by H accepts,
+    duplicates included, and the examined count is the number of distinct
+    other draws, normalized one Form at a time."""
+    f, herm = s2.field, surface_form(s2)
+    if d == 3:
+        multiples = {0: herm, 2: herm.scale(2), 4: herm}
+        script = [*herm.coefficient_vector(), *herm.scale(2).coefficient_vector(),
+                  *[1, 0, 0, 0] * 3, *herm.coefficient_vector()]
+    else:
+        multiples = {0: herm * linear_form(f, (0, 1, 0, 0))}
+        script = multiples[0].coefficient_vector()
+    monkeypatch.setattr(theorems, "Random", lambda seed: _ScriptedRandom(seed, script))
+    drawn = []
+
+    def spy(field, rows):
+        drawn.extend(rows.tolist())
+        return _normalized(field, rows)
+
+    monkeypatch.setattr(theorems, "_normalized", spy)
+    res = random_search(s2, d, 400, seed=5)
+    assert all(drawn[i] == list(g.coefficient_vector()) for i, g in multiples.items())
+    skipped, kept = 0, set()
+    for vec in drawn:
+        form = form_from_vector(f, d, vec).normalized()
+        if hermitian_multiple_by_division(form, s2):
+            skipped += 1
+        else:
+            kept.add(form.coefficient_vector())
+    assert res.skipped_hermitian_multiples == skipped >= len(multiples)
+    assert res.examined == len(kept)
+    assert len(drawn) == 400
+    lone = random_search(s2, d, 1, seed=5)  # one multiple of H leaves nothing to scan
+    assert (lone.skipped_hermitian_multiples, lone.examined, lone.max_count) == (1, 0, -1)
+
+
+def test_random_search_refuses_a_low_degree_form_that_vanishes_on_the_surface(s2, monkeypatch):
+    """By (a) of the forms docstring no form of degree d <= q vanishes at
+    every surface point, so a doctored all-zero evaluation at (2,2) raises."""
+    monkeypatch.setattr(theorems, "combination_values",
+                        lambda field, rows, coeffs: np.zeros((len(coeffs), rows.shape[1]), np.int16))
+    with pytest.raises(InternalConsistencyError, match="vanishes on the surface"):
+        random_search(s2, 2, 10, 0)
 
 
 def test_random_search_refuses_a_matrix_over_its_limit(monkeypatch):

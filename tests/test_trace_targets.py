@@ -6,6 +6,7 @@ rather than in every benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,31 @@ def test_bench_setup_builds_structures():
     assert Path(hermsurf.__file__).resolve().parent == _BENCH.parent / "src" / "hermsurf"
     steps = list(_load("child").build_structures({"qs": [2], "d": 1}))
     assert len(steps) == 6
+
+
+def test_random_search_feeds_the_gather_counters(monkeypatch):
+    """No workload runs random search, the one caller of combination_values,
+    so this is what checks _count_gather's reading of its (field, rows,
+    coeffs) arguments.  monkeypatch undoes every replacement install makes."""
+    spans = _load("spans")
+    mods = [m for name, m in sys.modules.items() if name == "hermsurf" or name.startswith("hermsurf.")]
+    for module, path, _ in spans.TARGETS:
+        owner = importlib.import_module(f"hermsurf.{module}")
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        original = vars(owner)[attr]
+        monkeypatch.setattr(owner, attr, original)
+        for mod in mods:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, value)
+    from hermsurf.hermitian import canonical_surface
+    from hermsurf.theorems import random_search
+
+    tracer = spans.Tracer()
+    tracer.install()
+    random_search(canonical_surface(2), 2, 20, 0)
+    summary = tracer.summary(rounds=1)
+    assert summary["forms.combination_values.calls"] > 0
+    assert summary["forms.combination_values.elements"] > 0
