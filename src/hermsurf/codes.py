@@ -17,7 +17,7 @@ import numpy as np
 
 from hermsurf.finite_field import Field
 from hermsurf.forms import class_count, class_zero_blocks, monomial_count, monomial_matrix
-from hermsurf.forms import require_scan_degree, row_counts, standard_monomials
+from hermsurf.forms import require_scan_degree, standard_monomials, zero_counts
 from hermsurf.hermitian import HermitianError, HermitianSurface, InternalConsistencyError
 from hermsurf.theorems import BudgetExceededError, sorensen_bound
 
@@ -76,8 +76,8 @@ def min_distance_enumerate(code: EvaluationCode, *, budget: int = 10_000_000):
             f"{order**code.k} codewords exceed the budget {budget}"
         )
     dist = np.zeros(code.n + 1, dtype=np.int64)
-    for _, _, zero in class_zero_blocks(code.field, code.basis, 0, class_count(order, code.k)):
-        dist += np.bincount(code.n - row_counts(zero), minlength=code.n + 1)
+    for _, _, words in class_zero_blocks(code.field, code.basis, 0, class_count(order, code.k)):
+        dist += np.bincount(code.n - zero_counts(words), minlength=code.n + 1)
     if dist[0]:
         raise InternalConsistencyError("independent basis rows produced a zero codeword")
     weights = Counter({0: 1})

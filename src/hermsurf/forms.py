@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -500,13 +500,8 @@ def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, 
 # ----------------------------------------------------------------------
 # batch evaluation helpers: every product is formed by the log rule of
 # _logs.  Exhaustive scans and weight enumeration run on
-# class_zero_blocks and row_counts; combination_values serves random search.
+# class_zero_blocks and zero_counts; combination_values serves random search.
 # ----------------------------------------------------------------------
-
-def row_counts(mask: np.ndarray) -> np.ndarray:
-    """True entries per row as int64, summed exactly in the narrowest type holding the width."""
-    return mask.sum(axis=1, dtype=np.min_scalar_type(mask.shape[1])).astype(np.int64)
-
 
 def _logs(values: np.ndarray, top: int) -> np.ndarray:
     """L(x) = x-1 for element indices x >= 1 and -1-top for 0, as float64.
@@ -639,51 +634,68 @@ def class_vectors(field: Field, m: int, indices) -> np.ndarray:
     return out
 
 
-SCAN_BLOCK = 4096  # scalar classes per block of a scan
-# The table of class_zero_blocks holds at most this many int16 elements (16 MB).
-_TABLE_ELEMENTS = 1 << 23
+SCAN_BLOCK = 1 << 13  # scalar classes per block of a scan, at most
+_TABLE_BYTES = 1 << 24  # bound on the bit table of class_zero_blocks
+
+
+def pack_bits(mask: np.ndarray) -> np.ndarray:
+    """(..., W) little-endian uint64 words of a (..., N) bool mask, W = ceil(N/64):
+    bit i of word w is point 64w+i, and the padding bits past N are 0."""
+    out = np.zeros((*mask.shape[:-1], -(-mask.shape[-1] // 64) * 8), dtype=np.uint8)
+    out[..., : -(-mask.shape[-1] // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def zero_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of (B, W) words, as int64: the zeros of each class of a block."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
-    """Yield (lo, hi, zero) over the scalar classes [start, stop) in
-    ``class_vectors`` order: zero is the point-major (hi-lo, N) mask of the
-    combinations of the (M, N) rows that vanish, for classes lo..hi-1
-    (strides (1, hi-lo), so that ``row_counts`` sums narrow rows fast).
+    """Yield (lo, hi, words) over the scalar classes [start, stop) in ``class_vectors`` order:
+    words is the (hi-lo, W) ``pack_bits`` mask of the points where each class's combination is 0.
 
-    One table T holds the values of every combination of the last L rows,
-    the last row as the least significant digit, for the largest L with
-    q^(2L) <= SCAN_BLOCK and q^(2L) N <= _TABLE_ELEMENTS.  The classes of
-    one span of q^(2L) share their leading position j and high digits c_i,
-    so they share one prefix row rows[j] + sum_i c_i rows[i], built like T;
-    a class vanishes where its T row equals minus that prefix.  A tail of
-    fewer than L digits uses a leading slice of T.  Each yield lies in one span.
+    Bit-sliced layout: (R, N) element indices are (b, R, W) words, plane j packing bit j,
+    b = bitlen(q^2-1).  The table T holds minus every combination of the last L rows, for the
+    largest L with q^(2L) <= SCAN_BLOCK and T within _TABLE_BYTES.  A span of q^(2L) classes
+    shares its digits up to row i0 (the leading 1 included), so one prefix P, and words =
+    ~OR_j(T_j ^ P_j) & valid = OR_j(T_j ^ P_j) ^ valid, as T and P have padding bits 0 (valid
+    is the mask of the N points).  Consecutive spans differ only in the digit at i0, so the
+    q^2 prefixes base + c rows[i0] are built and packed at once whenever a higher digit changes.
     """
     order = field.order
     m, n = rows.shape
-    low = 0
-    while low < m - 1 and order ** (low + 1) <= min(SCAN_BLOCK, _TABLE_ELEMENTS // n):
-        low += 1
-    table, size = np.zeros((order**low, n), dtype=np.int16, order="F"), 1
-    for row in rows[m - low :][::-1]:  # the next digit up: slice c is c row + the table so far
+    planes, valid = (order - 1).bit_length(), pack_bits(np.ones(n, dtype=bool))
+
+    def bit_planes(values):
+        return np.stack([pack_bits((values & 1 << j) != 0) for j in range(planes)])
+
+    cap = min(SCAN_BLOCK, _TABLE_BYTES // planes // valid.nbytes)  # classes in a span, at most
+    low = max((e for e in range(m) if order**e <= cap), default=0)
+    values, size = np.zeros((order**low, n), dtype=np.int16), 1
+    for row in field.neg_np[rows[m - low :][::-1]]:  # the next digit up: slice c is -c row + slice 0
         for c in range(1, order):
-            table[c * size : (c + 1) * size] = field.vadd(field.vmul(c, row), table[:size])
+            values[c * size : (c + 1) * size] = field.vadd(field.vmul(c, row), values[:size])
         size *= order
-    offset = 0
+    table, xor = bit_planes(values), np.empty((order**low, valid.size), dtype=np.uint64)
+    del values  # only the bit planes are read from here on
     for j in range(m):
-        size = order ** (m - 1 - j)
-        digits = min(low, m - 1 - j)  # the low digits one span covers
-        span = order**digits
-        lo, end = max(start, offset), min(stop, offset + size)
-        while lo < end:
-            first = lo - lo % span  # offset is a multiple of span
-            hi = min(end, first + span)
-            prefix, high = rows[j], (first - offset) // span
-            for i in range(m - 1 - digits, j, -1):
-                high, c = divmod(high, order)
-                prefix = field.vadd(field.vmul(c, rows[i]), prefix)
-            yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
-            lo = hi
-        offset += size
+        offset, size = class_count(order, m) - class_count(order, m - j), order ** (m - 1 - j)
+        i0, key = max(j, m - 1 - low), None
+        span, lo0, end = order ** (m - 1 - i0), max(start, offset), min(stop, offset + size)
+        for first in range(lo0 - lo0 % span, end, span):  # offset is a multiple of span
+            lo, hi = max(lo0, first), min(end, first + span)
+            high = (size + first - offset) // span  # the digits at j..i0, the leading 1 first
+            if high // order != key:
+                key = high // order
+                digits = [key // order**e % order for e in range(i0 - j - 1, -1, -1)]
+                base = reduce(field.vadd, field.vmul(np.array(digits)[:, None], rows[j:i0]), 0)
+                prefixes = bit_planes(field.vadd(field.vmul(np.arange(order)[:, None], rows[i0]), base))
+            p, t = prefixes[:, high % order], table[:, lo - first : hi - first]
+            words = t[0] ^ p[0]
+            for b in range(1, planes):
+                words |= np.bitwise_xor(t[b], p[b], out=xor[: hi - lo])
+            yield lo, hi, np.bitwise_xor(words, valid, out=words)
 
 
 def form_from_vector(field: Field, degree: int, vec) -> Form:

@@ -60,10 +60,11 @@ from hermsurf.forms import (
     linear_form,
     monomial_count,
     monomial_matrix,
+    pack_bits,
     require_scan_degree,
-    row_counts,
     standard_monomials,
     vector_to_json,
+    zero_counts,
 )
 from hermsurf.hermitian import HermitianSurface, InternalConsistencyError, LineKind
 from hermsurf.proj_geometry import _normalized, incidence
@@ -372,6 +373,7 @@ class SearchResult:
 
 _ARGMAX_CAP = 4096  # argmax classes kept for a report, the first in scan order
 _MATRIX_ELEMENTS = 1 << 21  # cap on a search's M N: random search's tables take 2 q^2 M N bytes
+_SAMPLE_CHUNK = 4096  # distinct draws evaluated at once; their values take 2 N bytes each
 
 
 def _incidence_floor(q: int, d: int) -> tuple[np.ndarray, int]:
@@ -416,15 +418,15 @@ class _SearchContext:
         # a worker process rebuilds the context once, from (q, matrix, d)
         return _worker_context, (self.q, self.surface.matrix, self.d)
 
-    def scan(self, zero: np.ndarray):
-        """(x_counts, jf_counts) of a block's (B, N) zero mask, jf_counts 0 below the floor."""
-        x_counts = row_counts(zero)
+    def scan(self, words: np.ndarray):
+        """(x_counts, jf_counts) of a block's ``pack_bits`` zero words; J_F is 0 below the floor."""
+        x_counts = zero_counts(words)
         above = np.flatnonzero(x_counts >= self.floor)
-        sub, jf_counts = zero[above], np.zeros_like(x_counts)
-        hit = sub[:, self.gen_pos[:, 0]]
+        sub = np.unpackbits(words[above].view(np.uint8), axis=1, count=self.n, bitorder="little")
+        hit, jf_counts = sub[:, self.gen_pos[:, 0]], np.zeros_like(x_counts)
         for col in self.gen_pos.T[1:]:
             hit &= sub[:, col]
-        jf_counts[above] = row_counts(hit)
+        jf_counts[above] = np.count_nonzero(hit, axis=1)
         return x_counts, jf_counts
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
@@ -476,21 +478,20 @@ class _Tally:
             self.argmax.extend(other.argmax[: max(0, _ARGMAX_CAP - len(self.argmax))])
 
 
-def _scan_block(ctx: _SearchContext, zero: np.ndarray, keys, vector, tally: _Tally):
-    """Tally one nonempty block of non-multiples of H from its zero mask.  keys[i] stands for
+def _scan_block(ctx: _SearchContext, x_counts, jf_counts, keys, vector, tally: _Tally):
+    """Tally one nonempty block of non-multiples of H from its ``scan`` counts.  keys[i] stands for
     row i in the argmax list; vector(i) decodes row i's coefficients, which only a witness needs."""
-    x_counts, jf_counts = ctx.scan(zero)
     ctx.check_block(x_counts, jf_counts, vector)
     top = int(x_counts.max())
     hits = np.flatnonzero(x_counts == top)
     argmax = [keys[int(i)] for i in hits[:_ARGMAX_CAP]]
-    tally.merge(_Tally(top, argmax, total=len(hits), examined=len(zero)))
+    tally.merge(_Tally(top, argmax, total=len(hits), examined=len(x_counts)))
 
 
 def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally, k = _Tally(), len(ctx.standard)
-    for lo, hi, zero in class_zero_blocks(ctx.field, ctx.rows[ctx.standard], start, stop):
-        _scan_block(ctx, zero, range(lo, hi),
+    for lo, hi, words in class_zero_blocks(ctx.field, ctx.rows[ctx.standard], start, stop):
+        _scan_block(ctx, *ctx.scan(words), range(lo, hi),
                     lambda i: ctx.lift(class_vectors(ctx.field, k, [lo + i]))[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
@@ -575,7 +576,7 @@ def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int
     rows, through = surface.generator_positions(), surface.generators_through()
     while True:
         a, b = rng.sample(range(len(through)), 2)
-        if not np.isin(b, rows[through[a]]):
+        if not (rows[through[a]] == b).any():
             break
     touch = np.intersect1d(rows[through[a]], rows[through[b]])
     planes = sorted(map(tuple, surface.geometry.arr[surface.tangent_plane_ids()[touch]].tolist()))
@@ -613,14 +614,15 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     rows, first, counts = np.unique(_normalized(ctx.field, drawn)[0], axis=0,
                                     return_index=True, return_counts=True)
     tally = _Tally()
-    for keys in np.split(np.argsort(first), range(SCAN_BLOCK, len(first), SCAN_BLOCK)):
+    for keys in np.split(np.argsort(first), range(_SAMPLE_CHUNK, len(first), _SAMPLE_CHUNK)):
         zero = combination_values(ctx.field, ctx.rows, rows[keys]) == 0
-        multiple = row_counts(zero) == ctx.n  # H divides F, by (a) of the forms docstring
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
+        multiple = x_counts == ctx.n  # H divides F, by (a) of the forms docstring
         if multiple.any():
             if d <= surface.q:
                 raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
             tally.skipped += int(counts[keys[multiple]].sum())
-            keys, zero = keys[~multiple], zero[~multiple]
+            keys, x_counts, jf_counts = keys[~multiple], x_counts[~multiple], jf_counts[~multiple]
         if len(keys):
-            _scan_block(ctx, zero, keys, lambda i: rows[keys[i]], tally)
+            _scan_block(ctx, x_counts, jf_counts, keys, lambda i: rows[keys[i]], tally)
     return _result(ctx, "random", tally, rows[sorted(tally.argmax)].tolist(), start_t, seed, samples)

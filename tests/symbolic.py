@@ -11,7 +11,8 @@ algebraic closure.
 set by criteria (a)-(c) of the ``hermsurf.forms`` docstring.  The
 references below are what they did before: divide by the surface
 equation, evaluate F on every candidate tangent plane, and divide out
-each contained plane.
+each contained plane.  ``class_zero_masks`` is the int16 compare path
+that the bit-sliced ``class_zero_blocks`` replaced.
 """
 
 import operator
@@ -130,3 +131,38 @@ def factors_by_division(form, planes):
     last = rest.normalized()
     factors += [plane for plane in planes if linear_form(f, plane) == last]
     return sorted(factors) if len(factors) == form.degree else None
+
+
+def class_zero_masks(field, rows, start: int, stop: int):
+    """Yield (lo, hi, zero) over the scalar classes [start, stop) in
+    ``class_vectors`` order: zero is the (hi-lo, N) bool mask of the
+    combinations of the (M, N) rows that vanish.  A table T holds every
+    combination of the last L rows as int16 element indices, and a class
+    vanishes where its T row equals minus its prefix rows[j] + sum_i c_i
+    rows[i], built from scratch for each span of q^(2L) classes."""
+    order = field.order
+    m, n = rows.shape
+    low = 0
+    while low < m - 1 and order ** (low + 1) <= min(4096, (1 << 23) // n):
+        low += 1
+    table, size = np.zeros((order**low, n), dtype=np.int16), 1
+    for row in rows[m - low :][::-1]:
+        for c in range(1, order):
+            table[c * size : (c + 1) * size] = field.vadd(field.vmul(c, row), table[:size])
+        size *= order
+    offset = 0
+    for j in range(m):
+        size = order ** (m - 1 - j)
+        digits = min(low, m - 1 - j)
+        span = order**digits
+        lo, end = max(start, offset), min(stop, offset + size)
+        while lo < end:
+            first = lo - lo % span
+            hi = min(end, first + span)
+            prefix, high = rows[j], (first - offset) // span
+            for i in range(m - 1 - digits, j, -1):
+                high, c = divmod(high, order)
+                prefix = field.vadd(field.vmul(c, rows[i]), prefix)
+            yield lo, hi, table[lo - first : hi - first] == field.neg_np[prefix]
+            lo = hi
+        offset += size

@@ -33,6 +33,7 @@ from hermsurf.hermitian import (
     canonical_surface,
 )
 from hermsurf.theorems import BudgetExceededError
+from helpers import unpack_words
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +219,8 @@ def test_search_histogram_is_the_weight_distribution(q, d):
     m, n = rows.shape
     assert code.k == m
     hist = Counter()
-    for _, _, zero in class_zero_blocks(surface.field, rows, 0, class_count(q * q, m)):
-        hist.update((n - np.count_nonzero(zero, axis=1)).tolist())
+    for _, _, words in class_zero_blocks(surface.field, rows, 0, class_count(q * q, m)):
+        hist.update((n - np.count_nonzero(unpack_words(words, n), axis=1)).tolist())
     weights = Counter({w: c * (q * q - 1) for w, c in hist.items()})
     weights[0] += 1
     assert weights == min_distance_enumerate(code)[1]

@@ -37,14 +37,17 @@ from hermsurf.forms import (
     monomial_count,
     monomial_matrix,
     monomials,
+    pack_bits,
     plane_contained,
-    row_counts,
     surface_form,
     vector_to_json,
+    zero_counts,
 )
 from hermsurf.hermitian import InternalConsistencyError, canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
-from symbolic import line_inside, plane_inside, restrict, vanishing_tangent_planes
+from hermsurf.theorems import _SearchContext
+from helpers import unpack_words
+from symbolic import class_zero_masks, line_inside, plane_inside, restrict, vanishing_tangent_planes
 
 
 @pytest.fixture(scope="module")
@@ -1062,11 +1065,12 @@ def _scan_rows(q: int, d: int | None):
 
 @st.composite
 def class_ranges(draw):
-    """(field, rows, start, stop): a window of at most 1200 classes around a
+    """(d, field, rows, start, stop): a window of at most 1200 classes around a
     multiple of q^(2l) inside one leading-position segment, so that it
-    crosses span and segment boundaries."""
+    crosses span boundaries, the boundaries of the higher digits (where
+    class_zero_blocks builds its prefixes again) and the segment's end."""
     q, d = draw(st.sampled_from(
-        ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (2, None))))
+        ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (2, None))))
     field, rows = _scan_rows(q, d)
     m, order = rows.shape[0], field.order
     total = class_count(order, m)
@@ -1075,35 +1079,93 @@ def class_ranges(draw):
     place = order ** draw(st.integers(0, m - 1 - j))
     center = offset + place * draw(st.integers(0, order ** (m - 1 - j) // place))
     start = max(0, min(total - 1, center - draw(st.integers(0, 600))))
-    return field, rows, start, min(total, max(start + 1, center + draw(st.integers(0, 600))))
+    stop = min(total, max(start + 1, center + draw(st.integers(0, 600))))
+    return d or 3, field, rows, start, stop
+
+
+def _blocks(field, rows, start, stop):
+    """The concatenated words of class_zero_blocks over [start, stop), after
+    checking that its blocks tile the window, each within SCAN_BLOCK."""
+    blocks = list(class_zero_blocks(field, rows, start, stop))
+    bounds = [start] + [hi for _, hi, _ in blocks]
+    assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
+    assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
+    assert all(w.dtype == np.dtype("<u8") and w.shape == (hi - lo, -(-rows.shape[1] // 64))
+               for lo, hi, w in blocks)
+    return np.concatenate([w for _, _, w in blocks])
 
 
 @settings(max_examples=60, deadline=None)
 @given(class_ranges())
 def test_class_zero_blocks_match_combination_values(case):
-    field, rows, start, stop = case
-    blocks = list(class_zero_blocks(field, rows, start, stop))
-    bounds = [start] + [hi for _, hi, _ in blocks]
-    assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
-    assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
-    # point-major masks, strides (1, hi - lo): row_counts sums narrow rows fastest so
-    assert all(z.flags.f_contiguous for _, _, z in blocks)
-    zero = np.concatenate([z for _, _, z in blocks])
+    _, field, rows, start, stop = case
+    words = _blocks(field, rows, start, stop)
     want = combination_values(field, rows, class_vectors(field, rows.shape[0], np.arange(start, stop))) == 0
-    assert zero.shape == want.shape and (zero == want).all()
+    assert (unpack_words(words, rows.shape[1]) == want).all()
 
 
-@pytest.mark.parametrize("width", [1, 255, 256, 65_535, 65_536, 70_000])
+@lru_cache(maxsize=None)
+def _scan_context(q: int, d: int) -> _SearchContext:
+    return _SearchContext(canonical_surface(q), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_ranges())
+def test_bit_sliced_blocks_match_the_int16_compare(case):
+    """The word counts, the unpacked masks and the search's scan of the
+    words (which unpacks the rows at or above the J_F floor) equal the
+    int16 compare path of tests/symbolic.py on the same window, with every
+    padding bit 0."""
+    d, field, rows, start, stop = case
+    n = rows.shape[1]
+    words = _blocks(field, rows, start, stop)
+    zero = np.concatenate([z for _, _, z in class_zero_masks(field, rows, start, stop)])
+    assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
+    assert not unpack_words(words, n, padding=True)[:, n:].any()
+    assert (unpack_words(words, n) == zero).all()
+    ctx = _scan_context(field.q, d)
+    above = zero.sum(axis=1) >= ctx.floor
+    jf = np.where(above, zero[:, ctx.surface.generator_positions()].all(axis=2).sum(axis=1), 0)
+    x_counts, jf_counts = ctx.scan(words)
+    assert (x_counts.tolist(), jf_counts.tolist()) == (zero.sum(axis=1).tolist(), jf.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3)), st.sampled_from((63, 64, 65, 128)), st.integers(2, 5),
+       st.integers(0, 2**32 - 1), st.data())
+def test_bit_sliced_blocks_on_synthetic_rows(q, n, m, seed, data):
+    """Rows of width 63, 64, 65 and 128, with and without a partial last
+    word, over random windows: the same masks and counts as the int16
+    compare path, and every padding bit 0."""
+    field = build_field(q)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, field.order, (m, n)).astype(np.int16)
+    rows[rng.random((m, n)) < 0.3] = 0  # zero entries give combinations many zeros
+    total = class_count(field.order, m)
+    start = data.draw(st.integers(0, total - 1))
+    stop = data.draw(st.integers(start + 1, min(total, start + 3000)))
+    words = _blocks(field, rows, start, stop)
+    zero = np.concatenate([z for _, _, z in class_zero_masks(field, rows, start, stop)])
+    assert not unpack_words(words, n, padding=True)[:, n:].any()
+    assert (unpack_words(words, n) == zero).all()
+    assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
+
+
+@pytest.mark.parametrize("width", [1, 45, 64, 255, 256, 65_535, 65_536, 70_000])
 def test_row_counts_match_count_nonzero(width):
-    """Summed in the narrowest unsigned type that holds the width, yet exact
-    at the width (an all-true row) and returned as int64."""
+    """The zeros per row of packed words: exact at the width (an all-true
+    row, with and without a partial last word), as int64, with the padding
+    bits of pack_bits 0."""
     rng = np.random.default_rng(width)
     for mask in (rng.random((3, width)) < 0.5, np.ones((3, width), dtype=bool),
                  np.zeros((3, width), dtype=bool)):
-        counts = row_counts(mask)
-        assert counts.dtype == np.int64
+        words = pack_bits(mask)
+        counts = zero_counts(words)
+        assert counts.dtype == np.int64 and words.shape == (3, -(-width // 64))
         assert counts.tolist() == np.count_nonzero(mask, axis=1).tolist()
-    assert row_counts(np.ones((2, width), dtype=bool)).tolist() == [width, width]
+        assert (unpack_words(words, width) == mask).all()
+        assert not unpack_words(words, width, padding=True)[:, width:].any()
+    assert zero_counts(pack_bits(np.ones((2, width), dtype=bool))).tolist() == [width, width]
 
 
 def test_form_to_json_is_the_vector_serializer(s2):

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hermsurf import theorems
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
+    SCAN_BLOCK,
     Form,
     FormError,
     class_count,
@@ -33,6 +34,7 @@ from hermsurf.forms import (
     linear_form,
     monomial_count,
     monomials,
+    pack_bits,
     surface_form,
 )
 from hermsurf.hermitian import (
@@ -471,7 +473,8 @@ def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
     sizes.clear()
     assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
     assert exhaustive_search(s2, 1, workers=10_000).to_json() == exhaustive_search(s2, 1).to_json()
-    assert sizes == [64, 1]  # 86 ranges of 4096 classes at d=2; one range at d=1
+    # d=2: 349,525 classes in ranges of SCAN_BLOCK (43 ranges, fewer than the CPUs); d=1: one range
+    assert sizes == [min(64, -(-349_525 // SCAN_BLOCK)), 1]
 
 
 @pytest.mark.parametrize("q, d, mode", [(2, 2, "exhaustive"), (3, 2, "random")])
@@ -592,7 +595,7 @@ def test_a_form_and_its_remainder_mod_h_meet_the_surface_alike(q, d):
     for group in (forms, remainders):
         coeffs = np.array([g.coefficient_vector() for g in group], dtype=np.int16)
         zero = np.array([g.values_at(surface.arr) == 0 for g in group])
-        x_counts, jf_counts = ctx.scan(zero)
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
         full = zero[:, gens].all(axis=2).sum(axis=1)
         out.append((x_counts.tolist(), full.tolist(), _verdicts(ctx, x_counts, jf_counts, coeffs)))
     assert out[0] == out[1]
@@ -697,7 +700,7 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
             rows.append(surface_form(surface).coefficient_vector())
         coeffs = np.array(rows, dtype=np.int16)
         zero = combination_values(f, ctx.rows, coeffs) == 0
-        x_counts, jf_counts = ctx.scan(zero)
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
         full = zero[:, surface.generator_positions()].all(axis=2).sum(axis=1)
         above = x_counts >= ctx.floor
         assert full[above].any() and (~above).any()
@@ -763,8 +766,8 @@ def test_jf_floor_changes_no_count_or_verdict(case):
     unfloored = copy.copy(ctx)
     unfloored.floor = 0
     zero = combination_values(surface.field, ctx.rows, coeffs) == 0
-    x_counts, jf_counts = ctx.scan(zero)
-    x_all, jf_all = unfloored.scan(zero)
+    x_counts, jf_counts = ctx.scan(pack_bits(zero))
+    x_all, jf_all = unfloored.scan(pack_bits(zero))
     assert x_counts.tolist() == x_all.tolist()
     above = x_counts >= ctx.floor
     assert jf_counts[above].tolist() == jf_all[above].tolist()
