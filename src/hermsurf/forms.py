@@ -639,11 +639,15 @@ _TABLE_BYTES = 1 << 24  # bound on the bit table of class_zero_blocks
 
 
 def pack_bits(mask: np.ndarray) -> np.ndarray:
-    """(..., W) little-endian uint64 words of a (..., N) bool mask, W = ceil(N/64):
-    bit i of word w is point 64w+i, and the padding bits past N are 0."""
+    """Little-endian uint64 words of a (..., N) bool mask: bit i of word w is point 64w+i, padding 0."""
     out = np.zeros((*mask.shape[:-1], -(-mask.shape[-1] // 64) * 8), dtype=np.uint8)
     out[..., : -(-mask.shape[-1] // 8)] = np.packbits(mask, axis=-1, bitorder="little")
     return out.view("<u8")
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n) bool mask of the first n bits of ``pack_bits`` words (n = 64 W keeps padding)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
 def zero_counts(words: np.ndarray) -> np.ndarray:

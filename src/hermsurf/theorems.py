@@ -63,6 +63,7 @@ from hermsurf.forms import (
     pack_bits,
     require_scan_degree,
     standard_monomials,
+    unpack_bits,
     vector_to_json,
     zero_counts,
 )
@@ -422,7 +423,7 @@ class _SearchContext:
         """(x_counts, jf_counts) of a block's ``pack_bits`` zero words; J_F is 0 below the floor."""
         x_counts = zero_counts(words)
         above = np.flatnonzero(x_counts >= self.floor)
-        sub = np.unpackbits(words[above].view(np.uint8), axis=1, count=self.n, bitorder="little")
+        sub = unpack_bits(words[above], self.n)
         hit, jf_counts = sub[:, self.gen_pos[:, 0]], np.zeros_like(x_counts)
         for col in self.gen_pos.T[1:]:
             hit &= sub[:, col]

@@ -25,13 +25,6 @@ def field_describe(field: Field) -> dict:
     return {"p": field.p, "k": field.k, "q": field.q, "modulus": list(field.modulus)}
 
 
-def unpack_words(words, n: int, padding: bool = False):
-    """The (B, N) bool mask of (B, W) ``pack_bits`` words; with padding,
-    the (B, 64 W) mask with the padding bits past N."""
-    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1, bitorder="little")
-    return (bits if padding else bits[:, :n]).view(bool)
-
-
 # -- Hermitian matrices and surfaces ---------------------------------------
 
 def conj_transpose(field: Field, a):

@@ -24,6 +24,7 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
     standard_monomials,
+    unpack_bits,
 )
 from hermsurf.finite_field import build_field, matrix_rank, rref
 from hermsurf.hermitian import (
@@ -33,7 +34,6 @@ from hermsurf.hermitian import (
     canonical_surface,
 )
 from hermsurf.theorems import BudgetExceededError
-from helpers import unpack_words
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +220,7 @@ def test_search_histogram_is_the_weight_distribution(q, d):
     assert code.k == m
     hist = Counter()
     for _, _, words in class_zero_blocks(surface.field, rows, 0, class_count(q * q, m)):
-        hist.update((n - np.count_nonzero(unpack_words(words, n), axis=1)).tolist())
+        hist.update((n - np.count_nonzero(unpack_bits(words, n), axis=1)).tolist())
     weights = Counter({w: c * (q * q - 1) for w, c in hist.items()})
     weights[0] += 1
     assert weights == min_distance_enumerate(code)[1]

@@ -38,6 +38,7 @@ from hermsurf.forms import (
     monomial_matrix,
     monomials,
     pack_bits,
+    unpack_bits,
     plane_contained,
     surface_form,
     vector_to_json,
@@ -46,7 +47,6 @@ from hermsurf.forms import (
 from hermsurf.hermitian import InternalConsistencyError, canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
 from hermsurf.theorems import _SearchContext
-from helpers import unpack_words
 from symbolic import class_zero_masks, line_inside, plane_inside, restrict, vanishing_tangent_planes
 
 
@@ -1101,7 +1101,7 @@ def test_class_zero_blocks_match_combination_values(case):
     _, field, rows, start, stop = case
     words = _blocks(field, rows, start, stop)
     want = combination_values(field, rows, class_vectors(field, rows.shape[0], np.arange(start, stop))) == 0
-    assert (unpack_words(words, rows.shape[1]) == want).all()
+    assert (unpack_bits(words, rows.shape[1]) == want).all()
 
 
 @lru_cache(maxsize=None)
@@ -1121,8 +1121,8 @@ def test_bit_sliced_blocks_match_the_int16_compare(case):
     words = _blocks(field, rows, start, stop)
     zero = np.concatenate([z for _, _, z in class_zero_masks(field, rows, start, stop)])
     assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
-    assert not unpack_words(words, n, padding=True)[:, n:].any()
-    assert (unpack_words(words, n) == zero).all()
+    assert not unpack_bits(words, 64 * words.shape[1])[:, n:].any()
+    assert (unpack_bits(words, n) == zero).all()
     ctx = _scan_context(field.q, d)
     above = zero.sum(axis=1) >= ctx.floor
     jf = np.where(above, zero[:, ctx.surface.generator_positions()].all(axis=2).sum(axis=1), 0)
@@ -1146,8 +1146,8 @@ def test_bit_sliced_blocks_on_synthetic_rows(q, n, m, seed, data):
     stop = data.draw(st.integers(start + 1, min(total, start + 3000)))
     words = _blocks(field, rows, start, stop)
     zero = np.concatenate([z for _, _, z in class_zero_masks(field, rows, start, stop)])
-    assert not unpack_words(words, n, padding=True)[:, n:].any()
-    assert (unpack_words(words, n) == zero).all()
+    assert not unpack_bits(words, 64 * words.shape[1])[:, n:].any()
+    assert (unpack_bits(words, n) == zero).all()
     assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
 
 
@@ -1163,8 +1163,8 @@ def test_row_counts_match_count_nonzero(width):
         counts = zero_counts(words)
         assert counts.dtype == np.int64 and words.shape == (3, -(-width // 64))
         assert counts.tolist() == np.count_nonzero(mask, axis=1).tolist()
-        assert (unpack_words(words, width) == mask).all()
-        assert not unpack_words(words, width, padding=True)[:, width:].any()
+        assert (unpack_bits(words, width) == mask).all()
+        assert not unpack_bits(words, 64 * words.shape[1])[:, width:].any()
     assert zero_counts(pack_bits(np.ones((2, width), dtype=bool))).tolist() == [width, width]
 
 

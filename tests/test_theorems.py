@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from hermsurf import theorems
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
-    SCAN_BLOCK,
     Form,
     FormError,
     class_count,
@@ -469,12 +468,11 @@ def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
     serial = exhaustive_search(s2, 2)
     assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
     assert all(n <= (os.cpu_count() or 1) for n in sizes)
-    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 16)
     sizes.clear()
     assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
     assert exhaustive_search(s2, 1, workers=10_000).to_json() == exhaustive_search(s2, 1).to_json()
-    # d=2: 349,525 classes in ranges of SCAN_BLOCK (43 ranges, fewer than the CPUs); d=1: one range
-    assert sizes == [min(64, -(-349_525 // SCAN_BLOCK)), 1]
+    assert sizes == [16, 1]  # 43 ranges of SCAN_BLOCK = 8192 classes at d=2; one range at d=1
 
 
 @pytest.mark.parametrize("q, d, mode", [(2, 2, "exhaustive"), (3, 2, "random")])
