@@ -32,7 +32,8 @@ F restricted to a line is a binary form of degree d, and a nonzero one
 has at most d < q^2+1 zeros; restricted to a plane it is a ternary form,
 and a nonzero one has at most d q^2 + 1 < q^4+q^2+1 rational zeros
 (Serre, "Lettre a M. Tsfasman", Asterisque 198-200, 1991).  So J_F is
-the set of generators whose q^2+1 rational points all lie in V(F).
+the set of generators whose q^2+1 rational points all lie in V(F), and
+any d+1 of those points decide it (``jf_mask`` reads the first d+1).
 
 Three consequences let ``intersection_stats`` and ``tangent_plane_factors``
 decide from the zero set, for 1 <= d <= q^2:
@@ -397,12 +398,19 @@ class IntersectionReport:
         return out
 
 
-def _vanishing_generators(surface: HermitianSurface, zero_positions) -> np.ndarray:
-    """Indices of the generators whose rational points all lie in a zero
-    set, given by its positions in the surface point list."""
-    zero = np.zeros(len(surface.point_ids), dtype=bool)
-    zero[zero_positions] = True
-    return np.flatnonzero(zero[surface.generator_positions()].all(axis=1))
+def jf_mask(surface: HermitianSurface, zero: np.ndarray, d: int) -> np.ndarray:
+    """(..., G) mask of J_F, the generators inside V(F), from the (..., n) masks of the surface
+    points where forms of degree d vanish: the first d+1 points of each generator decide it."""
+    cols = surface.generator_positions()[:, : d + 1].T
+    return reduce(operator.and_, (zero[..., col] for col in cols))
+
+
+def multiples_of_h(surface: HermitianSurface, x_counts, d: int) -> np.ndarray:
+    """Mask of the degree-d forms, by their |X|, that H divides: (a) of the module docstring."""
+    multiple = np.asarray(x_counts) == surface.n_surface_points()
+    if d <= surface.q and multiple.any():
+        raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
+    return multiple
 
 
 def _jf_multiplicities(surface: HermitianSurface, jf) -> np.ndarray:
@@ -426,8 +434,8 @@ def contains_tangent_plane(form: Form, surface: HermitianSurface,
     """
     require_scan_degree(surface.q, form.degree)
     if multiplicities is None:
-        zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
-        multiplicities = _jf_multiplicities(surface, _vanishing_generators(surface, zero_positions))
+        jf = jf_mask(surface, form.values_at(surface.arr) == 0, form.degree)
+        multiplicities = _jf_multiplicities(surface, np.flatnonzero(jf))
     ids = surface.tangent_plane_ids()[multiplicities == surface.q + 1]
     planes = sorted(map(tuple, surface.geometry.arr[ids].tolist()))
     if planes and form.degree > surface.q:
@@ -447,12 +455,10 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
     q, d = surface.q, form.degree
     require_scan_degree(q, d)
 
-    zero_positions = np.flatnonzero(form.values_at(surface.arr) == 0)
-    x_ids = tuple(surface.point_ids[zero_positions].tolist())
+    zero = form.values_at(surface.arr) == 0
+    x_ids = tuple(surface.point_ids[zero].tolist())
 
-    if len(x_ids) == len(surface.point_ids):  # H divides F, by (a) of the module docstring
-        if d <= q:
-            raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
+    if multiples_of_h(surface, len(x_ids), d):
         # V(H) contains no plane and the ring is a domain, so a plane lies
         # in V(F) = V(H) u V(F/H) exactly when it lies in V(F/H)
         rest = exact_quotient(form, surface_form(surface)) if d > q + 1 else None
@@ -467,7 +473,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
             meeting_sizes=None, x_min=None, multiplicities=None,
         )
 
-    jf = _vanishing_generators(surface, zero_positions)
+    jf = np.flatnonzero(jf_mask(surface, zero, d))
 
     # r_P, and T(l): the lines of T(l) through a point P of l are the
     # other r_P - 1 lines of J_F through P, and no two of them meet l twice
@@ -481,7 +487,7 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
         hermitian_multiple=False,
         contained_tangent_planes=contains_tangent_plane(form, surface, r),
         jf_indices=tuple(jf.tolist()), delta=d * (q + 1) - len(jf),
-        residual_ids=tuple(surface.point_ids[zero_positions[r[zero_positions] == 0]].tolist()),
+        residual_ids=tuple(surface.point_ids[zero & (r == 0)].tolist()),
         meeting_sizes=tuple(meeting),
         x_min=min(meeting) if meeting else None,
         multiplicities=dict(zip(surface.point_ids[on_union].tolist(), r[on_union].tolist())),

@@ -57,9 +57,11 @@ from hermsurf.forms import (
     form_from_vector,
     form_to_json,
     intersection_stats,
+    jf_mask,
     linear_form,
     monomial_count,
     monomial_matrix,
+    multiples_of_h,
     pack_bits,
     require_scan_degree,
     standard_monomials,
@@ -67,8 +69,8 @@ from hermsurf.forms import (
     vector_to_json,
     zero_counts,
 )
-from hermsurf.hermitian import HermitianSurface, InternalConsistencyError, LineKind
-from hermsurf.proj_geometry import _normalized, incidence
+from hermsurf.hermitian import HermitianSurface, LineKind
+from hermsurf.proj_geometry import _normalized
 
 
 class BudgetExceededError(ValueError):
@@ -288,14 +290,17 @@ def canonical_secant(surface: HermitianSurface):
     line = geom.line_through((1, 0, 0, 0), (0, 1, 0, 0))
     if surface.classify_line(line).kind is LineKind.SECANT:
         return line
-    first = surface.arr[0]  # on its own tangent plane, so never off it
-    off = np.flatnonzero(incidence(surface.field, surface.arr, surface.tangent_plane(first)))
+    on = surface.generator_positions()[surface.generators_through()[0]]  # T_P's section, P on it
+    off = np.setdiff1d(np.arange(surface.n_surface_points()), on)
     return geom.line_between_ids(*surface.point_ids[[0, off[0]]].tolist())
 
 
-def tangent_planes_through(surface: HermitianSurface, line) -> list[tuple[int, ...]]:
-    planes = surface.tangent_planes()
-    return sorted(p for p in surface.geometry.book_of_planes(line) if p in planes)
+def secant_tangent_planes(surface: HermitianSurface, a: int, b: int) -> list[tuple[int, ...]]:
+    """The q+1 tangent planes, ascending, through the secant of surface positions a and b.  T_P
+    holds it iff P is on T_a and T_b, which cut the generators through a and b: where those meet."""
+    rows, through = surface.generator_positions(), surface.generators_through()
+    touch = np.intersect1d(rows[through[a]], rows[through[b]])
+    return sorted(map(tuple, surface.geometry.arr[surface.tangent_plane_ids()[touch]].tolist()))
 
 
 def build_extremal_pencil(surface: HermitianSurface, d: int) -> Form:
@@ -304,12 +309,9 @@ def build_extremal_pencil(surface: HermitianSurface, d: int) -> Form:
     q = surface.q
     if not 1 <= d <= q + 1:
         raise FormError(f"d must be in 1..q+1 (a secant book has only q+1 tangent planes), got {d}")
-    secant = canonical_secant(surface)
-    planes = tangent_planes_through(surface, secant)
-    form = linear_form(surface.field, planes[0])
-    for plane in planes[1:d]:
-        form = form * linear_form(surface.field, plane)
-    return form
+    secant = surface.classify_line(canonical_secant(surface)).point_ids
+    planes = secant_tangent_planes(surface, *surface.position_of[list(secant[:2])])
+    return reduce(Form.__mul__, [linear_form(surface.field, plane) for plane in planes[:d]])
 
 
 def build_grid_example(surface: HermitianSurface, alpha: int) -> Form:
@@ -404,9 +406,6 @@ class _SearchContext:
         if self.m * self.n > _MATRIX_ELEMENTS:
             raise BudgetExceededError(f"{self.m} x {self.n} monomial values exceed {_MATRIX_ELEMENTS}")
         self.rows = monomial_matrix(self.field, d, surface.arr)
-        # by the zero count in the forms module docstring (at most d zeros
-        # on a line), d+1 points of each generator decide its containment
-        self.gen_pos = surface.generator_positions()[:, : d + 1]
         self.incidence_rhs, self.floor = _incidence_floor(self.q, d)
         self.sorensen = sorensen_bound(self.q, d) if d <= self.q + 1 else None
 
@@ -422,12 +421,9 @@ class _SearchContext:
     def scan(self, words: np.ndarray):
         """(x_counts, jf_counts) of a block's ``pack_bits`` zero words; J_F is 0 below the floor."""
         x_counts = zero_counts(words)
-        above = np.flatnonzero(x_counts >= self.floor)
-        sub = unpack_bits(words[above], self.n)
-        hit, jf_counts = sub[:, self.gen_pos[:, 0]], np.zeros_like(x_counts)
-        for col in self.gen_pos.T[1:]:
-            hit &= sub[:, col]
-        jf_counts[above] = np.count_nonzero(hit, axis=1)
+        above, jf_counts = np.flatnonzero(x_counts >= self.floor), np.zeros_like(x_counts)
+        jf = jf_mask(self.surface, unpack_bits(words[above], self.n), self.d)
+        jf_counts[above] = np.count_nonzero(jf, axis=1)
         return x_counts, jf_counts
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
@@ -539,18 +535,19 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     start_t = time.monotonic()
 
     # a fork pool starts all its workers at once, so it never gets more
-    # than the CPUs or the ranges can use
+    # than the CPUs or the ranges can use; one range is scanned in process
     workers = min(workers, os.cpu_count() or 1)
+    chunk = max(SCAN_BLOCK, (total + workers * 4 - 1) // (workers * 4))
+    starts = range(0, total, chunk)
+    workers = min(workers, len(starts))
     if workers <= 1:
         tally = _scan_range(ctx, 0, total)
     else:
         from concurrent.futures import ProcessPoolExecutor  # its import costs every run ~20 ms
 
-        chunk = max(SCAN_BLOCK, (total + workers * 4 - 1) // (workers * 4))
-        starts = range(0, total, chunk)
         stops = [min(lo + chunk, total) for lo in starts]
         tally = _Tally()
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # results come in range order, so the first violation is raised
             for part in pool.map(_scan_range, repeat(ctx), starts, stops):
                 tally.merge(part)
@@ -572,15 +569,13 @@ def _nonzero(rng: Random, order: int, m: int) -> list[int]:
 
 def _random_secant_pencil_factors(surface: HermitianSurface, rng: Random, d: int):
     """d tangent planes through a random secant: surface points a, b span one iff b is off T_a,
-    and its tangent planes touch where the generators through a and b, which T_a and T_b cut
-    from the surface, meet."""
+    which cuts the surface in the generators through a."""
     rows, through = surface.generator_positions(), surface.generators_through()
     while True:
         a, b = rng.sample(range(len(through)), 2)
         if not (rows[through[a]] == b).any():
             break
-    touch = np.intersect1d(rows[through[a]], rows[through[b]])
-    planes = sorted(map(tuple, surface.geometry.arr[surface.tangent_plane_ids()[touch]].tolist()))
+    planes = secant_tangent_planes(surface, a, b)
     return [linear_form(surface.field, rng.choice(planes)) for _ in range(d)]
 
 
@@ -618,12 +613,9 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     for keys in np.split(np.argsort(first), range(_SAMPLE_CHUNK, len(first), _SAMPLE_CHUNK)):
         zero = combination_values(ctx.field, ctx.rows, rows[keys]) == 0
         x_counts, jf_counts = ctx.scan(pack_bits(zero))
-        multiple = x_counts == ctx.n  # H divides F, by (a) of the forms docstring
-        if multiple.any():
-            if d <= surface.q:
-                raise InternalConsistencyError(f"a form of degree {d} <= q vanishes on the surface")
-            tally.skipped += int(counts[keys[multiple]].sum())
-            keys, x_counts, jf_counts = keys[~multiple], x_counts[~multiple], jf_counts[~multiple]
+        multiple = multiples_of_h(surface, x_counts, d)
+        tally.skipped += int(counts[keys[multiple]].sum())
+        keys, x_counts, jf_counts = keys[~multiple], x_counts[~multiple], jf_counts[~multiple]
         if len(keys):
             _scan_block(ctx, x_counts, jf_counts, keys, lambda i: rows[keys[i]], tally)
     return _result(ctx, "random", tally, rows[sorted(tally.argmax)].tolist(), start_t, seed, samples)

@@ -13,6 +13,9 @@ references below are what they did before: divide by the surface
 equation, evaluate F on every candidate tangent plane, and divide out
 each contained plane.  ``class_zero_masks`` is the int16 compare path
 that the bit-sliced ``class_zero_blocks`` replaced.
+``tangent_planes_through`` finds the tangent planes through a line in
+its book of planes in PG(3, q^2), where ``theorems`` reads them from the
+generators of the surface.
 """
 
 import operator
@@ -78,6 +81,13 @@ def planes_inside(form, geometry) -> list:
     zero = form.values_at(geometry.arr) == 0
     return [plane for plane in geometry.points  # dual coordinates enumerate like points
             if zero[geometry.plane_point_ids(plane)].all() and plane_inside(form, plane)]
+
+
+def tangent_planes_through(surface, line) -> list:
+    """The tangent planes through a line, ascending: the planes of its
+    book of q^2+1 planes that are tangent planes of the surface."""
+    planes = surface.tangent_planes()
+    return sorted(p for p in surface.geometry.book_of_planes(line) if p in planes)
 
 
 def hermitian_multiple_by_division(form, surface) -> bool:

@@ -35,7 +35,6 @@ from hermsurf.theorems import (
     exhaustive_search,
     sorensen_bound,
     tangent_plane_factors,
-    tangent_planes_through,
 )
 from helpers import enumerate_lines, random_hermitian, violations
 from symbolic import planes_inside

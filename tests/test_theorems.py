@@ -62,13 +62,13 @@ from hermsurf.theorems import (
     residual_point_bound,
     sorensen_bound,
     tangent_plane_factors,
-    tangent_planes_through,
 )
 from helpers import random_hermitian, violations
 from symbolic import (
     factors_by_division,
     hermitian_multiple_by_division,
     tangent_planes_by_evaluation,
+    tangent_planes_through,
 )
 
 
@@ -300,11 +300,16 @@ def test_check_path_matches_division_and_plane_evaluation(q, kind, seed):
 # extremal constructions
 # ----------------------------------------------------------------------
 
-def test_canonical_secant(s2, s3):
-    for s in (s2, s3):
+def test_canonical_secant():
+    """The pencil's planes, read from the generators through two points of
+    the secant, are the tangent planes of the secant's book in PG(3, q^2)."""
+    for q in (2, 3, 4, 5):
+        s = canonical_surface(q)
         line = canonical_secant(s)
         assert s.classify_line(line).kind is LineKind.SECANT
-        assert len(tangent_planes_through(s, line)) == s.q + 1
+        planes = tangent_planes_through(s, line)
+        assert len(planes) == q + 1
+        assert build_extremal_pencil(s, q + 1) == _product(s.field, planes)
 
 
 @pytest.mark.parametrize("q, seed", [(2, 1), (2, 2), (3, 0)])
@@ -323,7 +328,9 @@ def test_canonical_secant_off_the_coordinate_line(q, seed):
     line = canonical_secant(s)
     assert s.classify_line(line).kind is LineKind.SECANT
     assert int(s.point_ids[0]) in line.point_ids
-    assert len(tangent_planes_through(s, line)) == q + 1
+    planes = tangent_planes_through(s, line)
+    assert len(planes) == q + 1
+    assert build_extremal_pencil(s, q + 1) == _product(f, planes)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -448,7 +455,8 @@ def test_exhaustive_workers_match_serial(s2):
 
 def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
     """A huge --workers asks a fork pool, which starts every worker at
-    once, for no more processes than the CPUs and the ranges allow."""
+    once, for no more processes than the CPUs and the ranges allow, and
+    a search of one range starts no pool."""
     sizes = []
 
     class SerialPool:
@@ -472,7 +480,7 @@ def test_pool_never_exceeds_the_cpus_or_the_ranges(s2, monkeypatch):
     sizes.clear()
     assert exhaustive_search(s2, 2, workers=10_000).to_json() == serial.to_json()
     assert exhaustive_search(s2, 1, workers=10_000).to_json() == exhaustive_search(s2, 1).to_json()
-    assert sizes == [16, 1]  # 43 ranges of SCAN_BLOCK = 8192 classes at d=2; one range at d=1
+    assert sizes == [16]  # 43 ranges of 8192 classes at d=2; d=1's one range is scanned in process
 
 
 @pytest.mark.parametrize("q, d, mode", [(2, 2, "exhaustive"), (3, 2, "random")])
@@ -649,6 +657,28 @@ def test_no_search_divides_by_the_surface_equation():
     assert named == []
 
 
+def test_each_surface_rule_has_one_routine():
+    """The theorems module reads secants and their tangent planes from the
+    generator rows, so it names neither incidence (a pass of polar pairings
+    over the points) nor book_of_planes (a pencil built in PG(3, q^2)).  One
+    function in the package raises for a form of degree d <= q that vanishes
+    on the surface: the multiple-of-H test that check and random search share."""
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    named = [node.lineno for node in ast.walk(tree) if {"incidence", "book_of_planes"} & {
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}]
+    assert named == []
+
+    def raises_it(node):
+        return isinstance(node, ast.Raise) and any(
+            "<= q vanishes on the surface" in str(getattr(part, "value", "")) for part in ast.walk(node))
+
+    raisers = [(path.name, func.name)
+               for path in sorted(Path(theorems.__file__).parent.glob("*.py"))
+               for func in ast.walk(ast.parse(path.read_text())) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if raises_it(node)]
+    assert raisers == [("forms.py", "multiples_of_h")]
+
+
 def test_exhaustive_search_refuses_class_indices_past_int64(s3, monkeypatch):
     """class_vectors decodes int64 class indices only, so a class range of
     2^63 or more is refused before any scan, whatever the budget: (3,4) has
@@ -678,7 +708,8 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
     products of tangent planes, which contain generators (and, at
     d = q+1, the surface equation, which contains all of them).  Below the
     floor the full J_F is at most d(q+1), and the row passes the incidence
-    check at it."""
+    check at it.  ``check`` follows the same rule: intersection_stats finds
+    the full J_F of every form but the multiple of H."""
     surface = canonical_surface(q)
     f = surface.field
     rng = random.Random(q)
@@ -699,7 +730,8 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
         coeffs = np.array(rows, dtype=np.int16)
         zero = combination_values(f, ctx.rows, coeffs) == 0
         x_counts, jf_counts = ctx.scan(pack_bits(zero))
-        full = zero[:, surface.generator_positions()].all(axis=2).sum(axis=1)
+        jf = zero[:, surface.generator_positions()].all(axis=2)  # all q^2+1 points
+        full = jf.sum(axis=1)
         above = x_counts >= ctx.floor
         assert full[above].any() and (~above).any()
         assert jf_counts[above].tolist() == full[above].tolist()
@@ -708,6 +740,10 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
         assert ((q + 1) * x_counts[~above] <= ctx.incidence_rhs[full[~above]]).all()
         if d == q + 1:
             assert jf_counts[-1] == len(surface.generator_positions())
+        for row, mask in zip(coeffs.tolist(), jf):
+            if any(row):  # a uniform draw may be the zero vector, which is no form
+                rep = intersection_stats(form_from_vector(f, d, row), surface)
+                assert rep.hermitian_multiple or rep.jf_indices == tuple(np.flatnonzero(mask).tolist())
 
 
 @lru_cache(maxsize=None)
