@@ -124,15 +124,20 @@ def _form_text(form, indent: str) -> str:
 
 
 def _forms_text(q: int, d: int, vectors, indent: str) -> str:
-    """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for nonzero
-    vectors.  The forms share one _form_frame, joined around the term text
-    of each (monomial index, coefficient), written once."""
-    inner, mons = indent + "  ", monomials(d)
+    """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for nonzero vectors: one join
+    of pieces picked by an index array, the text before the first form and before each other,
+    then the term text of each (monomial index, coefficient) used, without and with its separator."""
+    if not len(vectors):
+        return "[]"
+    vectors, inner, order = np.asarray(vectors, dtype=np.int64), indent + "  ", q * q
     head, sep, tail, term = _form_frame(q, d, inner)
-    used = {t for vec in vectors for t in enumerate(vec) if t[1]}
-    table = {t: term(*mons[t[0]], t[1]) for t in used}
-    forms = [head + sep.join([table[t] for t in enumerate(vec) if t[1]]) + tail for vec in vectors]
-    return "[" + inner + ("," + inner).join(forms) + indent + "]" if forms else "[]"
+    (rows, cols), index = np.nonzero(vectors), np.full((len(vectors), vectors.shape[1] + 1), -1)
+    used, which = np.unique(cols * order + vectors[rows, cols], return_inverse=True)
+    terms = [term(*monomials(d)[k // order], k % order) for k in used.tolist()]
+    pieces = ["[" + inner + head, tail + "," + inner + head, *terms, *[sep + t for t in terms]]
+    index[:, 0], index[0, 0] = 1, 0  # a row per form: the text before it, then its terms
+    index[rows, cols + 1] = 2 + which + len(used) * np.r_[False, rows[1:] == rows[:-1]]
+    return "".join([pieces[i] for i in index[index >= 0].tolist()]) + tail + indent + "]"
 
 
 def _emit(report: dict, meta: dict, out: str | None) -> None:

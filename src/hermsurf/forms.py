@@ -55,6 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -667,40 +668,44 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
 
     Bit-sliced layout: (R, N) element indices are (b, R, W) words, plane j packing bit j,
     b = bitlen(q^2-1).  The table T holds minus every combination of the last L rows, for the
-    largest L with q^(2L) <= SCAN_BLOCK and T within _TABLE_BYTES.  A span of q^(2L) classes
-    shares its digits up to row i0 (the leading 1 included), so one prefix P, and words =
-    ~OR_j(T_j ^ P_j) & valid = OR_j(T_j ^ P_j) ^ valid, as T and P have padding bits 0 (valid
-    is the mask of the N points).  Consecutive spans differ only in the digit at i0, so the
-    q^2 prefixes base + c rows[i0] are built and packed at once whenever a higher digit changes.
+    largest L with q^(2L) <= SCAN_BLOCK and T within _TABLE_BYTES, packed by top-digit slices.
+    A span of q^(2L) classes shares its digits up to row i0 (the leading 1 included), so one prefix
+    P, and words = ~OR_j(T_j ^ P_j) & valid = OR_j(T_j ^ P_j) ^ valid, as T and P have padding bits
+    0 (valid masks the N points).  The q^2 prefixes base + c rows[i0] are packed at once whenever a
+    higher digit changes, base summed from the partial sum before the first digit that changed.
     """
     order = field.order
     m, n = rows.shape
     planes, valid = (order - 1).bit_length(), pack_bits(np.ones(n, dtype=bool))
+    bits = (1 << np.arange(planes, dtype=np.int16))[:, None, None]
 
-    def bit_planes(values):
-        return np.stack([pack_bits((values & 1 << j) != 0) for j in range(planes)])
+    def packed(row, base):
+        """(b, Q len(base), W) words of c row + base, c = 0..Q-1, ceil(Q / len(base)) c a pass."""
+        out, size = np.empty((planes, order * len(base), valid.size), dtype=np.uint64), len(base)
+        for c in range(0, order, step := -(-order // size)):
+            values = field.vadd(field.vmul(np.arange(c, min(order, c + step))[:, None, None], row), base)
+            out[:, c * size : (c + step) * size] = pack_bits(values.reshape(-1, n) & bits != 0)
+        return out
 
     cap = min(SCAN_BLOCK, _TABLE_BYTES // planes // valid.nbytes)  # classes in a span, at most
     low = max((e for e in range(m) if order**e <= cap), default=0)
-    values, size = np.zeros((order**low, n), dtype=np.int16), 1
-    for row in field.neg_np[rows[m - low :][::-1]]:  # the next digit up: slice c is -c row + slice 0
-        for c in range(1, order):
-            values[c * size : (c + 1) * size] = field.vadd(field.vmul(c, row), values[:size])
-        size *= order
-    table, xor = bit_planes(values), np.empty((order**low, valid.size), dtype=np.uint64)
-    del values  # only the bit planes are read from here on
+    negs, lower = field.neg_np[rows[m - max(low, 1) :]], np.zeros((1, n), dtype=np.int16)
+    for row in negs[:0:-1]:  # the rows below the table's top digit, the last first
+        lower = field.vadd(field.vmul(np.arange(order)[:, None, None], row), lower).reshape(-1, n)
+    table, xor = packed(negs[0], lower), np.empty((order**low, valid.size), dtype=np.uint64)
     for j in range(m):
         offset, size = class_count(order, m) - class_count(order, m - j), order ** (m - 1 - j)
-        i0, key = max(j, m - 1 - low), None
+        i0, key, done, sums = max(j, m - 1 - low), None, [], [np.zeros((1, n), dtype=np.int16)]
         span, lo0, end = order ** (m - 1 - i0), max(start, offset), min(stop, offset + size)
         for first in range(lo0 - lo0 % span, end, span):  # offset is a multiple of span
             lo, hi = max(lo0, first), min(end, first + span)
             high = (size + first - offset) // span  # the digits at j..i0, the leading 1 first
-            if high // order != key:
-                key = high // order
-                digits = [key // order**e % order for e in range(i0 - j - 1, -1, -1)]
-                base = reduce(field.vadd, field.vmul(np.array(digits)[:, None], rows[j:i0]), 0)
-                prefixes = bit_planes(field.vadd(field.vmul(np.arange(order)[:, None], rows[i0]), base))
+            if high // order != key:  # sums[e] adds the digits before the e-th
+                digits = [high // order**e % order for e in range(i0 - j, 0, -1)]
+                e = next((e for e, (a, b) in enumerate(zip(done, digits)) if a != b), len(done))
+                sums[e:] = accumulate(map(field.vmul, digits[e:], rows[j + e : i0]), field.vadd,
+                                      initial=sums[e])
+                prefixes, done, key = packed(rows[i0], sums[-1]), digits, high // order
             p, t = prefixes[:, high % order], table[:, lo - first : hi - first]
             words = t[0] ^ p[0]
             for b in range(1, planes):

@@ -207,11 +207,6 @@ class HermitianSurface:
 
     # -- tangent planes ---------------------------------------------------
 
-    def tangent_plane(self, point) -> tuple[int, ...]:
-        """Dual coordinates A P^(q), normalized.  P must be on the surface."""
-        plane_ids = self.tangent_plane_ids()  # refuses a degenerate surface first
-        return tuple(self.geometry.arr[plane_ids[self._positions([point])[0]]].tolist())
-
     def _positions(self, points) -> np.ndarray:
         """Positions in the surface point list of points, else HermitianError."""
         positions = self.position_of[[self.geometry.point_id(p) for p in points]]

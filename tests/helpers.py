@@ -49,6 +49,13 @@ def surface_points(surface) -> list[tuple[int, ...]]:
     return [tuple(p) for p in surface.arr.tolist()]
 
 
+def tangent_plane(surface, point) -> tuple[int, ...]:
+    """Dual coordinates A P^(q) of the tangent plane at P, normalized.  P
+    must be on the surface, and the surface nondegenerate."""
+    plane_ids = surface.tangent_plane_ids()  # refuses a degenerate surface first
+    return tuple(surface.geometry.arr[plane_ids[surface._positions([point])[0]]].tolist())
+
+
 def surface_describe(surface) -> dict:
     """Serialized form: q plus the 16 matrix element indices, row major."""
     return {"q": surface.q, "matrix": [c for row in surface.matrix for c in row]}

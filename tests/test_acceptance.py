@@ -36,7 +36,7 @@ from hermsurf.theorems import (
     sorensen_bound,
     tangent_plane_factors,
 )
-from helpers import enumerate_lines, random_hermitian, violations
+from helpers import enumerate_lines, random_hermitian, tangent_plane, violations
 from symbolic import planes_inside
 
 
@@ -216,7 +216,7 @@ def test_criterion_09_falsification_harness():
                             if a > d - 1:
                                 assert plane_contained(form, geom, plane)
                     for pid, r in rep.multiplicities.items():
-                        plane = surface.tangent_plane(geom.points[pid])
+                        plane = tangent_plane(surface, geom.points[pid])
                         for i in rep.jf_indices:
                             if pid in gens[i].point_ids:
                                 assert r == books[i][plane] + 1

@@ -572,10 +572,15 @@ def _vector_lists(draw):
 @given(_vector_lists(), st.integers(0, 4))
 @example((2, 1, []), 0)
 @example((5, 3, [[24] * 20]), 3)
+@example((8, 5, [[c] * 56 for c in range(1, 64)]), 1)  # every term of the widest table
+@example((3, 2, [[0] * 9 + [4], [1] + [0] * 9]), 2)  # a last-monomial-only form, then a first
+@example((4, 2, np.array([[1, 0, 15, 0, 0, 0, 0, 0, 0, 3], [0] * 9 + [7]], dtype=np.int16)), 1)
 def test_forms_text_matches_dumps_of_the_form_dicts(drawn, depth):
+    """Lists of coefficient lists, as a search result holds them, or an
+    (V, M) int array, as class_vectors returns them."""
     q, d, vectors = drawn
     indent = "\n" + "  " * depth
-    dicts = [vector_to_json(q, d, vec) for vec in vectors]
+    dicts = [vector_to_json(q, d, [int(c) for c in vec]) for vec in vectors]
     assert _forms_text(q, d, vectors, indent) == _dumps(dicts, indent)
     assert _dumps({"forms": _Fragment(_forms_text, q, d, vectors)}, indent) == _dumps(
         {"forms": dicts}, indent)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +48,7 @@ from hermsurf.forms import (
 from hermsurf.hermitian import InternalConsistencyError, canonical_surface
 from hermsurf.proj_geometry import geometry_for, projective_points
 from hermsurf.theorems import _SearchContext
+from helpers import tangent_plane
 from symbolic import class_zero_masks, line_inside, plane_inside, restrict, vanishing_tangent_planes
 
 
@@ -607,7 +609,7 @@ def test_multiplicity_equals_book_count_plus_one(s2):
         rep = intersection_stats(form, s2)
         books = rep.book_counts(s2)
         for pid, r in rep.multiplicities.items():
-            plane = s2.tangent_plane(s2.geometry.points[pid])
+            plane = tangent_plane(s2, s2.geometry.points[pid])
             for i in rep.jf_indices:
                 if pid in gens[i].point_ids:
                     assert r == books[i][plane] + 1
@@ -808,9 +810,9 @@ def refuted_candidate_form(surface):
     form = None
     for i in surface.generators_through()[0].tolist():
         other = next(pid for pid in gens[i].point_ids if pid != p)
-        factor = linear_form(surface.field, surface.tangent_plane(geom.points[other]))
+        factor = linear_form(surface.field, tangent_plane(surface, geom.points[other]))
         form = factor if form is None else form * factor
-    return form, surface.tangent_plane(geom.points[p])
+    return form, tangent_plane(surface, geom.points[p])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1149,6 +1151,35 @@ def test_bit_sliced_blocks_on_synthetic_rows(q, n, m, seed, data):
     assert not unpack_bits(words, 64 * words.shape[1])[:, n:].any()
     assert (unpack_bits(words, n) == zero).all()
     assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
+
+
+def test_full_q4_d1_range_matches_the_int16_compare():
+    """All 4,369 classes at (4,1), whose table spans L = 3 digits, 4,096 rows
+    in four top-digit slices: the hypothesis windows, of at most 1,200
+    classes, never read all of it."""
+    field, rows = _scan_rows(4, 1)
+    stop = class_count(field.order, rows.shape[0])
+    words = _blocks(field, rows, 0, stop)
+    zero = np.concatenate([z for _, _, z in class_zero_masks(field, rows, 0, stop)])
+    assert stop == 4369 and len(words) == stop
+    assert (unpack_bits(words, rows.shape[1]) == zero).all()
+    assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
+
+
+def test_first_block_builds_no_full_int16_table():
+    """Taking the first (5,1) block allocates under three times the (5,
+    625, 52) uint64 bit table, 1.3 MB: the (625, 3,276) int16 table of every
+    combination, 4.1 MB, is never built whole."""
+    field, rows = _scan_rows(5, 1)
+    table_bytes = 5 * field.order**2 * -(-rows.shape[1] // 64) * 8
+    tracemalloc.start()
+    try:
+        blocks = class_zero_blocks(field, rows, 0, class_count(field.order, rows.shape[0]))
+        next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table_bytes
 
 
 @pytest.mark.parametrize("width", [1, 45, 64, 255, 256, 65_535, 65_536, 70_000])

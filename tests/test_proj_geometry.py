@@ -27,6 +27,7 @@ from helpers import (
     planes_through_point,
     points_on_line,
     points_on_plane,
+    tangent_plane,
 )
 
 
@@ -369,7 +370,7 @@ def test_coordinates_are_checked(g2, coords):
     with pytest.raises(GeometryError):
         s2.contains(coords)
     with pytest.raises(GeometryError):
-        s2.tangent_plane(coords)
+        tangent_plane(s2, coords)
     with pytest.raises(GeometryError):
         g2.line_through(coords, (0, 1, 0, 0))
     for plane, point in ((coords, (0, 1, 0, 0)), ((0, 1, 0, 0), coords)):
