@@ -680,7 +680,7 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     bits = (1 << np.arange(planes, dtype=np.int16))[:, None, None]
 
     def packed(row, base):
-        """(b, Q len(base), W) words of c row + base, c = 0..Q-1, ceil(Q / len(base)) c a pass."""
+        """The (b, Q len(base), W) words of c row + base, c = 0..Q-1, ceil(Q / len(base)) slices a pass."""
         out, size = np.empty((planes, order * len(base), valid.size), dtype=np.uint64), len(base)
         for c in range(0, order, step := -(-order // size)):
             values = field.vadd(field.vmul(np.arange(c, min(order, c + step))[:, None, None], row), base)
