@@ -643,6 +643,7 @@ def class_vectors(field: Field, m: int, indices) -> np.ndarray:
 
 SCAN_BLOCK = 1 << 13  # scalar classes per block of a scan, at most
 _TABLE_BYTES = 1 << 24  # bound on the bit table of class_zero_blocks
+_BLOCK_WORDS = 1 << 17  # bound on the words of a block of several spans
 
 
 def pack_bits(mask: np.ndarray) -> np.ndarray:
@@ -672,8 +673,8 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     A span of q^(2L) classes shares its digits up to row i0 (the leading 1 included), so one prefix
     P, and words = ~OR_j(T_j ^ P_j) & valid = OR_j(T_j ^ P_j) ^ valid, as T and P have padding bits
     0 (valid masks the N points).  The q^2 prefixes base + c rows[i0] are packed at once whenever a
-    higher digit changes, base summed from the partial sum before the first digit that changed.
-    """
+    higher digit changes, base summed from the partial sum before the first digit that changed.  A
+    block joins the spans of consecutive c, gcd(q^2, spans within _BLOCK_WORDS words) of them."""
     order = field.order
     m, n = rows.shape
     planes, valid = (order - 1).bit_length(), pack_bits(np.ones(n, dtype=bool))
@@ -692,13 +693,15 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
     negs, lower = field.neg_np[rows[m - max(low, 1) :]], np.zeros((1, n), dtype=np.int16)
     for row in negs[:0:-1]:  # the rows below the table's top digit, the last first
         lower = field.vadd(field.vmul(np.arange(order)[:, None, None], row), lower).reshape(-1, n)
-    table, xor = packed(negs[0], lower), np.empty((order**low, valid.size), dtype=np.uint64)
+    per = math.gcd(order, max(1, _BLOCK_WORDS // order**low // valid.size))  # spans in a block
+    table, xor = packed(negs[0], lower), np.empty((per, order**low, valid.size), dtype=np.uint64)
     for j in range(m):
         offset, size = class_count(order, m) - class_count(order, m - j), order ** (m - 1 - j)
         i0, key, done, sums = max(j, m - 1 - low), None, [], [np.zeros((1, n), dtype=np.int16)]
         span, lo0, end = order ** (m - 1 - i0), max(start, offset), min(stop, offset + size)
-        for first in range(lo0 - lo0 % span, end, span):  # offset is a multiple of span
-            lo, hi = max(lo0, first), min(end, first + span)
+        step = min(span * per, size)  # a block's spans share one prefix table; step divides offset
+        for first in range(lo0 - lo0 % step, end, step):
+            lo, hi = max(lo0, first), min(end, first + step)
             high = (size + first - offset) // span  # the digits at j..i0, the leading 1 first
             if high // order != key:  # sums[e] adds the digits before the e-th
                 digits = [high // order**e % order for e in range(i0 - j, 0, -1)]
@@ -706,10 +709,11 @@ def class_zero_blocks(field: Field, rows: np.ndarray, start: int, stop: int):
                 sums[e:] = accumulate(map(field.vmul, digits[e:], rows[j + e : i0]), field.vadd,
                                       initial=sums[e])
                 prefixes, done, key = packed(rows[i0], sums[-1]), digits, high // order
-            p, t = prefixes[:, high % order], table[:, lo - first : hi - first]
+            p, t = prefixes[:, high % order : high % order + step // span, None], table[:, None, :span]
             words = t[0] ^ p[0]
             for b in range(1, planes):
-                words |= np.bitwise_xor(t[b], p[b], out=xor[: hi - lo])
+                words |= np.bitwise_xor(t[b], p[b], out=xor[: step // span, :span])
+            words = words.reshape(-1, valid.size)[lo - first : hi - first]
             yield lo, hi, np.bitwise_xor(words, valid, out=words)
 
 

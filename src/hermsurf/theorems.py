@@ -384,7 +384,7 @@ def _incidence_floor(q: int, d: int) -> tuple[np.ndarray, int]:
     top = d * (q + 1)
     rhs = np.array([int((q + 1) * incidence_bound(q, d, top - j)) for j in range(top + 1)])
     j, n = top + 1, q * q + 1  # one generator more than J_F may hold, and its points
-    cover = max(j * n - j * (j - 1) // 2, (j * n + q) // (q + 1))
+    cover = max(j * n - j * j // 4, (j * n + q) // (q + 1))
     return rhs, min(int(rhs.min()) // (q + 1) + 1, cover)
 
 
@@ -393,9 +393,13 @@ class _SearchContext:
 
     ``scan`` finds J_F only where |X| >= floor = min(A, B); J_F = 0 elsewhere changes no verdict.
     A = min(incidence_rhs) // (q+1) + 1, d(q^3+1)+1 as the rhs rises with J_F for d <= q^2: below
-    A, (q+1)|X| <= incidence_rhs[J_F] for every J_F <= d(q+1).  B = max(jn - C(j,2), ceil(jn/(q+1)))
-    for j = d(q+1)+1, n = q^2+1: two generators share at most one point and each point lies on q+1
-    of them, so j generators cover at least B points, and below B, J_F <= d(q+1) (no ``over``)."""
+    A, (q+1)|X| <= incidence_rhs[J_F] for every J_F <= d(q+1).  B = max(jn - floor(j^2/4),
+    ceil(jn/(q+1))) for j = d(q+1)+1, n = q^2+1: j generators cover at least B points, so below B,
+    J_F <= d(q+1) (no ``over``).  The generators form the generalized quadrangle H(3, q^2) of order
+    (q^2, q): q+1 lie on each point, two share at most one point, and no three meet pairwise in three
+    points.  j of them with r_P through P cover jn - sum(r_P - 1) points; one through each P joined to
+    the other r_P - 1 is a graph with that many edges and no triangle (the edges at P form a star),
+    so by Mantel's theorem jn - sum(r_P - 1) >= jn - floor(j^2/4)."""
 
     def __init__(self, surface: HermitianSurface, d: int):
         self.surface = surface

@@ -13,6 +13,7 @@ from hermsurf.codes import build_code
 from hermsurf.finite_field import build_field, nullspace
 from hermsurf.forms import (
     SCAN_BLOCK,
+    _BLOCK_WORDS,
     _SLICE_ELEMENTS,
     _SLICE_ROWS,
     Form,
@@ -1082,18 +1083,25 @@ def class_ranges(draw):
     center = offset + place * draw(st.integers(0, order ** (m - 1 - j) // place))
     start = max(0, min(total - 1, center - draw(st.integers(0, 600))))
     stop = min(total, max(start + 1, center + draw(st.integers(0, 600))))
-    return d or 3, field, rows, start, stop
+    return _window(q, d, start, stop)
+
+
+def _window(q, d, start, stop):
+    """A ``class_ranges`` case: (d, field, rows, start, stop)."""
+    return d or 3, *_scan_rows(q, d), start, stop
 
 
 def _blocks(field, rows, start, stop):
     """The concatenated words of class_zero_blocks over [start, stop), after
-    checking that its blocks tile the window, each within SCAN_BLOCK."""
+    checking that its blocks tile the window in order, each within the word
+    cap _BLOCK_WORDS or one span of at most SCAN_BLOCK classes."""
     blocks = list(class_zero_blocks(field, rows, start, stop))
     bounds = [start] + [hi for _, hi, _ in blocks]
+    width = -(-rows.shape[1] // 64)
     assert [lo for lo, _, _ in blocks] == bounds[:-1] and bounds[-1] == stop
-    assert all(0 < hi - lo <= SCAN_BLOCK for lo, hi, _ in blocks)
-    assert all(w.dtype == np.dtype("<u8") and w.shape == (hi - lo, -(-rows.shape[1] // 64))
-               for lo, hi, w in blocks)
+    assert all(0 < hi - lo and ((hi - lo) * width <= _BLOCK_WORDS or hi - lo <= SCAN_BLOCK)
+               for lo, hi, _ in blocks)
+    assert all(w.dtype == np.dtype("<u8") and w.shape == (hi - lo, width) for lo, hi, w in blocks)
     return np.concatenate([w for _, _, w in blocks])
 
 
@@ -1113,6 +1121,17 @@ def _scan_context(q: int, d: int) -> _SearchContext:
 
 @settings(max_examples=60, deadline=None)
 @given(class_ranges())
+# (2,2) and the (2,3) code basis: spans of 4,096 classes, blocks of four spans
+@example(_window(2, 2, 100, 5_000))  # from mid-span, across a span, inside a block
+@example(_window(2, 2, 16_384 - 700, 16_384 + 4_096 + 300))  # across a block and a span
+@example(_window(2, 2, 4**9 - 700, 4**9 + 500))  # from leading position 0 to 1
+@example(_window(2, 2, 349_184 - 1_324, 349_184 + 100))  # positions 3 to 5, a span each
+@example(_window(2, None, 6 * 16_384 - 500, 6 * 16_384 + 4_096 + 200))
+@example(_window(2, None, 4**18 - 400, 4**18 + 400))
+# (3,2): spans of 6,561 classes, blocks of three spans
+@example(_window(3, 2, 6_561 - 500, 6_561 + 700))  # across a span, inside a block
+@example(_window(3, 2, 3 * 6_561 - 500, 3 * 6_561 + 700))  # across a block
+@example(_window(3, 2, 9**9 - 300, 9**9 + 300))  # from leading position 0 to 1
 def test_bit_sliced_blocks_match_the_int16_compare(case):
     """The word counts, the unpacked masks and the search's scan of the
     words (which unpacks the rows at or above the J_F floor) equal the
@@ -1164,6 +1183,29 @@ def test_full_q4_d1_range_matches_the_int16_compare():
     assert stop == 4369 and len(words) == stop
     assert (unpack_bits(words, rows.shape[1]) == zero).all()
     assert zero_counts(words).tolist() == np.count_nonzero(zero, axis=1).tolist()
+
+
+@pytest.mark.parametrize("q, d, stop, span, per, blocks", [
+    (2, 2, None, 4_096, 4, 28),  # 4,096 words a span
+    (3, 2, 2 * 3 * 6_561 + 100, 6_561, 3, 3),  # 32,805 words a span
+    (5, 1, None, 625, 1, 28),  # 32,500 words a span: five, the next divisor of 25, overflow
+    (4, 2, 3 * 4_096 + 100, 4_096, 1, 4),  # 73,728 words a span: two overflow
+])
+def test_a_block_holds_the_spans_that_fit_the_word_cap(monkeypatch, q, d, stop, span, per, blocks):
+    """A block holds gcd(q^2, the spans that fit _BLOCK_WORDS) spans, one at
+    least.  With a cap of one word every block is one span, and the words
+    are the same."""
+    field, rows = _scan_rows(q, d)
+    stop = stop or class_count(field.order, rows.shape[0])
+    words = _blocks(field, rows, 0, stop)
+    sizes = [hi - lo for lo, hi, _ in class_zero_blocks(field, rows, 0, stop)]
+    assert (len(sizes), max(sizes)) == (blocks, per * span)
+    monkeypatch.setattr(forms_module, "_BLOCK_WORDS", 1)
+    spans = list(class_zero_blocks(field, rows, 0, stop))
+    assert max(hi - lo for lo, hi, _ in spans) == span
+    assert (np.concatenate([w for _, _, w in spans]) == words).all()
+    if (q, d) == (2, 2):
+        assert len(spans) == 91
 
 
 def test_first_block_builds_no_full_int16_table():

@@ -833,11 +833,65 @@ def test_rows_just_below_the_floor_pass_both_checks(monkeypatch):
             plain = SimpleNamespace(q=q, incidence_rhs=rhs, sorensen=sorensen)
             _SearchContext.check_block(plain, np.full(top + 1, floor - 1), np.arange(top + 1),
                                        witness)
-            # the i-th of j lines meets the earlier ones in at most i points,
-            # and each point lies on q+1 generators
+            # j generators with r_P through P cover jn - sum(r_P - 1) points; one
+            # generator through each P joined to the other r_P - 1 is a graph with
+            # that many edges and, in a generalized quadrangle, no triangle, so at
+            # most as many as the largest complete bipartite graph on j vertices
+            # (Mantel); and each point lies on q+1 generators
             j = top + 1
-            cover = max(sum(max(0, n - i) for i in range(j)), -(-j * n // (q + 1)))
+            cover = max(j * n - max(a * (j - a) for a in range(j + 1)), -(-j * n // (q + 1)))
             assert floor - 1 < cover
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_generators_form_a_generalized_quadrangle(q):
+    """What the floor's generator term uses: each surface point lies on q+1
+    generators, two generators share at most one point, and three that
+    meet pairwise meet in one point.  The triangles of the "meet" graph
+    are then exactly the triples through a common point, C(q+1, 3) at each
+    of the n surface points."""
+    surface = canonical_surface(q)
+    gens = surface.generator_positions()
+    incidence = np.zeros((len(gens), surface.n_surface_points()), dtype=np.int64)
+    np.put_along_axis(incidence, gens, 1, axis=1)
+    assert (incidence.sum(axis=0) == q + 1).all()
+    shared = incidence @ incidence.T
+    np.fill_diagonal(shared, 0)
+    assert shared.max() == 1
+    triangles = np.trace(shared @ shared @ shared) // 6
+    assert triangles == surface.n_surface_points() * (q + 1) * q * (q - 1) // 6
+
+
+def test_seven_generators_at_q2_cover_the_floor_term():
+    """Exhaustively, every 7 = d(q+1)+1 of the 27 generators at (q, d) =
+    (2, 2) cover at least 24 surface points, so at least the generator
+    term B = 35 - 12 = 23 of the floor (888,030 subsets)."""
+    surface = canonical_surface(2)
+    gens = surface.generator_positions()
+    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), gens.astype(np.uint64)), axis=1)
+    unions, last = masks, np.arange(len(gens))  # unions of i-subsets, by their largest index
+    for _ in range(6):
+        parts = [(unions[last < g] | masks[g], np.full(np.count_nonzero(last < g), g))
+                 for g in range(len(gens))]
+        unions, last = map(np.concatenate, zip(*parts))
+    j, n = 7, 5
+    assert len(unions) == 888_030
+    assert np.bitwise_count(unions).min() == 24
+    assert 24 >= j * n - j * j // 4 == 23
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 1)])
+def test_full_scan_without_the_floor_is_unchanged(monkeypatch, q, d):
+    """A full scan with the J_F floor at 0, where every row's J_F is found,
+    reports what the scan with the proved floor reports."""
+    surface = canonical_surface(q)
+    want = exhaustive_search(surface, d)
+    real = theorems._incidence_floor
+    monkeypatch.setattr(theorems, "_incidence_floor", lambda q, d: (real(q, d)[0], 0))
+    assert _SearchContext(surface, d).floor == 0
+    got = exhaustive_search(surface, d)
+    assert got.to_json() == want.to_json()
+    assert got.argmax_vectors == want.argmax_vectors
 
 
 def _first_violation(surface, d, bound):
@@ -868,11 +922,11 @@ def _first_violation(surface, d, bound):
 @pytest.mark.parametrize("shift, at_jf", [(6, None), (7, 1)])
 def test_lowered_incidence_bound_is_caught_at_the_first_violating_class(s2, monkeypatch,
                                                                         shift, at_jf):
-    """An incidence bound lowered (everywhere, or only at |J_F| = 1) until
-    its term A of the floor falls below the generator term B: the floor
-    follows the table, and the serial and the parallel scan raise at the
+    """An incidence bound lowered (everywhere, or only at |J_F| = 1) lowers
+    the floor's term A, which binds at (2,2) below the generator term B 23:
+    the floor follows the table, and the serial and the parallel scan raise at the
     first violating class of a brute-force reference.  With the dip at
-    |J_F| = 1 that class has |X| = 13, below the unpatched floor of 14, so
+    |J_F| = 1 that class has |X| = 13, below the unpatched floor of 19, so
     a floor that ignored the table would hide it."""
     q, d = 2, 2
     top = d * (q + 1)
