@@ -7,7 +7,7 @@ run writes one JSON document, either to --out or to stdout, of the shape
 
 The report body is byte-reproducible for identical configuration; wall times
 and other run metadata live only under "meta".  ``_dumps`` writes every
-document, a search report's argmax forms as one ``_Fragment`` of term texts.
+document in one join, a search report's argmax forms as one ``_Fragment``.
 Exit status: 0 on success, 1 on usage or input errors, 2 when a proved bound
 fails on some examined form (the offending form is serialized in the report).
 """
@@ -73,37 +73,42 @@ class _Fragment(partial):
 
 
 def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from joined
-    strings; indent is the newline and indentation of value's own line.  Dict
-    keys must be str (encode_basestring_ascii raises TypeError on any other).
-    A _Fragment, refused by json.dumps, is written as fragment(indent)."""
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, as one join of the pieces that
+    _write appends, so no text, a large _Fragment's included, is copied at each nesting level."""
+    out: list[str] = []
+    _write(value, indent, out.append)
+    return "".join(out)
+
+
+def _write(value, indent: str, append) -> None:
+    """Append _dumps(value, indent)'s pieces, indent being the newline and indentation of value's
+    line; dict keys must be str.  A _Fragment, refused by json.dumps, writes fragment(indent)."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # plain ints, most of a report's values, are written without a call
-        items = [int.__repr__(v) if type(v) is int else _dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, _Fragment):
-        return value(indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        append(json.dumps(value))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        for i, v in enumerate(value):
+            append(("," if i else "[") + inner)
+            _write(v, inner, append)
+        append(indent + "]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        for i, k in enumerate(sorted(value)):
+            append(("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
+            _write(value[k], inner, append)
+        append(indent + "}")
+    elif isinstance(value, _Fragment):
+        append(value(indent))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _form_frame(q: int, d: int, indent: str):
@@ -123,13 +128,14 @@ def _form_text(form, indent: str) -> str:
     return head + sep.join([term(*m, c) for m, c in form.terms()]) + tail
 
 
-def _forms_text(q: int, d: int, vectors, indent: str) -> str:
-    """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for nonzero vectors: one join
-    of pieces picked by an index array, the text before the first form and before each other,
-    then the term text of each (monomial index, coefficient) used, without and with its separator."""
+def _forms_text(q: int, d: int, vectors: np.ndarray, indent: str) -> str:
+    """_dumps([vector_to_json(q, d, v) for v in vectors], indent) for an (R, M) array of nonzero
+    vectors: one join of pieces gathered from an object array by an index array, the text before
+    the first form and before each other, then the term text of each (monomial index, coefficient)
+    used, without and with its separator."""
     if not len(vectors):
         return "[]"
-    vectors, inner, order = np.asarray(vectors, dtype=np.int64), indent + "  ", q * q
+    inner, order = indent + "  ", q * q
     head, sep, tail, term = _form_frame(q, d, inner)
     (rows, cols), index = np.nonzero(vectors), np.full((len(vectors), vectors.shape[1] + 1), -1)
     used, which = np.unique(cols * order + vectors[rows, cols], return_inverse=True)
@@ -137,7 +143,7 @@ def _forms_text(q: int, d: int, vectors, indent: str) -> str:
     pieces = ["[" + inner + head, tail + "," + inner + head, *terms, *[sep + t for t in terms]]
     index[:, 0], index[0, 0] = 1, 0  # a row per form: the text before it, then its terms
     index[rows, cols + 1] = 2 + which + len(used) * np.r_[False, rows[1:] == rows[:-1]]
-    return "".join([pieces[i] for i in index[index >= 0].tolist()]) + tail + indent + "]"
+    return "".join(np.array(pieces, dtype=object)[index[index >= 0]].tolist()) + tail + indent + "]"
 
 
 def _emit(report: dict, meta: dict, out: str | None) -> None:
@@ -244,7 +250,7 @@ def _cmd_search(args) -> int:
         result = exhaustive_search(surface, args.d, budget=args.budget, workers=args.workers)
     else:
         result = random_search(surface, args.d, args.samples, args.seed)
-    report = replace(result, argmax_vectors=[]).to_json()
+    report = replace(result, argmax_vectors=result.argmax_vectors[:0]).to_json()
     report["argmax_forms"] = _Fragment(_forms_text, args.q, args.d, result.argmax_vectors)
     report["sorensen_bound"] = sorensen_bound(args.q, args.d) if args.d <= args.q + 1 else None
     _emit(report, _meta(args, t0, wall_time=result.wall_time), args.out)

@@ -339,7 +339,7 @@ def build_grid_example(surface: HermitianSurface, alpha: int) -> Form:
 # search drivers
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)  # no value equality: argmax_vectors is an array, wall_time varies
 class SearchResult:
     q: int
     d: int
@@ -347,7 +347,7 @@ class SearchResult:
     examined: int
     skipped_hermitian_multiples: int
     max_count: int
-    argmax_vectors: list[list[int]]  # normalized coefficient vectors, monomial order
+    argmax_vectors: np.ndarray  # (R, M) int16 normalized coefficient vectors, monomial order
     argmax_total: int
     seed: int | None
     samples: int | None
@@ -368,7 +368,7 @@ class SearchResult:
             "skipped_hermitian_multiples": self.skipped_hermitian_multiples,
             "max_count": self.max_count,
             "argmax_total": self.argmax_total,
-            "argmax_forms": [vector_to_json(self.q, self.d, vec) for vec in self.argmax_vectors],
+            "argmax_forms": [vector_to_json(self.q, self.d, v) for v in self.argmax_vectors.tolist()],
             "seed": self.seed,
             "samples": self.samples,
         }
@@ -391,15 +391,17 @@ def _incidence_floor(q: int, d: int) -> tuple[np.ndarray, int]:
 class _SearchContext:
     """Precomputed per-(q, d) state for vectorized block scanning.
 
-    ``scan`` finds J_F only where |X| >= floor = min(A, B); J_F = 0 elsewhere changes no verdict.
-    A = min(incidence_rhs) // (q+1) + 1, d(q^3+1)+1 as the rhs rises with J_F for d <= q^2: below
-    A, (q+1)|X| <= incidence_rhs[J_F] for every J_F <= d(q+1).  B = max(jn - floor(j^2/4),
+    ``scan`` finds J_F only where |X| >= floor = min(A, B), and ``check_block`` reads only rows with
+    |X| >= min(floor, S+1), S the Sorensen bound: no other row can fail either check.  A = min(
+    incidence_rhs) // (q+1) + 1, d(q^3+1)+1 as the rhs rises with J_F for d <= q^2: below A,
+    (q+1)|X| <= incidence_rhs[J_F] for every J_F <= d(q+1).  B = max(jn - floor(j^2/4),
     ceil(jn/(q+1))) for j = d(q+1)+1, n = q^2+1: j generators cover at least B points, so below B,
     J_F <= d(q+1) (no ``over``).  The generators form the generalized quadrangle H(3, q^2) of order
     (q^2, q): q+1 lie on each point, two share at most one point, and no three meet pairwise in three
     points.  j of them with r_P through P cover jn - sum(r_P - 1) points; one through each P joined to
     the other r_P - 1 is a graph with that many edges and no triangle (the edges at P form a star),
-    so by Mantel's theorem jn - sum(r_P - 1) >= jn - floor(j^2/4)."""
+    so by Mantel's theorem jn - sum(r_P - 1) >= jn - floor(j^2/4).  S+1 > A >= floor, as
+    S - (A-1) = d(q^2-q-1)+q+1 > 0: the checks start at the floor unless a bound is patched."""
 
     def __init__(self, surface: HermitianSurface, d: int):
         self.surface = surface
@@ -423,12 +425,12 @@ class _SearchContext:
         return _worker_context, (self.q, self.surface.matrix, self.d)
 
     def scan(self, words: np.ndarray):
-        """(x_counts, jf_counts) of a block's ``pack_bits`` zero words; J_F is 0 below the floor."""
+        """(x_counts, jf_counts, above) of ``pack_bits`` words; only rows above the floor get J_F."""
         x_counts = zero_counts(words)
         above, jf_counts = np.flatnonzero(x_counts >= self.floor), np.zeros_like(x_counts)
         jf = jf_mask(self.surface, unpack_bits(words[above], self.n), self.d)
         jf_counts[above] = np.count_nonzero(jf, axis=1)
-        return x_counts, jf_counts
+        return x_counts, jf_counts, above
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """M-long coefficient vectors of k-long code-class vectors, 0 off the standard monomials."""
@@ -436,17 +438,20 @@ class _SearchContext:
         out[:, self.standard] = vectors
         return out
 
-    def check_block(self, x_counts, jf_counts, vector):
-        """Raise FalsificationError if a row beats a proved bound;
-        vector(i) decodes row i's coefficients for the witness."""
-        lhs = x_counts * (self.q + 1)
+    def check_block(self, x_counts, jf_counts, vector, above=None):
+        """Raise FalsificationError at the first row with |X| >= min(floor, S+1) that beats a proved
+        bound (``scan``'s rows ``above``, if given, when that is the floor); vector(i) decodes row
+        i's coefficients for the witness."""
+        start = self.floor if self.sorensen is None else min(self.floor, self.sorensen + 1)
+        rows = np.flatnonzero(x_counts >= start) if above is None or start < self.floor else above
+        x, jf = x_counts[rows], jf_counts[rows]
         top = len(self.incidence_rhs) - 1
-        over = jf_counts > top  # |J_F| > d(q+1) would itself refute deg X = d(q+1)
-        bad = over | (lhs > self.incidence_rhs[np.minimum(jf_counts, top)])
+        over = jf > top  # |J_F| > d(q+1) would itself refute deg X = d(q+1)
+        bad = over | (x * (self.q + 1) > self.incidence_rhs[np.minimum(jf, top)])
         if self.sorensen is not None:
-            bad |= x_counts > self.sorensen
+            bad |= x > self.sorensen
         if bad.any():
-            i = int(np.nonzero(bad)[0][0])
+            i = int(rows[bad.argmax()])
             form = form_from_vector(self.field, self.d, vector(i))
             confirm = check_theorems(intersection_stats(form, self.surface), self.surface)
             raise FalsificationError(
@@ -463,7 +468,7 @@ def _worker_context(q: int, matrix, d: int) -> _SearchContext:
 @dataclass
 class _Tally:
     max_count: int = -1
-    argmax: list = dc_field(default_factory=list)
+    argmax: np.ndarray = dc_field(default_factory=lambda: np.zeros(0, np.int64))  # keys, scan order
     total: int = 0
     examined: int = 0
     skipped: int = 0
@@ -471,28 +476,26 @@ class _Tally:
     def merge(self, other: "_Tally"):
         self.examined += other.examined
         if other.max_count > self.max_count:
-            self.max_count = other.max_count
-            self.argmax = list(other.argmax)
-            self.total = other.total
+            self.max_count, self.argmax, self.total = other.max_count, other.argmax, other.total
         elif other.max_count == self.max_count:
             self.total += other.total
-            self.argmax.extend(other.argmax[: max(0, _ARGMAX_CAP - len(self.argmax))])
+            self.argmax = np.concatenate((self.argmax, other.argmax))[:_ARGMAX_CAP]
 
 
-def _scan_block(ctx: _SearchContext, x_counts, jf_counts, keys, vector, tally: _Tally):
-    """Tally one nonempty block of non-multiples of H from its ``scan`` counts.  keys[i] stands for
-    row i in the argmax list; vector(i) decodes row i's coefficients, which only a witness needs."""
-    ctx.check_block(x_counts, jf_counts, vector)
-    top = int(x_counts.max())
-    hits = np.flatnonzero(x_counts == top)
-    argmax = [keys[int(i)] for i in hits[:_ARGMAX_CAP]]
-    tally.merge(_Tally(top, argmax, total=len(hits), examined=len(x_counts)))
+def _scan_block(ctx: _SearchContext, x_counts, jf_counts, above, keys, vector, tally: _Tally):
+    """Tally one nonempty block of non-multiples of H from its ``scan`` counts.  keys(i) maps row
+    indices to argmax keys; vector(i) decodes row i's coefficients, which only a witness needs."""
+    ctx.check_block(x_counts, jf_counts, vector, above)
+    top, tally.examined = int(x_counts.max()), tally.examined + len(x_counts)
+    if top >= tally.max_count:
+        hits = np.flatnonzero(x_counts == top)
+        tally.merge(_Tally(top, keys(hits[:_ARGMAX_CAP]), total=len(hits)))
 
 
 def _scan_range(ctx: _SearchContext, start: int, stop: int) -> _Tally:
     tally, k = _Tally(), len(ctx.standard)
     for lo, hi, words in class_zero_blocks(ctx.field, ctx.rows[ctx.standard], start, stop):
-        _scan_block(ctx, *ctx.scan(words), range(lo, hi),
+        _scan_block(ctx, *ctx.scan(words), lambda i: lo + i,
                     lambda i: ctx.lift(class_vectors(ctx.field, k, [lo + i]))[0], tally)
         if (lo - start) // 1_000_000 != (hi - start) // 1_000_000:
             print(f"scanned {hi - start} of {stop - start} classes", file=sys.stderr)
@@ -559,7 +562,7 @@ def exhaustive_search(surface: HermitianSurface, d: int, *, budget: int = 10_000
     tally.examined *= order ** (ctx.m - k)
     tally.total *= order ** (ctx.m - k)
     tally.skipped = class_count(order, ctx.m - k)
-    argmax = ctx.lift(class_vectors(surface.field, k, sorted(tally.argmax))).tolist()
+    argmax = ctx.lift(class_vectors(surface.field, k, tally.argmax))  # ascending, as scanned
     return _result(ctx, "exhaustive", tally, argmax, start_t)
 
 
@@ -616,10 +619,11 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     tally = _Tally()
     for keys in np.split(np.argsort(first), range(_SAMPLE_CHUNK, len(first), _SAMPLE_CHUNK)):
         zero = combination_values(ctx.field, ctx.rows, rows[keys]) == 0
-        x_counts, jf_counts = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
         multiple = multiples_of_h(surface, x_counts, d)
         tally.skipped += int(counts[keys[multiple]].sum())
         keys, x_counts, jf_counts = keys[~multiple], x_counts[~multiple], jf_counts[~multiple]
         if len(keys):
-            _scan_block(ctx, x_counts, jf_counts, keys, lambda i: rows[keys[i]], tally)
-    return _result(ctx, "random", tally, rows[sorted(tally.argmax)].tolist(), start_t, seed, samples)
+            _scan_block(ctx, x_counts, jf_counts, None, keys.__getitem__, lambda i: rows[keys[i]],
+                        tally)
+    return _result(ctx, "random", tally, rows[np.sort(tally.argmax)], start_t, seed, samples)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import time
 from functools import partial
 from random import Random
@@ -14,6 +15,7 @@ from hermsurf.finite_field import build_field
 from hermsurf.forms import (
     class_count,
     class_vectors,
+    combination_values,
     form_from_vector,
     form_to_json,
     monomial_count,
@@ -527,7 +529,7 @@ def expected_report_text(result) -> str:
 def test_exhaustive_search_document_matches_json_dumps(tmp_path, q, d):
     text = search_report_text(tmp_path, "--q", str(q), "--d", str(d), "--workers", "1")
     result = theorems.exhaustive_search(canonical_surface(q), d)
-    assert result.argmax_vectors
+    assert result.argmax_vectors.tolist()
     assert_same_text(text, expected_report_text(result))
 
 
@@ -536,7 +538,7 @@ def test_random_search_document_matches_json_dumps(tmp_path, q, d, samples, seed
     text = search_report_text(tmp_path, "--q", str(q), "--d", str(d), "--mode", "random",
                               "--samples", str(samples), "--seed", str(seed))
     result = theorems.random_search(canonical_surface(q), d, samples, seed)
-    assert result.argmax_vectors
+    assert result.argmax_vectors.tolist()
     assert_same_text(text, expected_report_text(result))
 
 
@@ -549,13 +551,36 @@ def test_capped_argmax_list_matches_json_dumps(tmp_path, monkeypatch):
     indices = np.linspace(0, class_count(surface.field.order, m) - 1, cap).astype(np.int64)
     result = theorems.SearchResult(
         q=3, d=2, mode="exhaustive", examined=1, skipped_hermitian_multiples=0, max_count=0,
-        argmax_vectors=class_vectors(surface.field, m, indices).tolist(), argmax_total=cap,
+        argmax_vectors=class_vectors(surface.field, m, indices), argmax_total=cap,
         seed=None, samples=None, wall_time=0.0, field=surface.field,
     )
     monkeypatch.setattr(cli, "exhaustive_search", lambda *args, **kwargs: result)
     text = search_report_text(tmp_path, "--q", "3", "--d", "2", "--workers", "1")
     assert len(result.argmax_vectors) == 4096
     assert_same_text(text, expected_report_text(result))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched cap only through fork")
+def test_capped_argmax_forms_are_the_first_in_scan_order(tmp_path, monkeypatch):
+    """With _ARGMAX_CAP at 7, the serial and the parallel (2,2) search report
+    the first 7 maximizers in class order of a brute force over
+    class_vectors, and all 720 of them in argmax_total."""
+    monkeypatch.setattr(theorems, "_ARGMAX_CAP", 7)
+    f, top = build_field(2), theorems.sorensen_bound(2, 2)
+    rows = theorems._SearchContext(canonical_surface(2), 2).rows
+    total, argmax = class_count(f.order, 10), []
+    for lo in range(0, total, 1 << 15):
+        vecs = class_vectors(f, 10, np.arange(lo, min(total, lo + (1 << 15))))
+        x = np.count_nonzero(combination_values(f, rows, vecs) == 0, axis=1)
+        argmax += vecs[x == top].tolist()
+    assert len(argmax) == 720
+    for workers in ("1", "2"):
+        out = tmp_path / f"search{workers}.json"
+        assert main(["search", "--q", "2", "--d", "2", "--workers", workers, "--out", str(out)]) == 0
+        report = load_report(out.read_text())
+        assert (report["max_count"], report["argmax_total"]) == (top, 720)
+        assert report["argmax_forms"] == [vector_to_json(2, 2, v) for v in argmax[:7]]
 
 
 @st.composite
@@ -576,9 +601,9 @@ def _vector_lists(draw):
 @example((3, 2, [[0] * 9 + [4], [1] + [0] * 9]), 2)  # a last-monomial-only form, then a first
 @example((4, 2, np.array([[1, 0, 15, 0, 0, 0, 0, 0, 0, 3], [0] * 9 + [7]], dtype=np.int16)), 1)
 def test_forms_text_matches_dumps_of_the_form_dicts(drawn, depth):
-    """Lists of coefficient lists, as a search result holds them, or an
-    (V, M) int array, as class_vectors returns them."""
+    """(V, M) int16 arrays, as a search result holds them, drawn as lists."""
     q, d, vectors = drawn
+    vectors = np.array(vectors, dtype=np.int16).reshape(len(vectors), monomial_count(d))
     indent = "\n" + "  " * depth
     dicts = [vector_to_json(q, d, [int(c) for c in vec]) for vec in vectors]
     assert _forms_text(q, d, vectors, indent) == _dumps(dicts, indent)

@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import copy
+import json
 import multiprocessing
 import os
 import pickle
@@ -493,7 +494,7 @@ def test_argmax_forms_serialize_from_their_vectors(q, d, mode):
     forms = res.argmax_forms
     assert len(forms) == len(res.argmax_vectors) > 0
     assert res.to_json()["argmax_forms"] == [form_to_json(f, q) for f in forms]
-    assert [list(f.coefficient_vector()) for f in forms] == res.argmax_vectors
+    assert [list(f.coefficient_vector()) for f in forms] == res.argmax_vectors.tolist()
     assert all(f.field is surface.field and f.degree == d and f.normalized() == f for f in forms)
     if mode == "exhaustive":
         assert len(forms) == 720
@@ -542,7 +543,8 @@ def test_scan_range_splits_merge_to_the_full_scan(s2, split):
     total = class_count(s2.field.order, ctx.m)
     merged = _scan_range(ctx, 0, split)
     merged.merge(_scan_range(ctx, split, total))
-    assert merged == _scan_range(ctx, 0, total)
+    full = _scan_range(ctx, 0, total)
+    assert replace(merged, argmax=merged.argmax.tolist()) == replace(full, argmax=full.argmax.tolist())
 
 
 def test_scan_range_decodes_the_surface_equation_lazily(s2, capsys):
@@ -601,7 +603,7 @@ def test_a_form_and_its_remainder_mod_h_meet_the_surface_alike(q, d):
     for group in (forms, remainders):
         coeffs = np.array([g.coefficient_vector() for g in group], dtype=np.int16)
         zero = np.array([g.values_at(surface.arr) == 0 for g in group])
-        x_counts, jf_counts = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
         full = zero[:, gens].all(axis=2).sum(axis=1)
         out.append((x_counts.tolist(), full.tolist(), _verdicts(ctx, x_counts, jf_counts, coeffs)))
     assert out[0] == out[1]
@@ -626,7 +628,7 @@ def test_scan_range_over_code_classes_matches_lifted_brute_force(q, d):
         hits = np.flatnonzero(x == x.max())
         tally = _scan_range(ctx, lo, hi)
         assert (tally.max_count, tally.total, tally.examined) == (x.max(), len(hits), hi - lo)
-        assert tally.argmax == (lo + hits[: theorems._ARGMAX_CAP]).tolist()
+        assert tally.argmax.tolist() == (lo + hits[: theorems._ARGMAX_CAP]).tolist()
 
 
 def test_exhaustive_counters_follow_the_class_count_identity(s2, monkeypatch):
@@ -700,6 +702,86 @@ def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
     assert capped.argmax_forms == full.argmax_forms[:5]
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_argmax_vectors_are_an_int16_array_written_as_plain_ints(s2, mode):
+    """Both searches keep their argmax as one (R, M) int16 array; to_json
+    writes it as plain ints, which json.dumps accepts, and argmax_forms
+    rebuilds the same vectors."""
+    res = exhaustive_search(s2, 2) if mode == "exhaustive" else random_search(s2, 2, 500, 7)
+    vectors = res.argmax_vectors
+    assert isinstance(vectors, np.ndarray) and vectors.dtype == np.int16
+    assert vectors.shape == (len(res.argmax_forms), monomial_count(2)) and len(vectors) > 0
+    data = res.to_json()
+    assert json.loads(json.dumps(data)) == data
+    assert all(type(c) is int for form in data["argmax_forms"] for mono, coeff in form["terms"]
+               for c in (*mono, coeff))
+    assert [f.coefficient_vector() for f in res.argmax_forms] == list(map(tuple, vectors.tolist()))
+
+
+class _Witness(Exception):
+    """Raised by a witness decoder with the row check_block asked for."""
+
+
+def _raise_witness(i):
+    raise _Witness(int(i))
+
+
+@pytest.mark.parametrize("q, d", [(2, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
+def test_check_block_reads_no_row_below_its_start(q, d):
+    """check_block starts at min(floor, S+1), S the Sorensen bound, which
+    is the floor itself for the proved bounds.  A doctored context in which
+    every row fails the incidence check raises at the first row at or above
+    the floor, with or without scan's rows above it, and never at the row
+    just below the floor that leads the block.  A Sorensen bound patched
+    below the floor moves the start down, and that row then raises."""
+    _, ctx, _ = _floor_context(q, d)
+    top = d * (q + 1)
+    assert ctx.sorensen is None or ctx.sorensen - (d * (q**3 + 1)) == d * (q * q - q - 1) + q + 1
+    rng = np.random.default_rng(10 * q + d)
+    x_counts = rng.integers(0, ctx.floor + 5, 500)
+    x_counts[0] = ctx.floor - 1
+    jf_counts = np.where(x_counts >= ctx.floor, rng.integers(0, top + 1, 500), 0)
+    above = np.flatnonzero(x_counts >= ctx.floor)
+    failing = copy.copy(ctx)
+    failing.incidence_rhs = np.full_like(ctx.incidence_rhs, -1)
+    for rows in (None, above):
+        with pytest.raises(_Witness) as err:
+            failing.check_block(x_counts, jf_counts, _raise_witness, rows)
+        assert err.value.args == (int(above[0]),)
+    if ctx.sorensen is not None:
+        patched = copy.copy(ctx)
+        patched.sorensen = ctx.floor - 4
+        for rows in (None, above):
+            with pytest.raises(_Witness) as err:
+                patched.check_block(x_counts, jf_counts, _raise_witness, rows)
+            assert err.value.args == (0,)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched bound only through fork")
+def test_sorensen_bound_patched_below_the_floor_still_raises(s2, monkeypatch):
+    """With the Sorensen bound patched to 10, below the floor 19 at (2,2),
+    the serial and the parallel scan raise at the first class, in scan
+    order, with |X| > 10, and the witness marks that bound failed."""
+    q, d = 2, 2
+    monkeypatch.setattr(theorems, "sorensen_bound", lambda q, d: 10)
+    theorems._worker_context.cache_clear()
+    ctx = _SearchContext(s2, d)
+    assert ctx.sorensen + 1 < ctx.floor == 19
+    vecs = class_vectors(s2.field, ctx.m, np.arange(4096))
+    x = np.count_nonzero(combination_values(s2.field, ctx.rows, vecs) == 0, axis=1)
+    first = int(np.flatnonzero(x > 10)[0])
+    assert x[first] < ctx.floor
+    for workers in (1, 2):
+        with pytest.raises(FalsificationError) as err:
+            exhaustive_search(s2, d, workers=workers)
+        assert err.value.witness["form"] == form_to_json(form_from_vector(s2.field, d, vecs[first]), q)
+        report = err.value.witness["report"]
+        assert report["x_count"] == x[first]
+        assert report["checks"]["sorensen_bound"]["satisfied"] is False
+    theorems._worker_context.cache_clear()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_jf_from_d_plus_1_points_matches_full_generators(q):
     """The scan decides generator containment from d+1 points per
@@ -729,7 +811,7 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
             rows.append(surface_form(surface).coefficient_vector())
         coeffs = np.array(rows, dtype=np.int16)
         zero = combination_values(f, ctx.rows, coeffs) == 0
-        x_counts, jf_counts = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
         jf = zero[:, surface.generator_positions()].all(axis=2)  # all q^2+1 points
         full = jf.sum(axis=1)
         above = x_counts >= ctx.floor
@@ -800,8 +882,8 @@ def test_jf_floor_changes_no_count_or_verdict(case):
     unfloored = copy.copy(ctx)
     unfloored.floor = 0
     zero = combination_values(surface.field, ctx.rows, coeffs) == 0
-    x_counts, jf_counts = ctx.scan(pack_bits(zero))
-    x_all, jf_all = unfloored.scan(pack_bits(zero))
+    x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
+    x_all, jf_all, _ = unfloored.scan(pack_bits(zero))
     assert x_counts.tolist() == x_all.tolist()
     above = x_counts >= ctx.floor
     assert jf_counts[above].tolist() == jf_all[above].tolist()
@@ -830,7 +912,7 @@ def test_rows_just_below_the_floor_pass_both_checks(monkeypatch):
             assert rhs.min() // (q + 1) + 1 == d * (q**3 + 1) + 1
             assert 0 < floor <= d * (q**3 + 1) + 1
             sorensen = sorensen_bound(q, d) if d <= q + 1 else None
-            plain = SimpleNamespace(q=q, incidence_rhs=rhs, sorensen=sorensen)
+            plain = SimpleNamespace(q=q, incidence_rhs=rhs, sorensen=sorensen, floor=0)  # all rows
             _SearchContext.check_block(plain, np.full(top + 1, floor - 1), np.arange(top + 1),
                                        witness)
             # j generators with r_P through P cover jn - sum(r_P - 1) points; one
@@ -891,7 +973,7 @@ def test_full_scan_without_the_floor_is_unchanged(monkeypatch, q, d):
     assert _SearchContext(surface, d).floor == 0
     got = exhaustive_search(surface, d)
     assert got.to_json() == want.to_json()
-    assert got.argmax_vectors == want.argmax_vectors
+    assert got.argmax_vectors.tolist() == want.argmax_vectors.tolist()
 
 
 def _first_violation(surface, d, bound):
