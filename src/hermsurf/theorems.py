@@ -425,12 +425,12 @@ class _SearchContext:
         return _worker_context, (self.q, self.surface.matrix, self.d)
 
     def scan(self, words: np.ndarray):
-        """(x_counts, jf_counts, above) of ``pack_bits`` words; only rows above the floor get J_F."""
+        """(x_counts, jf_counts) of a block's ``pack_bits`` zero words; J_F is 0 below the floor."""
         x_counts = zero_counts(words)
         above, jf_counts = np.flatnonzero(x_counts >= self.floor), np.zeros_like(x_counts)
         jf = jf_mask(self.surface, unpack_bits(words[above], self.n), self.d)
         jf_counts[above] = np.count_nonzero(jf, axis=1)
-        return x_counts, jf_counts, above
+        return x_counts, jf_counts
 
     def lift(self, vectors: np.ndarray) -> np.ndarray:
         """M-long coefficient vectors of k-long code-class vectors, 0 off the standard monomials."""
@@ -438,12 +438,11 @@ class _SearchContext:
         out[:, self.standard] = vectors
         return out
 
-    def check_block(self, x_counts, jf_counts, vector, above=None):
+    def check_block(self, x_counts, jf_counts, vector):
         """Raise FalsificationError at the first row with |X| >= min(floor, S+1) that beats a proved
-        bound (``scan``'s rows ``above``, if given, when that is the floor); vector(i) decodes row
-        i's coefficients for the witness."""
+        bound; vector(i) decodes row i's coefficients for the witness."""
         start = self.floor if self.sorensen is None else min(self.floor, self.sorensen + 1)
-        rows = np.flatnonzero(x_counts >= start) if above is None or start < self.floor else above
+        rows = np.flatnonzero(x_counts >= start)
         x, jf = x_counts[rows], jf_counts[rows]
         top = len(self.incidence_rhs) - 1
         over = jf > top  # |J_F| > d(q+1) would itself refute deg X = d(q+1)
@@ -482,10 +481,10 @@ class _Tally:
             self.argmax = np.concatenate((self.argmax, other.argmax))[:_ARGMAX_CAP]
 
 
-def _scan_block(ctx: _SearchContext, x_counts, jf_counts, above, keys, vector, tally: _Tally):
+def _scan_block(ctx: _SearchContext, x_counts, jf_counts, keys, vector, tally: _Tally):
     """Tally one nonempty block of non-multiples of H from its ``scan`` counts.  keys(i) maps row
     indices to argmax keys; vector(i) decodes row i's coefficients, which only a witness needs."""
-    ctx.check_block(x_counts, jf_counts, vector, above)
+    ctx.check_block(x_counts, jf_counts, vector)
     top, tally.examined = int(x_counts.max()), tally.examined + len(x_counts)
     if top >= tally.max_count:
         hits = np.flatnonzero(x_counts == top)
@@ -619,11 +618,10 @@ def random_search(surface: HermitianSurface, d: int, samples: int, seed: int) ->
     tally = _Tally()
     for keys in np.split(np.argsort(first), range(_SAMPLE_CHUNK, len(first), _SAMPLE_CHUNK)):
         zero = combination_values(ctx.field, ctx.rows, rows[keys]) == 0
-        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
         multiple = multiples_of_h(surface, x_counts, d)
         tally.skipped += int(counts[keys[multiple]].sum())
         keys, x_counts, jf_counts = keys[~multiple], x_counts[~multiple], jf_counts[~multiple]
         if len(keys):
-            _scan_block(ctx, x_counts, jf_counts, None, keys.__getitem__, lambda i: rows[keys[i]],
-                        tally)
+            _scan_block(ctx, x_counts, jf_counts, keys.__getitem__, lambda i: rows[keys[i]], tally)
     return _result(ctx, "random", tally, rows[np.sort(tally.argmax)], start_t, seed, samples)

@@ -1,6 +1,5 @@
 import argparse
 import json
-import multiprocessing
 import time
 from functools import partial
 from random import Random
@@ -15,7 +14,6 @@ from hermsurf.finite_field import build_field
 from hermsurf.forms import (
     class_count,
     class_vectors,
-    combination_values,
     form_from_vector,
     form_to_json,
     monomial_count,
@@ -558,29 +556,6 @@ def test_capped_argmax_list_matches_json_dumps(tmp_path, monkeypatch):
     text = search_report_text(tmp_path, "--q", "3", "--d", "2", "--workers", "1")
     assert len(result.argmax_vectors) == 4096
     assert_same_text(text, expected_report_text(result))
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers see the patched cap only through fork")
-def test_capped_argmax_forms_are_the_first_in_scan_order(tmp_path, monkeypatch):
-    """With _ARGMAX_CAP at 7, the serial and the parallel (2,2) search report
-    the first 7 maximizers in class order of a brute force over
-    class_vectors, and all 720 of them in argmax_total."""
-    monkeypatch.setattr(theorems, "_ARGMAX_CAP", 7)
-    f, top = build_field(2), theorems.sorensen_bound(2, 2)
-    rows = theorems._SearchContext(canonical_surface(2), 2).rows
-    total, argmax = class_count(f.order, 10), []
-    for lo in range(0, total, 1 << 15):
-        vecs = class_vectors(f, 10, np.arange(lo, min(total, lo + (1 << 15))))
-        x = np.count_nonzero(combination_values(f, rows, vecs) == 0, axis=1)
-        argmax += vecs[x == top].tolist()
-    assert len(argmax) == 720
-    for workers in ("1", "2"):
-        out = tmp_path / f"search{workers}.json"
-        assert main(["search", "--q", "2", "--d", "2", "--workers", workers, "--out", str(out)]) == 0
-        report = load_report(out.read_text())
-        assert (report["max_count"], report["argmax_total"]) == (top, 720)
-        assert report["argmax_forms"] == [vector_to_json(2, 2, v) for v in argmax[:7]]
 
 
 @st.composite

@@ -1147,7 +1147,7 @@ def test_bit_sliced_blocks_match_the_int16_compare(case):
     ctx = _scan_context(field.q, d)
     above = zero.sum(axis=1) >= ctx.floor
     jf = np.where(above, zero[:, ctx.surface.generator_positions()].all(axis=2).sum(axis=1), 0)
-    x_counts, jf_counts, _ = ctx.scan(words)
+    x_counts, jf_counts = ctx.scan(words)
     assert (x_counts.tolist(), jf_counts.tolist()) == (zero.sum(axis=1).tolist(), jf.tolist())
 
 

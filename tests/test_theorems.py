@@ -603,7 +603,7 @@ def test_a_form_and_its_remainder_mod_h_meet_the_surface_alike(q, d):
     for group in (forms, remainders):
         coeffs = np.array([g.coefficient_vector() for g in group], dtype=np.int16)
         zero = np.array([g.values_at(surface.arr) == 0 for g in group])
-        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
         full = zero[:, gens].all(axis=2).sum(axis=1)
         out.append((x_counts.tolist(), full.tolist(), _verdicts(ctx, x_counts, jf_counts, coeffs)))
     assert out[0] == out[1]
@@ -694,12 +694,16 @@ def test_exhaustive_search_refuses_class_indices_past_int64(s3, monkeypatch):
 
 
 def test_argmax_cap_keeps_the_first_maximizers(s2, monkeypatch):
+    """The serial and, where workers fork, the parallel scan keep the first
+    maximizers in scan order, which the uncapped argmax list is (see
+    test_scan_range_over_code_classes_matches_lifted_brute_force)."""
     full = exhaustive_search(s2, 2)
-    monkeypatch.setattr(theorems, "_ARGMAX_CAP", 5)
-    capped = exhaustive_search(s2, 2)
-    assert capped.argmax_total == full.argmax_total == 720
-    assert capped.max_count == full.max_count
-    assert capped.argmax_forms == full.argmax_forms[:5]
+    monkeypatch.setattr(theorems, "_ARGMAX_CAP", 7)
+    for workers in (1, 2) if multiprocessing.get_start_method() == "fork" else (1,):
+        capped = exhaustive_search(s2, 2, workers=workers)
+        assert capped.argmax_total == full.argmax_total == 720
+        assert capped.max_count == full.max_count
+        assert capped.argmax_forms == full.argmax_forms[:7]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -731,8 +735,8 @@ def test_check_block_reads_no_row_below_its_start(q, d):
     """check_block starts at min(floor, S+1), S the Sorensen bound, which
     is the floor itself for the proved bounds.  A doctored context in which
     every row fails the incidence check raises at the first row at or above
-    the floor, with or without scan's rows above it, and never at the row
-    just below the floor that leads the block.  A Sorensen bound patched
+    the floor, and never at the row just below the floor that leads the
+    block.  A Sorensen bound patched
     below the floor moves the start down, and that row then raises."""
     _, ctx, _ = _floor_context(q, d)
     top = d * (q + 1)
@@ -741,20 +745,17 @@ def test_check_block_reads_no_row_below_its_start(q, d):
     x_counts = rng.integers(0, ctx.floor + 5, 500)
     x_counts[0] = ctx.floor - 1
     jf_counts = np.where(x_counts >= ctx.floor, rng.integers(0, top + 1, 500), 0)
-    above = np.flatnonzero(x_counts >= ctx.floor)
     failing = copy.copy(ctx)
     failing.incidence_rhs = np.full_like(ctx.incidence_rhs, -1)
-    for rows in (None, above):
-        with pytest.raises(_Witness) as err:
-            failing.check_block(x_counts, jf_counts, _raise_witness, rows)
-        assert err.value.args == (int(above[0]),)
+    with pytest.raises(_Witness) as err:
+        failing.check_block(x_counts, jf_counts, _raise_witness)
+    assert err.value.args == (int(np.flatnonzero(x_counts >= ctx.floor)[0]),)
     if ctx.sorensen is not None:
         patched = copy.copy(ctx)
         patched.sorensen = ctx.floor - 4
-        for rows in (None, above):
-            with pytest.raises(_Witness) as err:
-                patched.check_block(x_counts, jf_counts, _raise_witness, rows)
-            assert err.value.args == (0,)
+        with pytest.raises(_Witness) as err:
+            patched.check_block(x_counts, jf_counts, _raise_witness)
+        assert err.value.args == (0,)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -811,7 +812,7 @@ def test_jf_from_d_plus_1_points_matches_full_generators(q):
             rows.append(surface_form(surface).coefficient_vector())
         coeffs = np.array(rows, dtype=np.int16)
         zero = combination_values(f, ctx.rows, coeffs) == 0
-        x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
+        x_counts, jf_counts = ctx.scan(pack_bits(zero))
         jf = zero[:, surface.generator_positions()].all(axis=2)  # all q^2+1 points
         full = jf.sum(axis=1)
         above = x_counts >= ctx.floor
@@ -882,12 +883,12 @@ def test_jf_floor_changes_no_count_or_verdict(case):
     unfloored = copy.copy(ctx)
     unfloored.floor = 0
     zero = combination_values(surface.field, ctx.rows, coeffs) == 0
-    x_counts, jf_counts, _ = ctx.scan(pack_bits(zero))
-    x_all, jf_all, _ = unfloored.scan(pack_bits(zero))
+    x_counts, jf_counts = ctx.scan(pack_bits(zero))
+    x_all, jf_all = unfloored.scan(pack_bits(zero))
     assert x_counts.tolist() == x_all.tolist()
     above = x_counts >= ctx.floor
     assert jf_counts[above].tolist() == jf_all[above].tolist()
-    assert _verdicts(ctx, x_counts, jf_counts, coeffs) == _verdicts(ctx, x_all, jf_all, coeffs)
+    assert _verdicts(ctx, x_counts, jf_counts, coeffs) == _verdicts(unfloored, x_all, jf_all, coeffs)
 
 
 def test_rows_just_below_the_floor_pass_both_checks(monkeypatch):
