@@ -18,8 +18,6 @@ from hermsurf.forms import (
     Form,
     FormError,
     IntersectionReport,
-    hermitian_divides,
-    incidence_double_count,
     intersection_stats,
     linear_form,
     surface_form,
@@ -56,8 +54,6 @@ __all__ = [
     "Form",
     "FormError",
     "IntersectionReport",
-    "hermitian_divides",
-    "incidence_double_count",
     "intersection_stats",
     "linear_form",
     "surface_form",

@@ -138,7 +138,9 @@ def _forms_text(q: int, d: int, vectors: np.ndarray, indent: str) -> str:
     inner, order = indent + "  ", q * q
     head, sep, tail, term = _form_frame(q, d, inner)
     (rows, cols), index = np.nonzero(vectors), np.full((len(vectors), vectors.shape[1] + 1), -1)
-    used, which = np.unique(cols * order + vectors[rows, cols], return_inverse=True)
+    keys, present = cols * order + vectors[rows, cols], np.zeros(vectors.shape[1] * order, bool)
+    present[keys] = True  # the pairs used, ascending, are ranked by a cumulative sum: no sort
+    used, which = np.flatnonzero(present), np.cumsum(present)[keys] - 1
     terms = [term(*monomials(d)[k // order], k % order) for k in used.tolist()]
     pieces = ["[" + inner + head, tail + "," + inner + head, *terms, *[sep + t for t in terms]]
     index[:, 0], index[0, 0] = 1, 0  # a row per form: the text before it, then its terms
@@ -244,6 +246,8 @@ def _cmd_verify_counts(args) -> int:
 def _cmd_search(args) -> int:
     if args.workers < 1:  # refused in random mode too, where no worker runs
         raise ValueError(f"workers must be at least 1, got {args.workers}")
+    if args.mode == "random" and args.samples > args.budget:  # before the draws' array exists
+        raise BudgetExceededError(f"{args.samples} samples exceed the budget {args.budget}")
     surface = _surface(args.q)
     t0 = time.monotonic()
     if args.mode == "exhaustive":
@@ -265,14 +269,9 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_grid(args) -> int:
     surface = _surface(args.q)
-    field = surface.field
-    if args.alpha is None:
-        choices = [a for a in field.subfield_indices() if a not in (0, 1)]
-        if not choices:
-            raise FormError("the grid example needs q > 2 (no subfield element besides 0 and 1)")
-        alpha = choices[0]
-    else:
-        alpha = args.alpha
+    alpha = args.alpha
+    if alpha is None:  # the smallest valid one; at q = 2 there is none, and the example refuses q
+        alpha = next((a for a in surface.field.subfield_indices() if a > 1), 0)
     t0 = time.monotonic()
     return _example_report(args, surface, build_grid_example(surface, alpha), t0, alpha=alpha)
 
@@ -312,7 +311,10 @@ def _cmd_code(args) -> int:
 
 def _cmd_check(args) -> int:
     with open(args.form_file) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise FormError(f"{args.form_file} nests its JSON too deeply") from None
     q = form_json_q(data)
     if args.q is not None and q != args.q:
         raise FormError(f"form file is for q={q}, got --q {args.q}")
@@ -374,7 +376,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
     p.add_argument("--samples", type=int, default=100_000, help="random-mode sample count")
     p.add_argument("--seed", type=int, default=0, help="random-mode seed")
-    p.add_argument("--budget", type=int, default=10_000_000, help="max scalar classes")
+    p.add_argument("--budget", type=int, default=10_000_000,
+                   help="max scalar classes scanned, or samples drawn in random mode")
     p.add_argument(
         "--workers",
         type=int,

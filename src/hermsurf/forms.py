@@ -296,24 +296,11 @@ def divide(form: Form, divisor: Form) -> tuple[dict, dict]:
     return quo, rem
 
 
-def divides(divisor: Form, form: Form) -> bool:
-    if divisor.degree > form.degree:
-        return False
-    return not divide(form, divisor)[1]
-
-
 def exact_quotient(form: Form, divisor: Form) -> Form | None:
     quo, rem = divide(form, divisor)
     if rem:
         return None
     return Form(form.field, form.degree - divisor.degree, quo)
-
-
-def hermitian_divides(form: Form, surface: HermitianSurface) -> bool:
-    """Does the surface equation divide F?  Trivially false for d <= q."""
-    if form.degree < surface.q + 1:
-        return False
-    return divides(surface_form(surface), form)
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +329,6 @@ class IntersectionReport:
     meeting_sizes: tuple[int, ...] | None  # |T(l)| aligned with jf_indices
     x_min: int | None  # min |T(l)|; None when J_F is empty
     multiplicities: dict | None  # point id -> r_P on the union of J_F
-
-    @property
-    def v2_component(self) -> bool:
-        return self.hermitian_multiple
 
     @property
     def contains_tangent_plane(self) -> bool:
@@ -381,7 +364,7 @@ class IntersectionReport:
             "form": form_to_json(self.form, self.q),
             "x_count": self.x_count,
             "hermitian_multiple": self.hermitian_multiple,
-            "v2_component": self.v2_component,
+            "v2_component": self.hermitian_multiple,
             "contains_tangent_plane": self.contains_tangent_plane,
             "jf_count": self.jf_count,
             "delta": self.delta,
@@ -493,15 +476,6 @@ def intersection_stats(form: Form, surface: HermitianSurface) -> IntersectionRep
         x_min=min(meeting) if meeting else None,
         multiplicities=dict(zip(surface.point_ids[on_union].tolist(), r[on_union].tolist())),
     )
-
-
-def incidence_double_count(form: Form, surface: HermitianSurface) -> tuple[int, int]:
-    """(|X| * (q+1), sum over generators of |l n V(F)|); always equal,
-    because every surface point lies on exactly q+1 generators."""
-    zero = form.values_at(surface.arr) == 0
-    lhs = int(zero.sum()) * (surface.q + 1)
-    rhs = int(zero[surface.generator_positions()].sum())
-    return lhs, rhs
 
 
 # ----------------------------------------------------------------------

@@ -65,13 +65,6 @@ def _rref_matrices(order: int, k: int, n: int) -> np.ndarray:
     return matrices
 
 
-def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
-    """All points of PG(dim, q^2) as normalized tuples, ascending lex order."""
-    if dim not in (1, 2, 3):
-        raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
-    return [tuple(p) for p in _rref_matrices(field.order, 1, dim + 1)[:, 0].tolist()]
-
-
 def _normalized(field: Field, x: np.ndarray, col=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows x[i] / x[i, col[i]] by the log rule (col: first nonzero by default), and col."""
     col = (x != 0).argmax(axis=1) if col is None else col

@@ -132,16 +132,11 @@ class BoundCheck:
 
 @dataclass
 class BoundReport:
-    q: int
-    d: int
-    x_count: int
-    delta: int | None
-    x_min: int | None
-    hermitian_multiple: bool
-    contains_tangent_plane: bool
-    residual_point_exists: bool
-    jf_empty: bool
-    tangent_plane_union: bool | None  # None when not analyzed
+    """The verdict on one form: its intersection report, the bounds checked against it, and whether
+    V(F) is a union of tangent planes (None when not analyzed)."""
+
+    stats: IntersectionReport
+    tangent_plane_union: bool | None = None
     checks: dict = dc_field(default_factory=dict)
 
     @property
@@ -149,17 +144,18 @@ class BoundReport:
         return all(c.satisfied is not False for c in self.checks.values())
 
     def to_json(self) -> dict:
+        s = self.stats
         return {
-            "q": self.q,
-            "d": self.d,
-            "x_count": self.x_count,
-            "delta": self.delta,
-            "x_min": self.x_min,
+            "q": s.q,
+            "d": s.d,
+            "x_count": s.x_count,
+            "delta": s.delta,
+            "x_min": s.x_min,
             "flags": {
-                "hermitian_multiple": self.hermitian_multiple,
-                "contains_tangent_plane": self.contains_tangent_plane,
-                "residual_point_exists": self.residual_point_exists,
-                "jf_empty": self.jf_empty,
+                "hermitian_multiple": s.hermitian_multiple,
+                "contains_tangent_plane": s.contains_tangent_plane,
+                "residual_point_exists": bool(s.residual_ids),
+                "jf_empty": not s.jf_count,  # None, so True, for a multiple of H
                 "tangent_plane_union": self.tangent_plane_union,
             },
             "checks": {name: c.to_json() for name, c in sorted(self.checks.items())},
@@ -171,21 +167,10 @@ def evaluate_bounds(report: IntersectionReport) -> BoundReport:
     """Evaluate every bound formula against one intersection report."""
     if report.hermitian_multiple:
         raise FormError("bounds do not apply when the surface equation divides the form")
-    q, d, x = report.q, report.d, report.x_count
-    delta = report.delta
-    x_min = report.x_min
-    jf_empty = report.jf_count == 0
+    q, d, x, delta, x_min = report.q, report.d, report.x_count, report.delta, report.x_min
     residual = bool(report.residual_ids)
     no_tangent = not report.contains_tangent_plane
-
-    out = BoundReport(
-        q=q, d=d, x_count=x, delta=delta, x_min=x_min,
-        hermitian_multiple=False,
-        contains_tangent_plane=report.contains_tangent_plane,
-        residual_point_exists=residual,
-        jf_empty=jf_empty,
-        tangent_plane_union=None,
-    )
+    out = BoundReport(report)
 
     def check(name: str, value, applicable: bool):
         value = Fraction(value)
@@ -193,13 +178,10 @@ def evaluate_bounds(report: IntersectionReport) -> BoundReport:
 
     check("incidence_bound", incidence_bound(q, d, delta), True)
     check("residual_point_bound", residual_point_bound(q, d), residual and d <= q * q + 1)
-    xdep = no_tangent and not residual and not jf_empty
-    check("book_bound", book_bound(q, d, x_min) if x_min is not None else 0, xdep)
-    check(
-        "multiplicity_bound",
-        multiplicity_bound(q, d, delta, x_min) if x_min is not None else 0,
-        xdep,
-    )
+    has_x = x_min is not None  # J_F is nonempty
+    xdep = no_tangent and not residual and has_x
+    check("book_bound", book_bound(q, d, x_min) if has_x else 0, xdep)
+    check("multiplicity_bound", multiplicity_bound(q, d, delta, x_min) if has_x else 0, xdep)
     check("no_tangent_plane_bound", no_tangent_plane_bound(q, d), no_tangent)
     check("sorensen_bound", sorensen_bound(q, d), d <= q + 1)
     return out
@@ -252,14 +234,7 @@ def check_theorems(report: IntersectionReport, surface: HermitianSurface) -> Bou
     """Full per-form verdict from the form's intersection stats: every
     bound, and the union-of-tangent-planes structural test."""
     if report.hermitian_multiple:
-        out = BoundReport(
-            q=report.q, d=report.d, x_count=report.x_count,
-            delta=None, x_min=None, hermitian_multiple=True,
-            contains_tangent_plane=report.contains_tangent_plane,
-            residual_point_exists=False, jf_empty=True,
-            tangent_plane_union=None,
-        )
-        return out
+        return BoundReport(report)
     bounds = evaluate_bounds(report)
     factors = tangent_plane_factors(report, surface)
     union = factors is not None

@@ -1,13 +1,13 @@
 """Encodings, enumerations and serializers that only the tests call.
 
 Each takes the hermsurf object it reads as its first argument: a field,
-a geometry, a surface or a bound report.
+a geometry, a surface, a form or a bound report.
 """
 
 import numpy as np
 
 from hermsurf.finite_field import Field
-from hermsurf.proj_geometry import Line, dual_basis, incidence, span_ids
+from hermsurf.proj_geometry import GeometryError, Line, _rref_matrices, dual_basis, incidence, span_ids
 
 
 # -- fields ---------------------------------------------------------------
@@ -61,7 +61,25 @@ def surface_describe(surface) -> dict:
     return {"q": surface.q, "matrix": [c for row in surface.matrix for c in row]}
 
 
+# -- forms ----------------------------------------------------------------
+
+def incidence_double_count(form, surface) -> tuple[int, int]:
+    """(|X| * (q+1), sum over generators of |l n V(F)|); always equal,
+    because every surface point lies on exactly q+1 generators."""
+    zero = form.values_at(surface.arr) == 0
+    lhs = int(zero.sum()) * (surface.q + 1)
+    rhs = int(zero[surface.generator_positions()].sum())
+    return lhs, rhs
+
+
 # -- the geometry of PG(3, q^2) --------------------------------------------
+
+def projective_points(field: Field, dim: int) -> list[tuple[int, ...]]:
+    """All points of PG(dim, q^2) as normalized tuples, ascending lex order."""
+    if dim not in (1, 2, 3):
+        raise GeometryError(f"dim must be 1, 2 or 3, got {dim}")
+    return [tuple(p) for p in _rref_matrices(field.order, 1, dim + 1)[:, 0].tolist()]
+
 
 def points_on_line(geometry, line: Line) -> list[tuple[int, ...]]:
     return geometry._tuples(list(line.point_ids))

@@ -23,7 +23,7 @@ import operator
 import numpy as np
 
 from hermsurf.finite_field import nullspace
-from hermsurf.forms import divides, exact_quotient, linear_form, surface_form
+from hermsurf.forms import divide, exact_quotient, linear_form, surface_form
 from hermsurf.proj_geometry import dual_basis, span_ids
 
 
@@ -88,6 +88,13 @@ def tangent_planes_through(surface, line) -> list:
     book of q^2+1 planes that are tangent planes of the surface."""
     planes = surface.tangent_planes()
     return sorted(p for p in surface.geometry.book_of_planes(line) if p in planes)
+
+
+def divides(divisor, form) -> bool:
+    """Does the divisor divide the form?  By division: the remainder is zero."""
+    if divisor.degree > form.degree:
+        return False
+    return not divide(form, divisor)[1]
 
 
 def hermitian_multiple_by_division(form, surface) -> bool:

@@ -14,11 +14,9 @@ import pytest
 from hermsurf.finite_field import build_field, matrix_rank, nullspace
 from hermsurf.forms import (
     form_from_vector,
-    incidence_double_count,
     intersection_stats,
     monomial_count,
     plane_contained,
-    hermitian_divides,
 )
 from hermsurf.hermitian import (
     HermitianSurface,
@@ -36,8 +34,14 @@ from hermsurf.theorems import (
     sorensen_bound,
     tangent_plane_factors,
 )
-from helpers import enumerate_lines, random_hermitian, tangent_plane, violations
-from symbolic import planes_inside
+from helpers import (
+    enumerate_lines,
+    incidence_double_count,
+    random_hermitian,
+    tangent_plane,
+    violations,
+)
+from symbolic import hermitian_multiple_by_division, planes_inside
 
 
 @contextmanager
@@ -194,7 +198,7 @@ def test_criterion_09_falsification_harness():
                     if not any(vec):
                         continue
                     form = form_from_vector(f, d, vec)
-                    if d == q + 1 and hermitian_divides(form, surface):
+                    if d == q + 1 and hermitian_multiple_by_division(form, surface):
                         continue  # excluded by the modified question
                     checked += 1
                     rep = intersection_stats(form, surface)

@@ -304,6 +304,18 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_refuses_deeply_nested_file(tmp_path, capsys):
+    """json.load recurses once per nesting level, so 100,000 nested lists
+    pass the recursion limit: an input error, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "check", str(deep))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("coefficient", [-1, 4])
 def test_check_rejects_out_of_range_coefficient(tmp_path, capsys, coefficient):
     form_file = tmp_path / "f.json"
@@ -427,6 +439,26 @@ def test_check_top_degree_form_is_not_a_falsification(tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(form_file))
     assert code == 0
     assert load_report(out)["bounds"]["ok"] is True
+
+
+@pytest.mark.parametrize("samples, budget, refused", [(101, 100, True), (100, 100, False)])
+def test_random_search_counts_samples_against_the_budget(capsys, samples, budget, refused):
+    """Random search draws at most --budget samples and refuses more at once,
+    before it builds a field or an array.  The values are small, so that a
+    missing refusal would only run a short search."""
+    fields = build_field.cache_info()
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--q", "2", "--d", "1", "--mode", "random",
+                         "--samples", str(samples), "--budget", str(budget))
+    assert "Traceback" not in err
+    if not refused:
+        assert code == 0 and load_report(out)["samples"] == samples
+        return
+    assert time.monotonic() - start < 1.0
+    assert build_field.cache_info() == fields
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {samples} samples exceed the budget {budget}\n"
 
 
 def test_huge_prime_q_is_refused_before_factoring(capsys):
@@ -575,6 +607,7 @@ def _vector_lists(draw):
 @example((8, 5, [[c] * 56 for c in range(1, 64)]), 1)  # every term of the widest table
 @example((3, 2, [[0] * 9 + [4], [1] + [0] * 9]), 2)  # a last-monomial-only form, then a first
 @example((4, 2, np.array([[1, 0, 15, 0, 0, 0, 0, 0, 0, 3], [0] * 9 + [7]], dtype=np.int16)), 1)
+@example((2, 1, [[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 2], [1, 1, 0, 0]]), 1)  # shared terms
 def test_forms_text_matches_dumps_of_the_form_dicts(drawn, depth):
     """(V, M) int16 arrays, as a search result holds them, drawn as lists."""
     q, d, vectors = drawn

@@ -26,13 +26,10 @@ from hermsurf.forms import (
     combination_values,
     contains_tangent_plane,
     divide,
-    divides,
     exact_quotient,
     form_from_json,
     form_from_vector,
     form_to_json,
-    hermitian_divides,
-    incidence_double_count,
     intersection_stats,
     line_contained,
     linear_form,
@@ -47,10 +44,18 @@ from hermsurf.forms import (
     zero_counts,
 )
 from hermsurf.hermitian import InternalConsistencyError, canonical_surface
-from hermsurf.proj_geometry import geometry_for, projective_points
+from hermsurf.proj_geometry import geometry_for
 from hermsurf.theorems import _SearchContext
-from helpers import tangent_plane
-from symbolic import class_zero_masks, line_inside, plane_inside, restrict, vanishing_tangent_planes
+from helpers import incidence_double_count, projective_points, tangent_plane
+from symbolic import (
+    class_zero_masks,
+    divides,
+    hermitian_multiple_by_division,
+    line_inside,
+    plane_inside,
+    restrict,
+    vanishing_tangent_planes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -471,14 +476,18 @@ def test_divides_and_quotient():
 
 
 def test_hermitian_divides(s2):
+    """Division by the surface equation answers whether H divides F at any
+    degree, as the tests' division oracle does; above q+1, exact_quotient
+    gives the quotient."""
     f = s2.field
     herm = surface_form(s2)
-    assert hermitian_divides(herm, s2)
-    assert hermitian_divides(herm * linear_form(f, (1, 2, 3, 0)), s2)
-    assert not hermitian_divides(pencil_form(s2), s2)
-    assert not hermitian_divides(linear_form(f, (1, 0, 0, 0)), s2)  # d <= q
+    g = linear_form(f, (1, 2, 3, 0))
+    assert exact_quotient(herm * g, herm) == g
     cubic = Form(f, 3, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1})
-    assert not hermitian_divides(cubic, s2)
+    for form, multiple in [(herm, True), (herm * g, True), (pencil_form(s2), False),
+                           (linear_form(f, (1, 0, 0, 0)), False), (cubic, False)]:
+        assert (not divide(form, herm)[1]) == multiple
+        assert hermitian_multiple_by_division(form, s2) == multiple
 
 
 def test_surface_form_is_canonical(s2):
@@ -531,7 +540,7 @@ def test_stats_tangent_plane(s2):
 def test_stats_hermitian_multiple(s2):
     rep = intersection_stats(surface_form(s2), s2)
     assert rep.hermitian_multiple
-    assert rep.v2_component
+    assert rep.to_json(s2)["v2_component"]
     assert rep.x_count == 45
     assert rep.jf_indices is None and rep.delta is None and rep.x_min is None
     assert rep.book_counts(s2) is None
@@ -871,7 +880,7 @@ def test_containment_matches_symbolic_restriction(case, pick):
     prefilter candidates, plus one generator and one tangent plane
     picked at random."""
     surface, form = case
-    if hermitian_divides(form, surface):
+    if hermitian_multiple_by_division(form, surface):
         return  # every generator and tangent plane passes the prefilter
     geom, gens = surface.geometry, surface.generators()
     planes = sorted(surface.tangent_planes())

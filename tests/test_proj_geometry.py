@@ -17,7 +17,6 @@ from hermsurf.proj_geometry import (
     geometry_for,
     join_basis,
     normalize,
-    projective_points,
     span_ids,
 )
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     planes_through_point,
     points_on_line,
     points_on_plane,
+    projective_points,
     tangent_plane,
 )
 

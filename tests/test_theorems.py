@@ -175,7 +175,7 @@ def test_residual_bound_needs_d_at_most_q_squared_plus_1(s2):
 def test_bounds_pencil_equality(s2):
     rep = intersection_stats(pencil2(s2), s2)
     br = evaluate_bounds(rep)
-    assert br.x_count == 23 == sorensen_bound(2, 2)
+    assert br.stats.x_count == 23 == sorensen_bound(2, 2)
     assert br.checks["sorensen_bound"].satisfied
     assert not br.checks["no_tangent_plane_bound"].applicable  # tangent planes inside
     assert not br.checks["book_bound"].applicable
@@ -200,7 +200,7 @@ def test_check_theorems_two_non_tangent_planes(s2):
     f = s2.field
     form = linear_form(f, (1, 0, 0, 0)) * linear_form(f, (0, 1, 0, 0))
     br = check_theorems(intersection_stats(form, s2), s2)
-    assert br.x_count == 15  # 9 + 9 - 3 through a common secant
+    assert br.stats.x_count == 15  # 9 + 9 - 3 through a common secant
     assert br.tangent_plane_union is False
     assert br.checks["no_tangent_plane_bound"].applicable
     assert br.checks["no_tangent_plane_bound"].value == 21
@@ -210,8 +210,8 @@ def test_check_theorems_two_non_tangent_planes(s2):
 
 def test_check_theorems_hermitian_multiple(s2):
     br = check_theorems(intersection_stats(surface_form(s2), s2), s2)
-    assert br.hermitian_multiple
-    assert br.x_count == 45
+    assert br.stats.hermitian_multiple
+    assert br.stats.x_count == 45
     assert br.checks == {}
     assert br.ok
 
@@ -295,6 +295,47 @@ def test_check_path_matches_division_and_plane_evaluation(q, kind, seed):
     assert tangent_plane_factors(rep, surface) == factors_by_division(form, planes)
     if kind in ("pencil", "repeated"):
         assert tangent_plane_factors(rep, surface) is not None
+
+
+def _old_verdict(stats, checks: dict, surface) -> dict:
+    """A verdict's JSON from the fields that evaluate_bounds and check_theorems once set one by one:
+    a multiple of H got no delta, x_min or residual point, J_F empty and no plane-union answer."""
+    multiple = stats.hermitian_multiple
+    return {
+        "q": stats.q,
+        "d": stats.d,
+        "x_count": stats.x_count,
+        "delta": None if multiple else stats.delta,
+        "x_min": None if multiple else stats.x_min,
+        "flags": {
+            "hermitian_multiple": multiple,
+            "contains_tangent_plane": stats.contains_tangent_plane,
+            "residual_point_exists": False if multiple else bool(stats.residual_ids),
+            "jf_empty": True if multiple else stats.jf_count == 0,
+            "tangent_plane_union": None if multiple else (
+                tangent_plane_factors(stats, surface) is not None),
+        },
+        "checks": {name: c.to_json() for name, c in sorted(checks.items())},
+        "ok": all(c.satisfied is not False for c in checks.values()),
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "pencil", "repeated", "tangent_times_form", "H*G"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_verdict_writes_its_intersection_report(q, kind, seed):
+    """A BoundReport holds its intersection report and writes q, d, x_count,
+    delta, x_min and the flags from it, as the record that copied them did,
+    for uniform forms, secant pencils, tangent-plane products and multiples
+    of H at d = q+1 and above."""
+    surface = canonical_surface(q)
+    stats = intersection_stats(_check_path_form(surface, kind, random.Random(seed)), surface)
+    br = check_theorems(stats, surface)
+    assert br.stats is stats
+    assert br.to_json() == _old_verdict(stats, br.checks, surface)
+    if stats.hermitian_multiple:
+        assert br.checks == {} and br.ok
 
 
 # ----------------------------------------------------------------------
@@ -649,12 +690,12 @@ def test_exhaustive_counters_follow_the_class_count_identity(s2, monkeypatch):
 
 
 def test_no_search_divides_by_the_surface_equation():
-    """Nothing in the theorems module names hermitian_divides, not even an
-    import: the exhaustive scan runs over the code classes and random search
-    decides multiples of H from the zero set, so no per-form division comes
-    back into either."""
+    """Nothing in the theorems module names surface_form, the divisor of any
+    division by H, not even an import: the exhaustive scan runs over the code
+    classes and random search decides multiples of H from the zero set, so no
+    per-form division by H comes back into either."""
     tree = ast.parse(Path(theorems.__file__).read_text())
-    named = [node.lineno for node in ast.walk(tree) if "hermitian_divides" in (
+    named = [node.lineno for node in ast.walk(tree) if "surface_form" in (
         getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
     assert named == []
 
